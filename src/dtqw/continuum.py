@@ -127,6 +127,9 @@ def mass_array(mass, L):
     return m
 
 
+_HERM_ROWS = 256   # row block of the Hermiticity check
+
+
 class LatticeHamiltonian:
     """A dense Hermitian lattice Hamiltonian plus its construction data."""
 
@@ -136,7 +139,12 @@ class LatticeHamiltonian:
         self.masses = masses             # list of per-axis mass arrays
         self.params = params
         self.scheme = scheme
-        herm = np.max(np.abs(matrix - matrix.conj().T))
+        # over row blocks, so no full-size temporary is formed
+        n = matrix.shape[0]
+        herm = max(
+            (np.max(np.abs(matrix[i:i + _HERM_ROWS]
+                           - matrix[:, i:i + _HERM_ROWS].conj().T))
+             for i in range(0, n, _HERM_ROWS)), default=0.0)
         if herm > 1e-12:
             raise ValueError(f"assembled matrix is not Hermitian "
                              f"(max deviation {herm:.3g})")
@@ -173,6 +181,60 @@ def dirac_1d_factor(mass, params, L, scheme="spectral"):
     return H, m
 
 
+def dirac_2d_factors(masses, params, L_x, L_y=None, scheme="spectral"):
+    """The two 1D factors of the 2D Dirac Hamiltonian.
+
+    Returns (H_x, H_y, m_x, m_y): H_x acts on (x, sigma) and H_y on
+    (y, tau), each a dirac_1d_factor, so that
+    H = H_x (x) tau^0 + sigma^x (x) H_y.  L_y defaults to L_x.
+    """
+    if L_y is None:
+        L_y = L_x
+    try:
+        m_x_in, m_y_in = masses
+    except (TypeError, ValueError):
+        raise ValueError("dim=2 needs a pair of mass profiles (m_x, m_y)")
+    h_x, m_x = dirac_1d_factor(m_x_in, params, L_x, scheme)
+    h_y, m_y = dirac_1d_factor(m_y_in, params, L_y, scheme)
+    return h_x, h_y, m_x, m_y
+
+
+def apply_dirac_2d(h_x, h_y, psi):
+    """H psi for H = H_x (x) tau^0 + sigma^x (x) H_y, without forming H.
+
+    h_x, h_y are the (2 L_x)^2 and (2 L_y)^2 factors of dirac_2d_factors;
+    psi is any array of L_x * L_y * 4 amplitudes in the (x, y, tau, sigma)
+    layout.  Returns the product in the shape of psi.
+    """
+    L_x, L_y = h_x.shape[0] // 2, h_y.shape[0] // 2
+    psi4 = np.asarray(psi).reshape(L_x, L_y, 2, 2)
+    hx4 = h_x.reshape(L_x, 2, L_x, 2)
+    hy4 = h_y.reshape(L_y, 2, L_y, 2)
+    out = np.einsum("asbt,byut->ayus", hx4, psi4)
+    # sigma^x on the sigma slot is the flip s -> 1 - s
+    out += np.einsum("yuzv,azvs->ayus", hy4, psi4[..., ::-1])
+    return out.reshape(np.shape(psi))
+
+
+def _add_axis_factors(out, a_x, a_y, y_flips_sigma):
+    """Add two per-axis factors into the C-contiguous (n, n) matrix out.
+
+    Layout (x, y, tau, sigma): a_x acts on (x, sigma) for every (y, tau);
+    a_y acts on (y, tau) for every x, with sigma^x on sigma when
+    y_flips_sigma, else sigma^0.
+    """
+    L_x, L_y = a_x.shape[0] // 2, a_y.shape[0] // 2
+    out8 = out.reshape((L_x, L_y, 2, 2) * 2)     # a view: writes reach out
+    ax4 = a_x.reshape(L_x, 2, L_x, 2)
+    ay4 = a_y.reshape(L_y, 2, L_y, 2)
+    for y in range(L_y):
+        for u in range(2):
+            out8[:, y, u, :, :, y, u, :] += ax4
+    for x in range(L_x):
+        for s in range(2):
+            out8[x, :, :, s, x, :, :, 1 - s if y_flips_sigma else s] += ay4
+
+
 def build_dirac(dim, masses, params, L_x, L_y=None, scheme="spectral"):
     """Lattice Dirac Hamiltonian in 1 or 2 dimensions.
 
@@ -198,23 +260,12 @@ def build_dirac(dim, masses, params, L_x, L_y=None, scheme="spectral"):
         return LatticeHamiltonian(H, (L_x,), [m], params, scheme)
     if dim != 2:
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    if L_y is None:
-        L_y = L_x
-    L_x, L_y = _check_odd(L_x), _check_odd(L_y)
-    try:
-        m_x_in, m_y_in = masses
-    except (TypeError, ValueError):
-        raise ValueError("dim=2 needs a pair of mass profiles (m_x, m_y)")
-    p_x = momentum_matrix(L_x, scheme)
-    p_y = momentum_matrix(L_y, scheme)
-    m_x = mass_array(m_x_in, L_x)
-    m_y = mass_array(m_y_in, L_y)
-    I_x, I_y = np.eye(L_x), np.eye(L_y)
-    H = (-params.eps * _kron(p_x, I_y, SIGMA_0, SIGMA_Z)
-         + _kron(np.diag(m_x), I_y, SIGMA_0, SIGMA_Y)
-         - params.eps * _kron(I_x, p_y, SIGMA_Z, SIGMA_X)
-         + _kron(I_x, np.diag(m_y), SIGMA_Y, SIGMA_X))
-    return LatticeHamiltonian(H, (L_x, L_y), [m_x, m_y], params, scheme)
+    h_x, h_y, m_x, m_y = dirac_2d_factors(masses, params, L_x, L_y, scheme)
+    n = len(m_x) * len(m_y) * 4
+    H = np.zeros((n, n), dtype=complex)
+    _add_axis_factors(H, h_x, h_y, y_flips_sigma=True)
+    return LatticeHamiltonian(H, (len(m_x), len(m_y)), [m_x, m_y],
+                              params, scheme)
 
 
 def square_decomposition_check(H2):
@@ -243,16 +294,10 @@ def square_decomposition_check(H2):
         return (np.kron(eps ** 2 * (p @ p) + np.diag(m ** 2), SIGMA_0)
                 + 1j * eps * np.kron(comm, SIGMA_X))
 
-    # embed H_Sx acting on (x, sigma) and H_Sy acting on (y, tau) into the
-    # full (x, y, tau, sigma) layout; row index order a,y,u,s / col b,z,v,t
-    hsx4 = schroedinger_1d(p_x, m_x).reshape(L_x, 2, L_x, 2)
-    hsy4 = schroedinger_1d(p_y, m_y).reshape(L_y, 2, L_y, 2)
-    full_x = np.einsum("asbt,yz,uv->ayusbzvt", hsx4, np.eye(L_y), np.eye(2))
-    full_y = np.einsum("yuzv,ab,st->ayusbzvt", hsy4, np.eye(L_x), np.eye(2))
-    n = L_x * L_y * 4
-    target = full_x.reshape(n, n) + full_y.reshape(n, n)
     sq = H2.matrix @ H2.matrix
-    return float(np.max(np.abs(sq - target)))
+    _add_axis_factors(sq, -schroedinger_1d(p_x, m_x),
+                      -schroedinger_1d(p_y, m_y), y_flips_sigma=False)
+    return float(np.max(np.abs(sq)))
 
 
 def hermite_state(n, params, L):
@@ -479,6 +524,18 @@ def _expm_factor(H, t):
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
+def _axis_step(p, m, kinetic, mass, eps, dt):
+    """exp(-iK dt) exp(-iM dt) on one axis: K = -eps p (x) kinetic and
+    M = diag(m) (x) mass, with the internal matrices on the fastest slots.
+
+    Mass rotation first, then the kinetic shift, matching a coin-then-shift
+    walk step.
+    """
+    K = -eps * np.kron(p, kinetic)
+    M = np.kron(np.diag(m), mass)
+    return _expm_factor(K, dt) @ _expm_factor(M, dt)
+
+
 def trotter_error(mass, params, L, dt, t, dim=1, psi0=None, scheme="spectral"):
     """Splitting error of the walk-style product formula at step size dt.
 
@@ -490,20 +547,28 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None, scheme="spectral"):
     dim=1 uses the two-factor product exp(-iK dt) exp(-iM dt); dim=2 the
     walk's four-factor order exp(-iK_y dt) exp(-iM_y dt) exp(-iK_x dt)
     exp(-iM_x dt).  With m = 0 the product is exact for any dt.
+
+    Each factor acts along one axis, so the step is applied as a (2 L)^2
+    x-factor on (x, sigma) and, in 2D, a (4 L)^2 y-factor on
+    (y, tau, sigma); the reference is the action of exp(-i H t) on psi0
+    (Al-Mohy & Higham 2011).
     """
+    from scipy.sparse.linalg import expm_multiply
+
     steps = t / dt
     if abs(steps - round(steps)) > 1e-9:
         raise ValueError(f"t/dt = {steps:.6g} is not an integer; choose a "
                          "commensurate step")
     steps = int(round(steps))
+    eps = params.eps
     if dim == 1:
         H = build_dirac(1, mass, params, L, scheme=scheme)
-        p = momentum_matrix(L, scheme)
-        K = -params.eps * np.kron(p, SIGMA_Z)
-        M = np.kron(np.diag(H.masses[0]), SIGMA_Y)
-        # application order: mass rotation first, then the kinetic shift,
-        # matching a coin-then-shift walk step
-        factors = [_expm_factor(M, dt), _expm_factor(K, dt)]
+        s_x = _axis_step(momentum_matrix(L, scheme), H.masses[0],
+                         SIGMA_Z, SIGMA_Y, eps, dt)
+
+        def step(psi):
+            return s_x @ psi
+
         if psi0 is None:
             g = np.exp(-(coords(L) - 2.0) ** 2
                        * params.beta / (2.0 * params.eps))
@@ -511,15 +576,19 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None, scheme="spectral"):
     elif dim == 2:
         H = build_dirac(2, mass, params, L, scheme=scheme)
         L_x, L_y = H.dims
-        p_x = momentum_matrix(L_x, scheme)
-        p_y = momentum_matrix(L_y, scheme)
-        I_x, I_y = np.eye(L_x), np.eye(L_y)
-        K_x = -params.eps * _kron(p_x, I_y, SIGMA_0, SIGMA_Z)
-        M_x = _kron(np.diag(H.masses[0]), I_y, SIGMA_0, SIGMA_Y)
-        K_y = -params.eps * _kron(I_x, p_y, SIGMA_Z, SIGMA_X)
-        M_y = _kron(I_x, np.diag(H.masses[1]), SIGMA_Y, SIGMA_X)
-        factors = [_expm_factor(M_x, dt), _expm_factor(K_x, dt),
-                   _expm_factor(M_y, dt), _expm_factor(K_y, dt)]
+        s_x = _axis_step(momentum_matrix(L_x, scheme), H.masses[0],
+                         SIGMA_Z, SIGMA_Y, eps, dt).reshape(L_x, 2, L_x, 2)
+        s_y = _axis_step(momentum_matrix(L_y, scheme), H.masses[1],
+                         np.kron(SIGMA_Z, SIGMA_X), np.kron(SIGMA_Y, SIGMA_X),
+                         eps, dt)
+
+        def step(psi):
+            # x-factor on (x, sigma) with (y, tau) spectating, then the
+            # y-factor on the contiguous (y, tau, sigma) slots
+            psi = np.einsum("asbt,bmt->ams", s_x,
+                            psi.reshape(L_x, 2 * L_y, 2))
+            return (psi.reshape(L_x, 4 * L_y) @ s_y.T).ravel()
+
         if psi0 is None:
             gx = np.exp(-(coords(L_x) - 2.0) ** 2
                         * params.beta / (2.0 * params.eps))
@@ -530,13 +599,10 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None, scheme="spectral"):
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     psi0 = psi0 / np.linalg.norm(psi0)
 
-    step = np.eye(H.size, dtype=complex)
-    for f in factors:
-        step = f @ step
-    psi = psi0.copy()
+    psi = psi0
     for _ in range(steps):
-        psi = step @ psi
-    ref = _expm_factor(H.matrix, t) @ psi0
+        psi = step(psi)
+    ref = expm_multiply(-1j * t * H.matrix, psi0)
     return float(np.linalg.norm(psi - ref))
 
 

@@ -8,16 +8,15 @@ config file, so any run can be reproduced from its own artifacts.
 
 import os
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig
-from .continuum import (OracleParams, build_dirac, combine_2d,
-                        dirac_oscillator_eigenstate, analytic_zero_mode_2d,
-                        jr_scattering, square_decomposition_check,
-                        trotter_error)
+from .continuum import (OracleParams, apply_dirac_2d, build_dirac,
+                        combine_2d, dirac_oscillator_eigenstate,
+                        analytic_zero_mode_2d, jr_scattering,
+                        square_decomposition_check, trotter_error)
 from .evolution import DynamicsSpec, run_dynamics
 from .io import svg_polyline, svg_scatter, write_csv, write_json
 from .lattice import LatticeSpec
@@ -29,17 +28,6 @@ from .spectral import (block_eigensystem, bulk_openings, band_grid,
 from .symmetry import (check_hamiltonian_symmetry, check_sublattice_shift,
                        check_walk_particle_hole, chiral_op, particle_hole_op,
                        spectral_particle_hole_residual, time_reversal_op)
-
-
-def thread_count():
-    """Worker cap for sweep presets: DTQW_THREADS, else the CPU count."""
-    env = os.environ.get("DTQW_THREADS", "").strip()
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ConfigError("DTQW_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
 
 
 _FIG1 = {
@@ -114,7 +102,7 @@ def base_config(name):
 # pipelines
 # --------------------------------------------------------------------------
 
-def _emit(outdir, emit, name, writer):
+def _emit(outdir, name, writer):
     path = os.path.join(outdir, name)
     writer(path)
     return name
@@ -139,10 +127,10 @@ def _run_dynamics(cfg, outdir, emit):
     series, _ = run_dynamics(dynamics_spec(cfg))
     out = []
     if "csv" in emit:
-        out.append(_emit(outdir, emit, "dynamics.csv", lambda p: write_csv(
+        out.append(_emit(outdir, "dynamics.csv", lambda p: write_csv(
             p, ["T", "mean_x", "mean_y", "std_x", "std_y"], series.rows())))
     if "svg" in emit:
-        out.append(_emit(outdir, emit, "orbit.svg", lambda p: svg_polyline(
+        out.append(_emit(outdir, "orbit.svg", lambda p: svg_polyline(
             p, series.mean_x, series.mean_y, "mean_x", "mean_y")))
     return out, {}
 
@@ -159,7 +147,7 @@ def _run_spectrum(cfg, outdir, emit):
     op, spectrum = _scan(cfg)
     out = []
     if "csv" in emit:
-        out.append(_emit(outdir, emit, "spectrum.csv", lambda p: write_csv(
+        out.append(_emit(outdir, "spectrum.csv", lambda p: write_csv(
             p, ["k_y", "E"], spectrum.rows())))
     # enclosed in-opening states, when the bulk is gapped by theta_y
     extras = {}
@@ -174,12 +162,12 @@ def _run_spectrum(cfg, outdir, emit):
                 enclosed.append((float(k), float(E)))
         extras["enclosed_count"] = len(enclosed)
         if "csv" in emit:
-            out.append(_emit(outdir, emit, "enclosed.csv",
+            out.append(_emit(outdir, "enclosed.csv",
                              lambda p: write_csv(p, ["k_y", "E"], enclosed)))
     if "svg" in emit:
         ks = [k for k, _ in spectrum.rows()]
         Es = [E for _, E in spectrum.rows()]
-        out.append(_emit(outdir, emit, "spectrum.svg", lambda p: svg_scatter(
+        out.append(_emit(outdir, "spectrum.svg", lambda p: svg_scatter(
             p, ks, Es, "k_y", "E")))
     return out, extras
 
@@ -197,10 +185,10 @@ def _run_edge_profiles(cfg, outdir, emit):
     out = []
     if "csv" in emit:
         header = ["x"] + [f"P_{i + 1}" for i in range(len(profiles))]
-        out.append(_emit(outdir, emit, "profiles.csv",
+        out.append(_emit(outdir, "profiles.csv",
                          lambda p: write_csv(p, header, rows)))
     if "svg" in emit:
-        out.append(_emit(outdir, emit, "profiles.svg", lambda p: svg_polyline(
+        out.append(_emit(outdir, "profiles.svg", lambda p: svg_polyline(
             p, xs, profiles[0], "x", "P")))
     return out, {"energies": [float(E[i]) for i in idx]}
 
@@ -217,16 +205,16 @@ def _run_corner(cfg, outdir, emit):
         rows.append((p.energy, p.residual, w))
     out = []
     if "csv" in emit:
-        out.append(_emit(outdir, emit, "states.csv", lambda p: write_csv(
+        out.append(_emit(outdir, "states.csv", lambda p: write_csv(
             p, ["E", "residual", "corner_weight_r5"], rows)))
         P = np.sum(np.abs(pairs[0].state) ** 2, axis=-1)
         xs, ys = op.lattice.coords_x, op.lattice.coords_y
         map_rows = [(int(x), int(y), float(P[i, j]))
                     for i, x in enumerate(xs) for j, y in enumerate(ys)]
-        out.append(_emit(outdir, emit, "map.csv", lambda p: write_csv(
+        out.append(_emit(outdir, "map.csv", lambda p: write_csv(
             p, ["x", "y", "P"], map_rows)))
     if "svg" in emit:
-        out.append(_emit(outdir, emit, "states.svg", lambda p: svg_scatter(
+        out.append(_emit(outdir, "states.svg", lambda p: svg_scatter(
             p, range(len(pairs)), [r[0] for r in rows], "index", "E")))
     return out, {"count_small_E": int(sum(abs(r[0]) < 0.05 for r in rows))}
 
@@ -255,17 +243,17 @@ def _run_bands(cfg, outdir, emit):
     ks = np.linspace(-np.pi, np.pi, n)
     out = []
     if "csv" in emit:
-        out.append(_emit(outdir, emit, "bands.csv", lambda p: write_csv(
+        out.append(_emit(outdir, "bands.csv", lambda p: write_csv(
             p, ["k_x", "k_y", "E_1", "E_2", "E_3", "E_4"],
             _bands_rows(tx, ty, ks))))
-        out.append(_emit(outdir, emit, "sections.csv", lambda p: write_csv(
+        out.append(_emit(outdir, "sections.csv", lambda p: write_csv(
             p, ["k_x", "k_y", "E_1", "E_2", "E_3", "E_4"],
             _section_rows(tx, ty, ks))))
     if "svg" in emit:
         rows = _section_rows(tx, ty, ks)
         ky = [r[1] for r in rows for _ in range(4)]
         Es = [e for r in rows for e in r[2:]]
-        out.append(_emit(outdir, emit, "bands.svg", lambda p: svg_scatter(
+        out.append(_emit(outdir, "bands.svg", lambda p: svg_scatter(
             p, ky, Es, "k_y", "E")))
     return out, {}
 
@@ -279,24 +267,25 @@ def _run_bands_sweep(cfg, outdir, emit):
     n = cfg.get_int("k_points", 41)
     ks = np.linspace(-np.pi, np.pi, n)
     tys = [parse_angle(t) for t in _SWEEP_THETA_Y]
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        blocks = list(pool.map(lambda ty: _section_rows(tx, ty, ks), tys))
+    blocks = [_section_rows(tx, ty, ks) for ty in tys]
     rows = [(float(ty), *row) for ty, block in zip(tys, blocks)
             for row in block]
     out = []
     if "csv" in emit:
-        out.append(_emit(outdir, emit, "sections.csv", lambda p: write_csv(
+        out.append(_emit(outdir, "sections.csv", lambda p: write_csv(
             p, ["theta_y", "k_x", "k_y", "E_1", "E_2", "E_3", "E_4"], rows)))
     if "svg" in emit:
         last = blocks[-1]
         ky = [r[1] for r in last for _ in range(4)]
         Es = [e for r in last for e in r[2:]]
-        out.append(_emit(outdir, emit, "bands.svg", lambda p: svg_scatter(
+        out.append(_emit(outdir, "bands.svg", lambda p: svg_scatter(
             p, ky, Es, "k_y", "E")))
     return out, {}
 
 
 def _oracle_report(L_big):
+    import scipy.linalg
+
     par = OracleParams(eps=1.0, beta=np.pi / 20)
     rep = {"omega": par.omega}
 
@@ -315,7 +304,10 @@ def _oracle_report(L_big):
     H2 = build_dirac(2, (lambda x: par.beta * x, lambda y: par.beta * y),
                      par, L2)
     rep["squaring_residual"] = square_decomposition_check(H2)
-    w2, V2 = np.linalg.eigh(H2.matrix)
+    # only the window |E| < top is read below: the zero subspace and the
+    # counts up to 1.03 sqrt(4 omega)
+    top = 1.04 * np.sqrt(4 * par.omega)
+    w2, V2 = scipy.linalg.eigh(H2.matrix, subset_by_value=(-top, top))
     counts = {"0": int(np.sum(np.abs(w2) < 0.25 * np.sqrt(par.omega)))}
     for N in (1, 2, 3, 4):
         t = np.sqrt(N * par.omega)
@@ -351,10 +343,9 @@ def _oracle_report(L_big):
     mix = (comb.gamma * Vx[:, ix].reshape(L3, 2)
            + comb.delta * (sx_full @ Vx[:, ix]).reshape(L3, 2))
     Psi = np.einsum("xs,yt->xyts", mix, Vx[:, iy].reshape(L3, 2)).reshape(-1)
-    H2big = build_dirac(2, (lambda x: par.beta * x, lambda y: par.beta * y),
-                        par, L3)
-    rep["combine_2d_residual"] = float(
-        np.linalg.norm(H2big.matrix @ Psi - comb.E * Psi))
+    # both axes carry the same linear mass, so Hx is each 1D factor
+    rep["combine_2d_residual"] = float(np.linalg.norm(
+        apply_dirac_2d(Hx.matrix, Hx.matrix, Psi) - comb.E * Psi))
     return rep
 
 
@@ -362,7 +353,7 @@ def _run_oracle(cfg, outdir, emit):
     rep = _oracle_report(cfg.get_int("L_x", 101))
     out = []
     if "json" in emit:
-        out.append(_emit(outdir, emit, "report.json",
+        out.append(_emit(outdir, "report.json",
                          lambda p: write_json(p, rep)))
     return out, {"combine_2d_residual": rep["combine_2d_residual"]}
 
@@ -373,17 +364,12 @@ def _run_trotter(cfg, outdir, emit):
     mass = lambda x: par.beta * x   # noqa: E731
     tasks = [(1, dt) for dt in (0.5, 0.25, 0.125)] + \
             [(2, dt) for dt in (0.5, 0.25)]
-
-    def one(task):
-        dim, dt = task
-        m = mass if dim == 1 else (mass, mass)
-        return (dim, dt, trotter_error(m, par, L, dt, t=4.0, dim=dim))
-
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        rows = list(pool.map(one, tasks))
+    rows = [(dim, dt, trotter_error(mass if dim == 1 else (mass, mass),
+                                    par, L, dt, t=4.0, dim=dim))
+            for dim, dt in tasks]
     out = []
     if "csv" in emit:
-        out.append(_emit(outdir, emit, "trotter.csv", lambda p: write_csv(
+        out.append(_emit(outdir, "trotter.csv", lambda p: write_csv(
             p, ["dim", "dt", "error"], rows)))
     ratios = {}
     for dim in (1, 2):
@@ -419,7 +405,7 @@ def _run_symmetry(cfg, outdir, emit):
     }
     out = []
     if "json" in emit:
-        out.append(_emit(outdir, emit, "report.json",
+        out.append(_emit(outdir, "report.json",
                          lambda p: write_json(p, rep)))
     return out, {}
 

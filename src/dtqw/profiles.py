@@ -173,18 +173,6 @@ class DomainWall(AngleProfile):
         return f"wall:{_fmt(self.theta1)}:{_fmt(self.theta2)}:{self.L_wall}"
 
 
-def eval_profile(profile, x, half_width):
-    """Angle at site x on an axis of half-width `half_width` (noise included).
-
-    Raises for |x| beyond the axis range.
-    """
-    x = int(x)
-    half_width = int(half_width)
-    if abs(x) > half_width:
-        raise ValueError(f"site x={x} outside the axis range +-{half_width}")
-    return float(profile.table(half_width)[x + half_width])
-
-
 def parse_profile(text):
     """Parse the profile grammar; see the module docstring."""
     s = str(text).strip()

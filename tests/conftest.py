@@ -1,33 +1,3 @@
-import numpy as np
-import pytest
-
-from dtqw.lattice import LatticeSpec
-from dtqw.operators import StepOperator2D
-from dtqw.profiles import Constant, DomainWall
-
-
-@pytest.fixture(scope="session")
-def wall_op_101():
-    """The fig2a preset geometry: clean theta_x wall, theta_y = 0, L = 101."""
-    return StepOperator2D(LatticeSpec(101),
-                          DomainWall(np.pi / 3, -np.pi / 3, 25),
-                          Constant(0.0))
-
-
-@pytest.fixture(scope="session")
-def wall_scan_101(wall_op_101):
-    from dtqw.spectral import spectrum_scan
-    return spectrum_scan(wall_op_101)
-
-
-@pytest.fixture(scope="session")
-def desk_op():
-    """Small wall geometry for fast dense checks."""
-    return StepOperator2D(LatticeSpec(41),
-                          DomainWall(np.pi / 3, -np.pi / 3, 10),
-                          Constant(0.0))
-
-
 def pytest_terminal_summary(terminalreporter):
     """Replay the acceptance battery's per-criterion lines (pytest captures
     stdout of passing tests, which would otherwise hide them)."""

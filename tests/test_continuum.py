@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dtqw.continuum import (ChiralSet, OracleParams, SIGMA_X, SIGMA_Y,
-                            SIGMA_Z, analytic_zero_mode_2d, build_dirac,
-                            build_higher_order, combine_2d,
-                            dirac_oscillator_eigenstate, dispersion_reference,
-                            hermite_state, jr_edge_state, jr_scattering,
-                            momentum_matrix, square_decomposition_check,
-                            topo_index, topo_product, trotter_error)
+from dtqw.continuum import (ChiralSet, LatticeHamiltonian, OracleParams,
+                            SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, _kron,
+                            analytic_zero_mode_2d, apply_dirac_2d,
+                            build_dirac, build_higher_order, combine_2d,
+                            dirac_2d_factors, dirac_oscillator_eigenstate,
+                            dispersion_reference, hermite_state,
+                            jr_edge_state, jr_scattering, momentum_matrix,
+                            square_decomposition_check, topo_index,
+                            topo_product, trotter_error)
 from dtqw.lattice import LatticeSpec
 from dtqw.operators import StepOperator1D, walk_matrix_dense_1d
 from dtqw.profiles import LinearSaturated
@@ -101,6 +103,62 @@ class TestSquaring:
         H2 = build_dirac(2, (wall, wall), PAR, 9)
         assert square_decomposition_check(H2) < 1e-12
 
+    def test_perturbation_detected(self):
+        H2 = build_dirac(2, (lambda x: PAR.beta * x, lambda y: PAR.beta * y),
+                         PAR, 9)
+        H2.matrix[10, 31] += 1e-3      # stays Hermitian
+        H2.matrix[31, 10] += 1e-3
+        assert square_decomposition_check(H2) > 1e-6
+
+
+class TestLatticeHamiltonian:
+    def test_rejects_asymmetry_past_first_row_block(self):
+        # both (700, 650) and its mirror sit beyond the first row block
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(900, 900)) + 1j * rng.normal(size=(900, 900))
+        M = A + A.conj().T
+        LatticeHamiltonian(M.copy(), (225,), [], PAR, "spectral")
+        M[700, 650] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            LatticeHamiltonian(M, (225,), [], PAR, "spectral")
+
+
+class TestFactoredRoutes:
+    """Per-axis routes against dense full-size products; a swapped axis,
+    tau or sigma index moves either far past its tolerance."""
+
+    wall = staticmethod(lambda x: 0.5 if abs(x) <= 2 else -0.5)
+
+    def test_matrix_free_product_matches_dense(self):
+        masses = (self.wall, lambda y: PAR.beta * y)
+        H = build_dirac(2, masses, PAR, 7, 9)
+        h_x, h_y, _, _ = dirac_2d_factors(masses, PAR, 7, 9)
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=H.size) + 1j * rng.normal(size=H.size)
+        assert np.max(np.abs(apply_dirac_2d(h_x, h_y, psi)
+                             - H.matrix @ psi)) <= 1e-12
+
+    @pytest.mark.parametrize("dt", [0.5, 0.25])
+    def test_factored_trotter_matches_dense_product(self, dt):
+        L, t = 7, 2.0
+        masses = (self.wall, lambda y: PAR.beta * y)
+        H = build_dirac(2, masses, PAR, L)
+        m_x, m_y = H.masses
+        p, eye = momentum_matrix(L), np.eye(L)
+        K_x = -PAR.eps * _kron(p, eye, SIGMA_0, SIGMA_Z)
+        M_x = _kron(np.diag(m_x), eye, SIGMA_0, SIGMA_Y)
+        K_y = -PAR.eps * _kron(eye, p, SIGMA_Z, SIGMA_X)
+        M_y = _kron(eye, np.diag(m_y), SIGMA_Y, SIGMA_X)
+        step = (expm(-1j * dt * K_y) @ expm(-1j * dt * M_y)
+                @ expm(-1j * dt * K_x) @ expm(-1j * dt * M_x))
+        rng = np.random.default_rng(9)
+        psi0 = rng.normal(size=H.size) + 1j * rng.normal(size=H.size)
+        psi0 /= np.linalg.norm(psi0)
+        psi = np.linalg.matrix_power(step, int(round(t / dt))) @ psi0
+        dense = np.linalg.norm(psi - expm(-1j * t * H.matrix) @ psi0)
+        factored = trotter_error(masses, PAR, L, dt, t, dim=2, psi0=psi0)
+        assert abs(factored - dense) <= 1e-12 * dense
+
 
 class TestCombine2D:
     def test_three_four_five(self):
@@ -176,11 +234,12 @@ class TestJackiwRebbi:
 class TestHigherOrder:
     def test_n2_matches_direct_build(self):
         wall = lambda x: 0.4 if abs(x) <= 2 else -0.4   # noqa: E731
-        cs = ChiralSet((wall, wall), PAR, 9)
-        H2a, report = build_higher_order(2, cs)
-        H2b = build_dirac(2, (wall, wall), PAR, 9)
-        assert np.max(np.abs(H2a.matrix - H2b.matrix)) < 1e-13
-        assert max(report["anticommutators"]) < 1e-12
+        for Ls in (9, (7, 9)):
+            cs = ChiralSet((wall, wall), PAR, Ls)
+            H2a, report = build_higher_order(2, cs)
+            H2b = build_dirac(2, (wall, wall), PAR, *cs.Ls)
+            assert np.max(np.abs(H2a.matrix - H2b.matrix)) < 1e-13
+            assert max(report["anticommutators"]) < 1e-12
 
     def test_n3_terms_anticommute(self):
         wall = lambda x: 0.4 if abs(x) <= 1 else -0.4   # noqa: E731
