@@ -11,7 +11,6 @@ import sys
 from . import __version__
 from .config import ConfigError, parse_config
 from .presets import PRESETS, base_config, run_config
-from .spectral import ConvergenceError
 
 
 def _usage(out):
@@ -58,11 +57,9 @@ def main(argv=None):
     except ConfigError as err:
         print(f"dtqw: config error: {err}", file=sys.stderr)
         return 2
-    except (ConvergenceError, FloatingPointError) as err:
-        print(f"dtqw: numerical failure: {err}", file=sys.stderr)
-        return 3
-    except RuntimeError as err:
-        # norm drift and eigensolver breakdowns surface as RuntimeError
+    except (FloatingPointError, RuntimeError) as err:
+        # norm drift and eigensolver breakdowns (ConvergenceError) surface
+        # as RuntimeError
         print(f"dtqw: numerical failure: {err}", file=sys.stderr)
         return 3
 

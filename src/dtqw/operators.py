@@ -25,13 +25,30 @@ real for any angle profiles.
 The 1D split-step walk U = S C on two components (L=0, R=1) uses the same
 rotation coin and the same shift convention.
 
-Everything here is matrix-free (vectorized numpy on (L_x, L_y, 4) arrays);
-explicit small-lattice matrices for tests live in `walk_matrix_dense`.
+The factor table below (COIN_GENERATORS, SHIFT_X_STEPS, SHIFT_Y_Q_CELL) is
+the one description of the four factors from which `spectral` derives the
+sparse, momentum-block and Bloch forms of U.  The matrix-free kernel here
+and `walk_matrix_dense` (which probes that kernel) are written out
+independently, so the derived forms can be tested against them.
 """
 
 import numpy as np
 
 from .lattice import LD, RD, LU, RU, LatticeSpec, allocate_state
+
+# The walk factors in the fixed (LD, RD, LU, RU) order:
+# C_axis(theta) = cos(theta) 1 + sin(theta) COIN_GENERATORS[axis];
+# S_x moves component c by SHIFT_X_STEPS[c] sites;
+# S_y = P 1 + Q SHIFT_Y_Q_CELL with the half-shift combinations P and Q.
+COIN_GENERATORS = {
+    "x": np.array([[0.0, -1, 0, 0], [1, 0, 0, 0],
+                   [0, 0, 0, -1], [0, 0, 1, 0]]),
+    "y": np.array([[0.0, 0, 0, -1], [0, 0, -1, 0],
+                   [0, 1, 0, 0], [1, 0, 0, 0]]),
+}
+SHIFT_X_STEPS = np.array([-1, +1, -1, +1])
+SHIFT_Y_Q_CELL = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0],
+                           [0, 0, 0, -1], [0, 0, -1, 0]])
 
 
 def coin_matrix(axis, theta):
@@ -41,24 +58,9 @@ def coin_matrix(axis, theta):
     axis='y': the D/U-mixing real matrix described in the module docstring.
     Both are orthogonal.
     """
-    c, s = np.cos(theta), np.sin(theta)
-    if axis == "x":
-        return np.array([[c, -s, 0, 0],
-                         [s, c, 0, 0],
-                         [0, 0, c, -s],
-                         [0, 0, s, c]])
-    if axis == "y":
-        return np.array([[c, 0, 0, -s],
-                         [0, c, -s, 0],
-                         [0, s, c, 0],
-                         [s, 0, 0, c]])
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-
-
-def coin_matrix_1d(theta):
-    """2x2 rotation coin [[c,-s],[s,c]] on (L, R)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    if axis not in COIN_GENERATORS:
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    return np.cos(theta) * np.eye(4) + np.sin(theta) * COIN_GENERATORS[axis]
 
 
 def _apply_coin_x(state, c, s):

@@ -21,7 +21,7 @@ from .evolution import DynamicsSpec, run_dynamics
 from .io import svg_polyline, svg_scatter, write_csv, write_json
 from .lattice import LatticeSpec
 from .operators import StepOperator2D
-from .spectral import (block_eigensystem, bulk_openings, band_grid,
+from .spectral import (block_eigensystem, bulk_bands, bulk_openings,
                        localization_metrics, momentum_block,
                        near_unity_states, region_mask, spectrum_scan,
                        states_in_openings)
@@ -222,17 +222,11 @@ def _run_corner(cfg, outdir, emit):
 _SECTION_LINES = (0.0, np.pi / 2, np.pi)
 
 
-def _bands_rows(theta_x, theta_y, ks):
-    grid = band_grid(theta_x, theta_y, ks, ks)
+def _band_rows(theta_x, theta_y, k_x, k_y):
+    grid = bulk_bands(theta_x, theta_y, np.asarray(k_x)[:, None],
+                      k_y[None, :])
     return [(float(kx), float(ky), *map(float, grid[i, j]))
-            for i, kx in enumerate(ks) for j, ky in enumerate(ks)]
-
-
-def _section_rows(theta_x, theta_y, ks):
-    grid = band_grid(theta_x, theta_y, _SECTION_LINES, ks)
-    return [(float(kx), float(ky), *map(float, grid[i, j]))
-            for i, kx in enumerate(_SECTION_LINES)
-            for j, ky in enumerate(ks)]
+            for i, kx in enumerate(k_x) for j, ky in enumerate(k_y)]
 
 
 def _run_bands(cfg, outdir, emit):
@@ -245,12 +239,12 @@ def _run_bands(cfg, outdir, emit):
     if "csv" in emit:
         out.append(_emit(outdir, "bands.csv", lambda p: write_csv(
             p, ["k_x", "k_y", "E_1", "E_2", "E_3", "E_4"],
-            _bands_rows(tx, ty, ks))))
+            _band_rows(tx, ty, ks, ks))))
         out.append(_emit(outdir, "sections.csv", lambda p: write_csv(
             p, ["k_x", "k_y", "E_1", "E_2", "E_3", "E_4"],
-            _section_rows(tx, ty, ks))))
+            _band_rows(tx, ty, _SECTION_LINES, ks))))
     if "svg" in emit:
-        rows = _section_rows(tx, ty, ks)
+        rows = _band_rows(tx, ty, _SECTION_LINES, ks)
         ky = [r[1] for r in rows for _ in range(4)]
         Es = [e for r in rows for e in r[2:]]
         out.append(_emit(outdir, "bands.svg", lambda p: svg_scatter(
@@ -267,7 +261,7 @@ def _run_bands_sweep(cfg, outdir, emit):
     n = cfg.get_int("k_points", 41)
     ks = np.linspace(-np.pi, np.pi, n)
     tys = [parse_angle(t) for t in _SWEEP_THETA_Y]
-    blocks = [_section_rows(tx, ty, ks) for ty in tys]
+    blocks = [_band_rows(tx, ty, _SECTION_LINES, ks) for ty in tys]
     rows = [(float(ty), *row) for ty, block in zip(tys, blocks)
             for row in block]
     out = []

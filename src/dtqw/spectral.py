@@ -14,17 +14,11 @@ zero, and U restricted to the converged subspace resolves the E signs.
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag
 from scipy.sparse.linalg import eigsh, ArpackNoConvergence
 
-from .operators import coin_matrix
+from .operators import (COIN_GENERATORS, SHIFT_X_STEPS, SHIFT_Y_Q_CELL,
+                        coin_matrix)
 from .profiles import Constant
-
-# off-diagonal patterns of the two coins and of the Q-part of S_y,
-# in the fixed (LD, RD, LU, RU) order
-_J_X = np.array([[0.0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-_J_Y = np.array([[0.0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
-_Q4 = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
 
 
 class ConvergenceError(RuntimeError):
@@ -63,25 +57,22 @@ def momentum_block(op, k_y):
 
     Index layout: 4*(x + half_x) + c.  Requires y-translation invariance
     (constant noiseless theta_y); theta_x may be any profile including
-    noise.
+    noise.  The walk on a one-site y axis with P -> cos(k_y) and
+    Q -> i sin(k_y).
     """
     _require_block_structure(op)
-    L = op.lattice.L_x
     tx = op.profile_x.table(op.lattice.half_x)
-    C_x = block_diag(*(coin_matrix("x", t) for t in tx)).astype(complex)
-    n = 4 * L
-    S_x = np.zeros((n, n))
-    xi = np.arange(L)
-    for c, step in ((0, -1), (1, +1), (2, -1), (3, +1)):
-        S_x[4 * ((xi + step) % L) + c, 4 * xi + c] = 1.0
-    C_y = np.kron(np.eye(L), coin_matrix("y", op.profile_y.theta))
-    cy, sy = np.cos(k_y), np.sin(k_y)
-    s_y_cell = np.array([[cy, 1j * sy, 0, 0],
-                         [1j * sy, cy, 0, 0],
-                         [0, 0, cy, -1j * sy],
-                         [0, 0, -1j * sy, cy]])
-    S_y = np.kron(np.eye(L), s_y_cell)
-    return MomentumBlock(k_y, S_y @ C_y @ S_x @ C_x)
+    U = _assemble(tx, [op.profile_y.theta],
+                  sparse.csr_matrix([[np.cos(k_y)]]),
+                  sparse.csr_matrix([[1j * np.sin(k_y)]]))
+    return MomentumBlock(k_y, U.toarray().astype(complex))
+
+
+def _quasi_energy(lam):
+    """E = -arg(lam) in (-pi, pi] for eigenvalues lam = exp(-iE)."""
+    E = -np.angle(lam)
+    E[E == -np.pi] = np.pi
+    return E
 
 
 def eigenphases(matrix):
@@ -91,9 +82,7 @@ def eigenphases(matrix):
     if drift > 1e-10:
         raise ValueError(f"eigenvalue modulus drifts from 1 by {drift:.3g}; "
                          "matrix is not unitary enough")
-    E = -np.angle(lam)
-    E[E == -np.pi] = np.pi
-    return np.sort(E)
+    return np.sort(_quasi_energy(lam))
 
 
 def quasi_energies(block):
@@ -106,8 +95,7 @@ def block_eigensystem(block):
     """(E, vectors) of a momentum block, sorted by E; vectors as columns."""
     m = block.matrix if isinstance(block, MomentumBlock) else block
     lam, V = np.linalg.eig(m)
-    E = -np.angle(lam)
-    E[E == -np.pi] = np.pi
+    E = _quasi_energy(lam)
     order = np.argsort(E)
     return E[order], V[:, order]
 
@@ -146,30 +134,24 @@ def spectrum_scan(op, k_grid=None):
 
 
 def bulk_bands(theta_x, theta_y, k_x, k_y):
-    """The four quasi-energies of the uniform walk at one (k_x, k_y).
+    """The four quasi-energies of the uniform walk at (k_x, k_y).
 
     Eigenphases of the 4x4 unitary S_y(k_y) C_y S_x(k_x) C_x with
-    S_x(k_x) = diag(e^{ik_x}, e^{-ik_x}, e^{ik_x}, e^{-ik_x}) (the L
-    components pick up +k_x since they move toward -x).
+    S_x(k_x) = diag(exp(-i k_x SHIFT_X_STEPS)) (the L components pick up
+    +k_x since they move toward -x) and S_y(k_y) = cos(k_y) 1
+    + i sin(k_y) SHIFT_Y_Q_CELL.  k_x and k_y may be arrays; they are
+    broadcast together and the result has shape (..., 4), sorted along
+    the last axis.
     """
-    cx = coin_matrix("x", theta_x)
-    cym = coin_matrix("y", theta_y)
-    sx = np.diag(np.exp(1j * k_x * np.array([1, -1, 1, -1])))
-    cy, sy = np.cos(k_y), np.sin(k_y)
-    s_y = np.array([[cy, 1j * sy, 0, 0],
-                    [1j * sy, cy, 0, 0],
-                    [0, 0, cy, -1j * sy],
-                    [0, 0, -1j * sy, cy]])
-    return eigenphases(s_y @ cym @ sx @ cx)
-
-
-def band_grid(theta_x, theta_y, k_x_values, k_y_values):
-    """Bands over a rectangular k grid; shape (n_kx, n_ky, 4), sorted."""
-    out = np.empty((len(k_x_values), len(k_y_values), 4))
-    for i, kx in enumerate(k_x_values):
-        for j, ky in enumerate(k_y_values):
-            out[i, j] = bulk_bands(theta_x, theta_y, kx, ky)
-    return out
+    k_x, k_y = np.broadcast_arrays(np.asarray(k_x, dtype=float),
+                                   np.asarray(k_y, dtype=float))
+    s_x = np.zeros(k_x.shape + (4, 4), dtype=complex)
+    idx = np.arange(4)
+    s_x[..., idx, idx] = np.exp(-1j * k_x[..., None] * SHIFT_X_STEPS)
+    s_y = (np.cos(k_y)[..., None, None] * np.eye(4)
+           + 1j * np.sin(k_y)[..., None, None] * SHIFT_Y_Q_CELL)
+    return eigenphases(
+        s_y @ coin_matrix("y", theta_y) @ s_x @ coin_matrix("x", theta_x))
 
 
 def bulk_gap_edge(theta, k_y):
@@ -214,8 +196,7 @@ def bulk_openings(theta_media, theta_y, k_y, n_kx=241, min_width=None):
         min_width = 5.0 * (2.0 * np.pi / n_kx)
     ks = np.linspace(-np.pi, np.pi, n_kx, endpoint=False)
     pts = np.sort(np.concatenate(
-        [bulk_bands(tx, theta_y, kx, k_y) for tx in theta_media
-         for kx in ks]))
+        [bulk_bands(tx, theta_y, ks, k_y).ravel() for tx in theta_media]))
     gaps = np.diff(pts)
     out = [(float(pts[i]), float(pts[i + 1]))
            for i in np.nonzero(gaps > min_width)[0]]
@@ -264,36 +245,46 @@ def fit_edge_branch(spectrum, theta, k_window=0.2, rel_margin=0.05):
     return v, resid, pts
 
 
+def _roll(L, s):
+    # (M psi)(i) = psi(i + s) with wraparound
+    idx = np.arange(L)
+    return sparse.csr_matrix((np.ones(L), (idx, (idx + s) % L)), shape=(L, L))
+
+
+def _assemble(tx, ty, P_y, Q_y):
+    """Sparse U = S_y C_y S_x C_x from the factor table in `operators`.
+
+    tx, ty are the site angle tables and P_y, Q_y the sparse half-shift
+    operators on the y axis (square, of size len(ty)).  Index layout
+    4*(len(ty)*x + y) + c.
+    """
+    L_x, L_y = len(tx), len(ty)
+    I_x, I_y = sparse.identity(L_x), sparse.identity(L_y)
+    I4 = sparse.identity(4)
+    kron = sparse.kron
+    J_x, J_y, Q_cell = (sparse.csr_matrix(m) for m in (
+        COIN_GENERATORS["x"], COIN_GENERATORS["y"], SHIFT_Y_Q_CELL))
+
+    C_x = (kron(sparse.diags(np.cos(tx)), kron(I_y, I4))
+           + kron(sparse.diags(np.sin(tx)), kron(I_y, J_x)))
+    C_y = kron(I_x, kron(sparse.diags(np.cos(ty)), I4)
+               + kron(sparse.diags(np.sin(ty)), J_y))
+    S_x = sum(kron(_roll(L_x, -step), kron(I_y, sparse.diags(
+        (SHIFT_X_STEPS == step).astype(float)))) for step in (-1, +1))
+    S_y = kron(I_x, kron(P_y, I4) + kron(Q_y, Q_cell))
+    return (S_y @ C_y @ S_x @ C_x).tocsr()
+
+
 def walk_matrix_sparse(op):
-    """Sparse CSR matrix of U from its kron-factor structure.
+    """Sparse CSR matrix of U from the factor table in `operators`.
 
     Same index layout as ``state.reshape(-1)``.  All factors are real, so
     the result is a real sparse matrix (~16 nonzeros per row).
     """
-    L_x, L_y = op.lattice.L_x, op.lattice.L_y
-    tx = op.profile_x.table(op.lattice.half_x)
-    ty = op.profile_y.table(op.lattice.half_y)
-
-    def roll(L, s):
-        # (M psi)(i) = psi(i + s) with wraparound
-        idx = np.arange(L)
-        return sparse.csr_matrix((np.ones(L), (idx, (idx + s) % L)),
-                                 shape=(L, L))
-
-    I_x, I_y = sparse.identity(L_x), sparse.identity(L_y)
-    I4 = sparse.identity(4)
-    kron = sparse.kron
-
-    C_x = (kron(sparse.diags(np.cos(tx)), kron(I_y, I4))
-           + kron(sparse.diags(np.sin(tx)), kron(I_y, sparse.csr_matrix(_J_X))))
-    C_y = kron(I_x, kron(sparse.diags(np.cos(ty)), I4)
-               + kron(sparse.diags(np.sin(ty)), sparse.csr_matrix(_J_Y)))
-    S_x = (kron(roll(L_x, +1), kron(I_y, sparse.diags([1.0, 0, 1, 0])))
-           + kron(roll(L_x, -1), kron(I_y, sparse.diags([0.0, 1, 0, 1]))))
-    P_y = (roll(L_y, +1) + roll(L_y, -1)) * 0.5
-    Q_y = (roll(L_y, +1) - roll(L_y, -1)) * 0.5
-    S_y = kron(I_x, kron(P_y, I4) + kron(Q_y, sparse.csr_matrix(_Q4)))
-    return (S_y @ C_y @ S_x @ C_x).tocsr()
+    up, down = _roll(op.lattice.L_y, +1), _roll(op.lattice.L_y, -1)
+    return _assemble(op.profile_x.table(op.lattice.half_x),
+                     op.profile_y.table(op.lattice.half_y),
+                     (up + down) * 0.5, (up - down) * 0.5)
 
 
 class Eigenpair:
@@ -307,15 +298,16 @@ class Eigenpair:
                 f"residual={self.residual:.2e})")
 
 
-def near_unity_states(op, count, dense_cutoff=10000, maxiter=None):
+def near_unity_states(op, count, maxiter=None):
     """The `count` walk eigenpairs with quasi-energy closest to zero.
 
     Works on the Hermitian surrogate W = (U + U^T)/2 (real symmetric since
     the walk matrix is real): its largest eigenvalues are cos(E) for the E
-    nearest zero.  Small problems are solved densely; larger ones go
-    through ARPACK with a deterministic start vector.  U is then re-
-    diagonalized inside the converged subspace to recover signed E and
-    per-state residuals ||U psi - e^{-iE} psi||.
+    nearest zero.  ARPACK finds them from a deterministic start vector; a
+    dense eigh does when the lattice is too small for a count + 8 vector
+    ARPACK subspace.  U is then re-diagonalized inside the converged
+    subspace to recover signed E and per-state residuals
+    ||U psi - e^{-iE} psi||.
 
     Returns a list of Eigenpair sorted by |E|, states shaped (L_x, L_y, 4).
     """
@@ -330,7 +322,8 @@ def near_unity_states(op, count, dense_cutoff=10000, maxiter=None):
     # spurious Ritz values anywhere inside the spectral hull).  Always
     # extend the cut to the next genuine gap in the W spectrum.
     gap_tol = 1e-9
-    if n <= dense_cutoff:
+    k_sub = count + 8
+    if k_sub >= n - 2:
         w, V = np.linalg.eigh(W.toarray())
         order = np.argsort(w)[::-1]
         w = w[order]
@@ -341,7 +334,6 @@ def near_unity_states(op, count, dense_cutoff=10000, maxiter=None):
     else:
         rng = np.random.Generator(np.random.PCG64(20240817))
         v0 = rng.normal(size=n)
-        k_sub = min(count + 8, n - 2)
         while True:
             try:
                 w, V = eigsh(W, k=k_sub, which="LA", v0=v0,
@@ -369,8 +361,7 @@ def near_unity_states(op, count, dense_cutoff=10000, maxiter=None):
     lam, C = np.linalg.eig(V.T @ UV)
     vecs = V @ C
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-    E = -np.angle(lam)
-    E[E == -np.pi] = np.pi
+    E = _quasi_energy(lam)
     resid = np.linalg.norm(U @ vecs - lam * vecs, axis=0)
     order = np.argsort(np.abs(E))[:count]
     return [Eigenpair(E[j], vecs[:, j].reshape(lattice.shape), resid[j])

@@ -158,6 +158,22 @@ def spectral_particle_hole_residual(spectrum):
     return worst
 
 
+def _pi_partners(k_values, atol_k):
+    """Index of the k_y + pi partner (mod 2 pi) of every grid point."""
+    k = np.asarray(k_values, dtype=float)
+    two_pi = 2.0 * np.pi
+    partners = []
+    for ki in k:
+        target = np.mod(ki + np.pi + np.pi, two_pi) - np.pi  # wrap to (-pi,pi]
+        d = np.abs(np.mod(k - target + np.pi, two_pi) - np.pi)
+        j = int(np.argmin(d))
+        if d[j] > atol_k:
+            raise ValueError(
+                f"k grid is not pi-pairable: no partner for k_y={ki:.6g}")
+        partners.append(j)
+    return partners
+
+
 def check_sublattice_shift(spectrum, atol_k=1e-9):
     """Residual of the sublattice relation E(k_y + pi) = E(k_y) - pi.
 
@@ -167,22 +183,11 @@ def check_sublattice_shift(spectrum, atol_k=1e-9):
     multiset distance; exact up to rounding for any walk with the S_y
     half-shift structure, noise included.
     """
-    k = np.asarray(spectrum.k_values, dtype=float)
-    two_pi = 2.0 * np.pi
     worst = 0.0
-    paired = 0
-    for i, ki in enumerate(k):
-        target = np.mod(ki + np.pi + np.pi, two_pi) - np.pi  # wrap to (-pi,pi]
-        d = np.abs(np.mod(k - target + np.pi, two_pi) - np.pi)
-        j = int(np.argmin(d))
-        if d[j] > atol_k:
-            raise ValueError(
-                f"k grid is not pi-pairable: no partner for k_y={ki:.6g}")
-        paired += 1
+    for Es, j in zip(spectrum.energies, _pi_partners(spectrum.k_values,
+                                                      atol_k)):
         worst = max(worst, _phase_multiset_distance(
-            spectrum.energies[i],
-            np.asarray(spectrum.energies[j]) + np.pi))
-    assert paired == len(k)
+            Es, np.asarray(spectrum.energies[j]) + np.pi))
     return worst
 
 
@@ -192,16 +197,9 @@ def unshifted_pi_distance(spectrum):
     Reported for diagnosis: on lattices with an odd number of x sites this
     is generically large even though the shifted relation holds exactly.
     """
-    k = np.asarray(spectrum.k_values, dtype=float)
-    two_pi = 2.0 * np.pi
     worst = 0.0
-    for i, ki in enumerate(k):
-        target = np.mod(ki + np.pi + np.pi, two_pi) - np.pi
-        d = np.abs(np.mod(k - target + np.pi, two_pi) - np.pi)
-        j = int(np.argmin(d))
-        if d[j] > 1e-9:
-            raise ValueError(
-                f"k grid is not pi-pairable: no partner for k_y={ki:.6g}")
+    for Es, j in zip(spectrum.energies, _pi_partners(spectrum.k_values,
+                                                      1e-9)):
         worst = max(worst, _phase_multiset_distance(
-            spectrum.energies[i], spectrum.energies[j]))
+            Es, spectrum.energies[j]))
     return worst

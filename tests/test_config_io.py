@@ -144,6 +144,20 @@ class TestPresetRuns:
         assert main(["run", "--theta-x", "pi/banana"]) == 2
         capsys.readouterr()
 
+    def test_cli_convergence_error_exits_3(self, tmp_path, monkeypatch,
+                                           capsys):
+        import dtqw.presets
+        from dtqw.cli import main
+        from dtqw.spectral import ConvergenceError
+
+        def no_convergence(op, count):
+            raise ConvergenceError("eigensolver converged only 3/16 pairs")
+
+        monkeypatch.setattr(dtqw.presets, "near_unity_states", no_convergence)
+        assert main(["fig6", "--L", "11", "--outdir",
+                     str(tmp_path / "c")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_dynamics_meta_records_outputs(self, tmp_path):
         out = str(tmp_path / "dyn")
         run_preset("fig1", {"T_max": "20", "L": "41"}, outdir=out)

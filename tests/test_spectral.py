@@ -39,6 +39,11 @@ class TestBlocks:
         assert resid < 1e-10
         assert np.all(np.diff(E) >= 0)
 
+    def test_eigenphases_are_in_half_open_interval(self):
+        # lambda = -1 has angle +pi, so E = -pi; the wrap maps it to +pi
+        assert np.array_equal(eigenphases(-np.eye(2)),
+                              [np.pi, np.pi])
+
     def test_noise_in_y_profile_rejected(self):
         op = StepOperator2D(LatticeSpec(9), Constant(0.1),
                             Constant(0.1).with_noise(0.05, 1))
@@ -66,6 +71,15 @@ class TestBulkBands:
         band_E = np.sort(np.concatenate(
             [bulk_bands(tx, ty, kx, ky) for kx in commensurate_grid(L)]))
         assert np.allclose(np.sort(lattice_E), band_E, atol=1e-12)
+
+    def test_array_input_matches_scalar_calls(self):
+        ks = np.linspace(-np.pi, np.pi, 9)
+        for tx, ty in [(np.pi / 3, 0.0), (np.pi / 3, np.pi / 3)]:
+            grid = bulk_bands(tx, ty, ks[:, None], ks[None, :])
+            scalar = np.array([[bulk_bands(tx, ty, kx, ky) for ky in ks]
+                               for kx in ks])
+            assert grid.shape == (9, 9, 4)
+            assert np.array_equal(grid, scalar)
 
     def test_gap_edge_formula(self):
         # brute-force the k_x minimum of |E| and compare
@@ -117,6 +131,20 @@ class TestNearUnityStates:
         assert abs(pairs[0].energy) == pytest.approx(best, abs=1e-8)
         for p in pairs:
             assert p.residual < 1e-8
+
+    @pytest.mark.parametrize("spare", [0, 10])
+    def test_dense_branch_when_arpack_cannot_hold_subspace(self, spare):
+        # count + 8 >= n - 2 leaves no room for ARPACK: the dense eigh runs
+        op = StepOperator2D(LatticeSpec(3),
+                            DomainWall(np.pi / 3, -np.pi / 3, 0),
+                            Constant(np.pi / 5))
+        count = op.lattice.size - spare
+        pairs = near_unity_states(op, count)
+        assert len(pairs) == count
+        assert max(p.residual for p in pairs) <= 1e-12
+        dense = eigenphases(walk_matrix_dense(op))
+        assert np.allclose(np.sort([abs(p.energy) for p in pairs]),
+                           np.sort(np.abs(dense))[:count], atol=1e-12)
 
     def test_degenerate_multiplet_not_truncated(self):
         # the requested count cuts into a degenerate multiplet; all returned
