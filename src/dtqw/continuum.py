@@ -41,7 +41,6 @@ class OracleParams:
     beta  : mass slope, equal to the coin slope b (dt = 1)
     m0    : wall mass magnitude
     omega : oscillator frequency 2*eps*beta
-    m_S   : Schroedinger mass from eps^2 = 1/(2 m_S)
     """
 
     def __init__(self, eps=1.0, beta=np.pi / 20, m0=None):
@@ -56,10 +55,6 @@ class OracleParams:
     @property
     def omega(self):
         return 2.0 * self.eps * self.beta
-
-    @property
-    def m_S(self):
-        return 1.0 / (2.0 * self.eps ** 2)
 
     @property
     def length(self):
@@ -85,26 +80,17 @@ def coords(L):
     return np.arange(-(L // 2), L // 2 + 1)
 
 
-def momentum_matrix(L, scheme="spectral"):
+def momentum_matrix(L):
     """Hermitian momentum p = -i d/dx on the periodic L-site axis.
 
-    scheme='spectral': exact on plane waves (diagonal k in the Fourier
-    basis), which makes exp(+-i a p) the exact one-site translation.
-    scheme='central': the usual antisymmetric difference -i(f(x+1)-f(x-1))/2.
+    The Fourier-spectral derivative: exact on plane waves (diagonal k in
+    the Fourier basis), which makes exp(+-i a p) the exact one-site
+    translation.
     """
     L = _check_odd(L)
-    if scheme == "spectral":
-        k = 2.0 * np.pi * np.fft.fftfreq(L)
-        P = np.fft.ifft(k[:, None] * np.fft.fft(np.eye(L), axis=0), axis=0)
-        return 0.5 * (P + P.conj().T)   # symmetrize away rounding
-    if scheme == "central":
-        # (P f)(x) = -i (f(x+1) - f(x-1))/2
-        P = np.zeros((L, L), dtype=complex)
-        idx = np.arange(L)
-        P[idx, (idx + 1) % L] = -0.5j
-        P[idx, (idx - 1) % L] = 0.5j
-        return P
-    raise ValueError(f"unknown derivative scheme {scheme!r}")
+    k = 2.0 * np.pi * np.fft.fftfreq(L)
+    P = np.fft.ifft(k[:, None] * np.fft.fft(np.eye(L), axis=0), axis=0)
+    return 0.5 * (P + P.conj().T)   # symmetrize away rounding
 
 
 def mass_array(mass, L):
@@ -133,12 +119,11 @@ _HERM_ROWS = 256   # row block of the Hermiticity check
 class LatticeHamiltonian:
     """A dense Hermitian lattice Hamiltonian plus its construction data."""
 
-    def __init__(self, matrix, dims, masses, params, scheme):
+    def __init__(self, matrix, dims, masses, params):
         self.matrix = matrix
         self.dims = tuple(dims)          # axis lengths
         self.masses = masses             # list of per-axis mass arrays
         self.params = params
-        self.scheme = scheme
         # over row blocks, so no full-size temporary is formed
         n = matrix.shape[0]
         herm = max(
@@ -157,12 +142,8 @@ class LatticeHamiltonian:
     def size(self):
         return self.matrix.shape[0]
 
-    def eigh(self):
-        return np.linalg.eigh(self.matrix)
-
     def __repr__(self):
-        return (f"LatticeHamiltonian(dim={self.dim}, dims={self.dims}, "
-                f"scheme={self.scheme!r})")
+        return f"LatticeHamiltonian(dim={self.dim}, dims={self.dims})"
 
 
 def _kron(*factors):
@@ -172,16 +153,24 @@ def _kron(*factors):
     return out
 
 
-def dirac_1d_factor(mass, params, L, scheme="spectral"):
+def _dirac_terms(m, eps):
+    """The kinetic and mass terms of H = -eps s^z p + m(x) s^y.
+
+    Returns ((p, -eps s^z), (diag m, s^y)), each a (site, internal) pair
+    whose kron is the term on (x, spinor).
+    """
+    return ((momentum_matrix(len(m)), -eps * SIGMA_Z),
+            (np.diag(m), SIGMA_Y))
+
+
+def dirac_1d_factor(mass, params, L):
     """The 2-component factor H = -eps s^z p + m(x) s^y on (x, spinor)."""
-    L = _check_odd(L)
-    p = momentum_matrix(L, scheme)
     m = mass_array(mass, L)
-    H = -params.eps * np.kron(p, SIGMA_Z) + np.kron(np.diag(m), SIGMA_Y)
-    return H, m
+    kinetic, mass_term = _dirac_terms(m, params.eps)
+    return np.kron(*kinetic) + np.kron(*mass_term), m
 
 
-def dirac_2d_factors(masses, params, L_x, L_y=None, scheme="spectral"):
+def dirac_2d_factors(masses, params, L_x, L_y=None):
     """The two 1D factors of the 2D Dirac Hamiltonian.
 
     Returns (H_x, H_y, m_x, m_y): H_x acts on (x, sigma) and H_y on
@@ -194,8 +183,8 @@ def dirac_2d_factors(masses, params, L_x, L_y=None, scheme="spectral"):
         m_x_in, m_y_in = masses
     except (TypeError, ValueError):
         raise ValueError("dim=2 needs a pair of mass profiles (m_x, m_y)")
-    h_x, m_x = dirac_1d_factor(m_x_in, params, L_x, scheme)
-    h_y, m_y = dirac_1d_factor(m_y_in, params, L_y, scheme)
+    h_x, m_x = dirac_1d_factor(m_x_in, params, L_x)
+    h_y, m_y = dirac_1d_factor(m_y_in, params, L_y)
     return h_x, h_y, m_x, m_y
 
 
@@ -235,7 +224,7 @@ def _add_axis_factors(out, a_x, a_y, y_flips_sigma):
             out8[x, :, :, s, x, :, :, 1 - s if y_flips_sigma else s] += ay4
 
 
-def build_dirac(dim, masses, params, L_x, L_y=None, scheme="spectral"):
+def build_dirac(dim, masses, params, L_x, L_y=None):
     """Lattice Dirac Hamiltonian in 1 or 2 dimensions.
 
     Parameters
@@ -246,7 +235,6 @@ def build_dirac(dim, masses, params, L_x, L_y=None, scheme="spectral"):
         AngleProfile
     params : OracleParams
     L_x, L_y : odd axis lengths (L_y defaults to L_x)
-    scheme : 'spectral' (default) or 'central' derivative
 
     Returns a LatticeHamiltonian.  dim=2 assembles
 
@@ -256,16 +244,15 @@ def build_dirac(dim, masses, params, L_x, L_y=None, scheme="spectral"):
     walk's (x, y, c) state layout.
     """
     if dim == 1:
-        H, m = dirac_1d_factor(masses, params, L_x, scheme)
-        return LatticeHamiltonian(H, (L_x,), [m], params, scheme)
+        H, m = dirac_1d_factor(masses, params, L_x)
+        return LatticeHamiltonian(H, (L_x,), [m], params)
     if dim != 2:
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    h_x, h_y, m_x, m_y = dirac_2d_factors(masses, params, L_x, L_y, scheme)
+    h_x, h_y, m_x, m_y = dirac_2d_factors(masses, params, L_x, L_y)
     n = len(m_x) * len(m_y) * 4
     H = np.zeros((n, n), dtype=complex)
     _add_axis_factors(H, h_x, h_y, y_flips_sigma=True)
-    return LatticeHamiltonian(H, (len(m_x), len(m_y)), [m_x, m_y],
-                              params, scheme)
+    return LatticeHamiltonian(H, (len(m_x), len(m_y)), [m_x, m_y], params)
 
 
 def square_decomposition_check(H2):
@@ -286,8 +273,8 @@ def square_decomposition_check(H2):
     L_x, L_y = H2.dims
     eps = H2.params.eps
     m_x, m_y = H2.masses
-    p_x = momentum_matrix(L_x, H2.scheme)
-    p_y = momentum_matrix(L_y, H2.scheme)
+    p_x = momentum_matrix(L_x)
+    p_y = momentum_matrix(L_y)
 
     def schroedinger_1d(p, m):
         comm = p @ np.diag(m) - np.diag(m) @ p
@@ -524,19 +511,18 @@ def _expm_factor(H, t):
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
-def _axis_step(p, m, kinetic, mass, eps, dt):
-    """exp(-iK dt) exp(-iM dt) on one axis: K = -eps p (x) kinetic and
-    M = diag(m) (x) mass, with the internal matrices on the fastest slots.
+def _axis_step(kinetic, mass, dt):
+    """exp(-iK dt) exp(-iM dt) on one axis from the (site, internal) pairs
+    of its kinetic term K and mass term M (see _dirac_terms).
 
     Mass rotation first, then the kinetic shift, matching a coin-then-shift
     walk step.
     """
-    K = -eps * np.kron(p, kinetic)
-    M = np.kron(np.diag(m), mass)
-    return _expm_factor(K, dt) @ _expm_factor(M, dt)
+    return (_expm_factor(np.kron(*kinetic), dt)
+            @ _expm_factor(np.kron(*mass), dt))
 
 
-def trotter_error(mass, params, L, dt, t, dim=1, psi0=None, scheme="spectral"):
+def trotter_error(mass, params, L, dt, t, dim=1, psi0=None):
     """Splitting error of the walk-style product formula at step size dt.
 
     Scales the walk to step dt (shift distance eps*dt realized spectrally,
@@ -562,9 +548,8 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None, scheme="spectral"):
     steps = int(round(steps))
     eps = params.eps
     if dim == 1:
-        H = build_dirac(1, mass, params, L, scheme=scheme)
-        s_x = _axis_step(momentum_matrix(L, scheme), H.masses[0],
-                         SIGMA_Z, SIGMA_Y, eps, dt)
+        H = build_dirac(1, mass, params, L)
+        s_x = _axis_step(*_dirac_terms(H.masses[0], eps), dt)
 
         def step(psi):
             return s_x @ psi
@@ -574,13 +559,14 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None, scheme="spectral"):
                        * params.beta / (2.0 * params.eps))
             psi0 = np.kron(g, [1.0, 0.0]).astype(complex)
     elif dim == 2:
-        H = build_dirac(2, mass, params, L, scheme=scheme)
+        H = build_dirac(2, mass, params, L)
         L_x, L_y = H.dims
-        s_x = _axis_step(momentum_matrix(L_x, scheme), H.masses[0],
-                         SIGMA_Z, SIGMA_Y, eps, dt).reshape(L_x, 2, L_x, 2)
-        s_y = _axis_step(momentum_matrix(L_y, scheme), H.masses[1],
-                         np.kron(SIGMA_Z, SIGMA_X), np.kron(SIGMA_Y, SIGMA_X),
-                         eps, dt)
+        s_x = _axis_step(*_dirac_terms(H.masses[0], eps),
+                         dt).reshape(L_x, 2, L_x, 2)
+        # the y factor chains sigma^x onto both internal parts
+        kin_y, mass_y = ((p, np.kron(g, SIGMA_X))
+                         for p, g in _dirac_terms(H.masses[1], eps))
+        s_y = _axis_step(kin_y, mass_y, dt)
 
         def step(psi):
             # x-factor on (x, sigma) with (y, tau) spectating, then the
@@ -630,7 +616,7 @@ class ChiralSet:
     2x2 involution expected to anticommute with its block's internal part.
     """
 
-    def __init__(self, masses, params, Ls, gammas=None, scheme="spectral"):
+    def __init__(self, masses, params, Ls, gammas=None):
         self.n = len(masses)
         if self.n not in (2, 3):
             raise ValueError("2 or 3 blocks supported")
@@ -640,7 +626,6 @@ class ChiralSet:
             raise ValueError("need one axis length per block")
         self.Ls = Ls
         self.params = params
-        self.scheme = scheme
         self.mass_arrays = [mass_array(m, L) for m, L in zip(masses, Ls)]
         if gammas is None:
             gammas = [SIGMA_X] * (self.n - 1)
@@ -651,9 +636,7 @@ class ChiralSet:
 
     def block(self, m):
         """Dense H_m on (axis_m, 2)."""
-        p = momentum_matrix(self.Ls[m], self.scheme)
-        return (-self.params.eps * np.kron(p, SIGMA_Z)
-                + np.kron(np.diag(self.mass_arrays[m]), SIGMA_Y))
+        return dirac_1d_factor(self.mass_arrays[m], self.params, self.Ls[m])[0]
 
 
 def build_higher_order(n, chiral_set):
@@ -691,10 +674,8 @@ def build_higher_order(n, chiral_set):
     size = int(np.prod(cs.Ls)) * 2 ** n
     H = np.zeros((size, size), dtype=complex)
     for m in range(n):
-        p = momentum_matrix(cs.Ls[m], cs.scheme)
-        for site_part, internal_part in (
-                (p, -cs.params.eps * SIGMA_Z),
-                (np.diag(cs.mass_arrays[m]), SIGMA_Y)):
+        for site_part, internal_part in _dirac_terms(cs.mass_arrays[m],
+                                                     cs.params.eps):
             sites = [np.eye(L) for L in cs.Ls]
             sites[m] = site_part
             # internal slot j (1-based, fastest kron factor = slot 1):
@@ -702,11 +683,10 @@ def build_higher_order(n, chiral_set):
             # identity above
             slots = list(cs.gammas[:m]) + [internal_part] + [eye2] * (n - m - 1)
             H += _kron(*sites, *slots[::-1])
-    H = LatticeHamiltonian(H, tuple(cs.Ls),
-                           list(cs.mass_arrays), cs.params, cs.scheme)
+    H = LatticeHamiltonian(H, tuple(cs.Ls), list(cs.mass_arrays), cs.params)
     if n == 2:
         ref = build_dirac(2, (cs.mass_arrays[0], cs.mass_arrays[1]),
-                          cs.params, cs.Ls[0], cs.Ls[1], cs.scheme)
+                          cs.params, cs.Ls[0], cs.Ls[1])
         dev = float(np.max(np.abs(H.matrix - ref.matrix)))
         report["matches_dirac_2d"] = dev
         if dev > 1e-12:

@@ -68,20 +68,19 @@ def refine_unit_eigenstate(op, psi, iterations):
     return psi, residuals
 
 
-def band_filter(op, psi, center, sigma_t, half_span=None, passes=1):
+def band_filter(op, psi, center, sigma_t, passes=1):
     """Gaussian quasi-energy window around `center`, matrix-free.
 
     Accumulates sum_t exp(-t^2/2 sigma_t^2) e^{+i center t} U^t psi over
-    t in [-half_span, half_span] (default half_span = ceil(3 sigma_t)).
-    Each eigencomponent at quasi-energy E picks up the factor
-    sum_t w(t) e^{i(center - E)t} ~ exp(-sigma_t^2 (E - center)^2 / 2),
-    so the output is psi filtered through a Gaussian window of spectral
-    width 1/sigma_t.  Repeating sharpens the window (`passes`).
+    |t| <= ceil(3 sigma_t).  Each eigencomponent at quasi-energy E picks up
+    the factor sum_t w(t) e^{i(center - E)t}
+    ~ exp(-sigma_t^2 (E - center)^2 / 2), so the output is psi filtered
+    through a Gaussian window of spectral width 1/sigma_t.  Repeating
+    sharpens the window (`passes`).
     """
     if sigma_t <= 0:
         raise ValueError("sigma_t must be positive")
-    if half_span is None:
-        half_span = int(np.ceil(3 * sigma_t))
+    half_span = int(np.ceil(3 * sigma_t))
     out = np.asarray(psi, dtype=complex)
     for _ in range(int(passes)):
         acc = out.copy()
@@ -144,7 +143,7 @@ class ObservableSeries:
                                 self.std_x[m], self.std_y[m])
 
 
-def run_dynamics(spec, initial_state=None):
+def run_dynamics(spec):
     """Evolve and record moments every `stride` steps (T = 0 included).
 
     Returns (series, snapshots) where snapshots maps the requested times to
@@ -152,8 +151,7 @@ def run_dynamics(spec, initial_state=None):
     the whole run.
     """
     op = spec.op
-    psi = prepare_initial_state(spec) if initial_state is None \
-        else lat.normalize(np.asarray(initial_state, dtype=complex))
+    psi = prepare_initial_state(spec)
     records = []
     snapshots = {}
 

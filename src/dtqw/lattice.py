@@ -16,7 +16,6 @@ LD, RD, LU, RU = 0, 1, 2, 3
 N_COMP = 4
 
 NORM_TOL_INPUT = 1e-6   # validation of user-supplied states
-NORM_TOL_SELF = 1e-12   # internal self-checks
 
 
 class LatticeSpec:
@@ -88,12 +87,12 @@ def normalize(state):
     return state / n
 
 
-def check_normalized(state, tol=NORM_TOL_INPUT):
+def check_normalized(state):
     n = np.linalg.norm(state)
-    if abs(n - 1.0) > tol:
+    if abs(n - 1.0) > NORM_TOL_INPUT:
         raise ValueError(
-            f"state norm {n:.12g} deviates from 1 by more than {tol:g}; "
-            "normalize before calling")
+            f"state norm {n:.12g} deviates from 1 by more than "
+            f"{NORM_TOL_INPUT:g}; normalize before calling")
 
 
 def probability_map(state):

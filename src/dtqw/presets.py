@@ -52,7 +52,6 @@ _WALL_X = "wall:pi/3:-pi/3:25"
 
 PRESETS = OrderedDict([
     ("fig1", ("dynamics", "limit-cycle orbit of the trapped walk", _FIG1)),
-    ("fig3", ("dynamics", "width saturation of the same run", _FIG1)),
     ("fig2a", ("spectrum", "edge branch, clean wall, theta_y = 0",
                {"L": "101", "theta_x": _WALL_X, "theta_y": "constant:0"})),
     ("fig2b", ("spectrum", "gapped edge branch at theta_y = pi/50",
@@ -99,14 +98,11 @@ def base_config(name):
 
 
 # --------------------------------------------------------------------------
-# pipelines
+# pipelines: each takes the merged config and returns (files, extras), where
+# files maps an output name to a writer taking its path and extras go into
+# meta.json.  run_config calls only the writers the emit set selects, so work
+# that one file alone needs stays inside that file's writer.
 # --------------------------------------------------------------------------
-
-def _emit(outdir, name, writer):
-    path = os.path.join(outdir, name)
-    writer(path)
-    return name
-
 
 def dynamics_spec(cfg):
     """Marshal a config into the DynamicsSpec the dynamics presets run."""
@@ -123,16 +119,14 @@ def dynamics_spec(cfg):
     )
 
 
-def _run_dynamics(cfg, outdir, emit):
+def _run_dynamics(cfg):
     series, _ = run_dynamics(dynamics_spec(cfg))
-    out = []
-    if "csv" in emit:
-        out.append(_emit(outdir, "dynamics.csv", lambda p: write_csv(
-            p, ["T", "mean_x", "mean_y", "std_x", "std_y"], series.rows())))
-    if "svg" in emit:
-        out.append(_emit(outdir, "orbit.svg", lambda p: svg_polyline(
-            p, series.mean_x, series.mean_y, "mean_x", "mean_y")))
-    return out, {}
+    return {
+        "dynamics.csv": lambda p: write_csv(
+            p, ["T", "mean_x", "mean_y", "std_x", "std_y"], series.rows()),
+        "orbit.svg": lambda p: svg_polyline(
+            p, series.mean_x, series.mean_y, "mean_x", "mean_y"),
+    }, {}
 
 
 def _scan(cfg):
@@ -143,12 +137,13 @@ def _scan(cfg):
     return op, spectrum_scan(op, k_grid=grid)
 
 
-def _run_spectrum(cfg, outdir, emit):
+def _run_spectrum(cfg):
     op, spectrum = _scan(cfg)
-    out = []
-    if "csv" in emit:
-        out.append(_emit(outdir, "spectrum.csv", lambda p: write_csv(
-            p, ["k_y", "E"], spectrum.rows())))
+    files = {
+        "spectrum.csv": lambda p: write_csv(p, ["k_y", "E"], spectrum.rows()),
+        "spectrum.svg": lambda p: svg_scatter(p, *zip(*spectrum.rows()),
+                                              "k_y", "E"),
+    }
     # enclosed in-opening states, when the bulk is gapped by theta_y
     extras = {}
     theta_y = op.profile_y.theta if hasattr(op.profile_y, "theta") else None
@@ -161,18 +156,11 @@ def _run_spectrum(cfg, outdir, emit):
             for E in states_in_openings(Es, ops_, margin=0.01):
                 enclosed.append((float(k), float(E)))
         extras["enclosed_count"] = len(enclosed)
-        if "csv" in emit:
-            out.append(_emit(outdir, "enclosed.csv",
-                             lambda p: write_csv(p, ["k_y", "E"], enclosed)))
-    if "svg" in emit:
-        ks = [k for k, _ in spectrum.rows()]
-        Es = [E for _, E in spectrum.rows()]
-        out.append(_emit(outdir, "spectrum.svg", lambda p: svg_scatter(
-            p, ks, Es, "k_y", "E")))
-    return out, extras
+        files["enclosed.csv"] = lambda p: write_csv(p, ["k_y", "E"], enclosed)
+    return files, extras
 
 
-def _run_edge_profiles(cfg, outdir, emit):
+def _run_edge_profiles(cfg):
     op = cfg.step_operator()
     E, V = block_eigensystem(momentum_block(op, 0.0))
     idx = np.argsort(np.abs(E))[:4]
@@ -182,18 +170,14 @@ def _run_edge_profiles(cfg, outdir, emit):
                 for i in idx]
     rows = [(int(x), *(float(p[j]) for p in profiles))
             for j, x in enumerate(xs)]
-    out = []
-    if "csv" in emit:
-        header = ["x"] + [f"P_{i + 1}" for i in range(len(profiles))]
-        out.append(_emit(outdir, "profiles.csv",
-                         lambda p: write_csv(p, header, rows)))
-    if "svg" in emit:
-        out.append(_emit(outdir, "profiles.svg", lambda p: svg_polyline(
-            p, xs, profiles[0], "x", "P")))
-    return out, {"energies": [float(E[i]) for i in idx]}
+    header = ["x"] + [f"P_{i + 1}" for i in range(len(profiles))]
+    return {
+        "profiles.csv": lambda p: write_csv(p, header, rows),
+        "profiles.svg": lambda p: svg_polyline(p, xs, profiles[0], "x", "P"),
+    }, {"energies": [float(E[i]) for i in idx]}
 
 
-def _run_corner(cfg, outdir, emit):
+def _run_corner(cfg):
     op = cfg.step_operator()
     pairs = near_unity_states(op, cfg.get_int("count", 8))
     Lw = op.profile_x.L_wall
@@ -203,20 +187,21 @@ def _run_corner(cfg, outdir, emit):
     for p in pairs:
         w = localization_metrics(p.state, [ball])["weights"][0]
         rows.append((p.energy, p.residual, w))
-    out = []
-    if "csv" in emit:
-        out.append(_emit(outdir, "states.csv", lambda p: write_csv(
-            p, ["E", "residual", "corner_weight_r5"], rows)))
+
+    def site_map(p):
         P = np.sum(np.abs(pairs[0].state) ** 2, axis=-1)
         xs, ys = op.lattice.coords_x, op.lattice.coords_y
-        map_rows = [(int(x), int(y), float(P[i, j]))
-                    for i, x in enumerate(xs) for j, y in enumerate(ys)]
-        out.append(_emit(outdir, "map.csv", lambda p: write_csv(
-            p, ["x", "y", "P"], map_rows)))
-    if "svg" in emit:
-        out.append(_emit(outdir, "states.svg", lambda p: svg_scatter(
-            p, range(len(pairs)), [r[0] for r in rows], "index", "E")))
-    return out, {"count_small_E": int(sum(abs(r[0]) < 0.05 for r in rows))}
+        write_csv(p, ["x", "y", "P"], [
+            (int(x), int(y), float(P[i, j]))
+            for i, x in enumerate(xs) for j, y in enumerate(ys)])
+
+    return {
+        "states.csv": lambda p: write_csv(
+            p, ["E", "residual", "corner_weight_r5"], rows),
+        "map.csv": site_map,
+        "states.svg": lambda p: svg_scatter(
+            p, range(len(pairs)), [r[0] for r in rows], "index", "E"),
+    }, {"count_small_E": int(sum(abs(r[0]) < 0.05 for r in rows))}
 
 
 _SECTION_LINES = (0.0, np.pi / 2, np.pi)
@@ -229,33 +214,32 @@ def _band_rows(theta_x, theta_y, k_x, k_y):
             for i, kx in enumerate(k_x) for j, ky in enumerate(k_y)]
 
 
-def _run_bands(cfg, outdir, emit):
+def _svg_sections(path, rows):
+    svg_scatter(path, [r[1] for r in rows for _ in range(4)],
+                [e for r in rows for e in r[2:]], "k_y", "E")
+
+
+def _run_bands(cfg):
     from .profiles import parse_profile
     tx = parse_profile(cfg.get("theta_x", "pi/3")).theta
     ty = parse_profile(cfg.get("theta_y", "0")).theta
     n = cfg.get_int("k_points", 41)
     ks = np.linspace(-np.pi, np.pi, n)
-    out = []
-    if "csv" in emit:
-        out.append(_emit(outdir, "bands.csv", lambda p: write_csv(
-            p, ["k_x", "k_y", "E_1", "E_2", "E_3", "E_4"],
-            _band_rows(tx, ty, ks, ks))))
-        out.append(_emit(outdir, "sections.csv", lambda p: write_csv(
-            p, ["k_x", "k_y", "E_1", "E_2", "E_3", "E_4"],
-            _band_rows(tx, ty, _SECTION_LINES, ks))))
-    if "svg" in emit:
-        rows = _band_rows(tx, ty, _SECTION_LINES, ks)
-        ky = [r[1] for r in rows for _ in range(4)]
-        Es = [e for r in rows for e in r[2:]]
-        out.append(_emit(outdir, "bands.svg", lambda p: svg_scatter(
-            p, ky, Es, "k_y", "E")))
-    return out, {}
+    header = ["k_x", "k_y", "E_1", "E_2", "E_3", "E_4"]
+    return {
+        "bands.csv": lambda p: write_csv(p, header,
+                                         _band_rows(tx, ty, ks, ks)),
+        "sections.csv": lambda p: write_csv(
+            p, header, _band_rows(tx, ty, _SECTION_LINES, ks)),
+        "bands.svg": lambda p: _svg_sections(
+            p, _band_rows(tx, ty, _SECTION_LINES, ks)),
+    }, {}
 
 
 _SWEEP_THETA_Y = ("0", "pi/12", "pi/6", "pi/4", "pi/3")
 
 
-def _run_bands_sweep(cfg, outdir, emit):
+def _run_bands_sweep(cfg):
     from .profiles import parse_angle, parse_profile
     tx = parse_profile(cfg.get("theta_x", "pi/3")).theta
     n = cfg.get_int("k_points", 41)
@@ -264,17 +248,11 @@ def _run_bands_sweep(cfg, outdir, emit):
     blocks = [_band_rows(tx, ty, _SECTION_LINES, ks) for ty in tys]
     rows = [(float(ty), *row) for ty, block in zip(tys, blocks)
             for row in block]
-    out = []
-    if "csv" in emit:
-        out.append(_emit(outdir, "sections.csv", lambda p: write_csv(
-            p, ["theta_y", "k_x", "k_y", "E_1", "E_2", "E_3", "E_4"], rows)))
-    if "svg" in emit:
-        last = blocks[-1]
-        ky = [r[1] for r in last for _ in range(4)]
-        Es = [e for r in last for e in r[2:]]
-        out.append(_emit(outdir, "bands.svg", lambda p: svg_scatter(
-            p, ky, Es, "k_y", "E")))
-    return out, {}
+    return {
+        "sections.csv": lambda p: write_csv(
+            p, ["theta_y", "k_x", "k_y", "E_1", "E_2", "E_3", "E_4"], rows),
+        "bands.svg": lambda p: _svg_sections(p, blocks[-1]),
+    }, {}
 
 
 def _oracle_report(L_big):
@@ -330,12 +308,11 @@ def _oracle_report(L_big):
     wx, Vx = np.linalg.eigh(Hx.matrix)
     ix = int(np.argmin(np.abs(wx - np.sqrt(par.omega))))
     iy = int(np.argmin(np.abs(wx - np.sqrt(2 * par.omega))))
-    from .continuum import SIGMA_X
-    sx_full = np.kron(np.eye(L3), SIGMA_X)
-    s = float(np.real(np.vdot(Vx[:, ix], sx_full @ Vx[:, ix])))
+    v = Vx[:, ix].reshape(L3, 2)
+    flipped = v[:, ::-1]             # sigma^x on every site
+    s = float(np.real(np.vdot(v, flipped)))
     comb = combine_2d(wx[ix], wx[iy], s)
-    mix = (comb.gamma * Vx[:, ix].reshape(L3, 2)
-           + comb.delta * (sx_full @ Vx[:, ix]).reshape(L3, 2))
+    mix = comb.gamma * v + comb.delta * flipped
     Psi = np.einsum("xs,yt->xyts", mix, Vx[:, iy].reshape(L3, 2)).reshape(-1)
     # both axes carry the same linear mass, so Hx is each 1D factor
     rep["combine_2d_residual"] = float(np.linalg.norm(
@@ -343,16 +320,13 @@ def _oracle_report(L_big):
     return rep
 
 
-def _run_oracle(cfg, outdir, emit):
+def _run_oracle(cfg):
     rep = _oracle_report(cfg.get_int("L_x", 101))
-    out = []
-    if "json" in emit:
-        out.append(_emit(outdir, "report.json",
-                         lambda p: write_json(p, rep)))
-    return out, {"combine_2d_residual": rep["combine_2d_residual"]}
+    return ({"report.json": lambda p: write_json(p, rep)},
+            {"combine_2d_residual": rep["combine_2d_residual"]})
 
 
-def _run_trotter(cfg, outdir, emit):
+def _run_trotter(cfg):
     par = OracleParams(eps=1.0, beta=np.pi / 20)
     L = cfg.get_int("L_x", 21)
     mass = lambda x: par.beta * x   # noqa: E731
@@ -361,18 +335,16 @@ def _run_trotter(cfg, outdir, emit):
     rows = [(dim, dt, trotter_error(mass if dim == 1 else (mass, mass),
                                     par, L, dt, t=4.0, dim=dim))
             for dim, dt in tasks]
-    out = []
-    if "csv" in emit:
-        out.append(_emit(outdir, "trotter.csv", lambda p: write_csv(
-            p, ["dim", "dt", "error"], rows)))
     ratios = {}
     for dim in (1, 2):
         errs = [r[2] for r in rows if r[0] == dim]
         ratios[str(dim)] = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
-    return out, {"halving_ratios": ratios}
+    return ({"trotter.csv": lambda p: write_csv(p, ["dim", "dt", "error"],
+                                                rows)},
+            {"halving_ratios": ratios})
 
 
-def _run_symmetry(cfg, outdir, emit):
+def _run_symmetry(cfg):
     op = cfg.step_operator()
     spectrum = spectrum_scan(op)
     rep = {
@@ -397,11 +369,7 @@ def _run_symmetry(cfg, outdir, emit):
         "particle_hole": check_hamiltonian_symmetry(H, particle_hole_op()),
         "chiral": check_hamiltonian_symmetry(H, chiral_op()),
     }
-    out = []
-    if "json" in emit:
-        out.append(_emit(outdir, "report.json",
-                         lambda p: write_json(p, rep)))
-    return out, {}
+    return {"report.json": lambda p: write_json(p, rep)}, {}
 
 
 def _small_wall_args(profile):
@@ -440,13 +408,16 @@ def run_config(cfg, outdir=None):
         kind = "dynamics" if cfg.get("T_max") is not None else "spectrum"
     outdir = outdir or cfg.get("outdir") or (name or "run")
     os.makedirs(outdir, exist_ok=True)
+    files, extras = _PIPELINES[kind](cfg)
     emit = cfg.emit_set()
-    outputs, extras = _PIPELINES[kind](cfg, outdir, emit)
+    outputs = sorted(n for n in files if n.rsplit(".", 1)[1] in emit)
+    for fname in outputs:
+        files[fname](os.path.join(outdir, fname))
     meta = {
         "tool_version": __version__,
         "kind": kind,
         "config": cfg.to_dict(),
-        "outputs": sorted(outputs),
+        "outputs": outputs,
     }
     meta.update(extras)
     write_json(os.path.join(outdir, "meta.json"), meta)

@@ -36,36 +36,25 @@ def _require_block_structure(op):
             f"plain Constant, got {op.profile_y.to_spec_string()!r}")
 
 
-class MomentumBlock:
-    """The 4*L_x x 4*L_x walk unitary at a fixed y momentum."""
-
-    def __init__(self, k_y, matrix):
-        self.k_y = float(k_y)
-        self.matrix = matrix
-        dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
-        if dev > 1e-12:
-            raise ValueError(f"momentum block is not unitary "
-                             f"(max deviation {dev:.3g})")
-
-    @property
-    def size(self):
-        return self.matrix.shape[0]
-
-
 def momentum_block(op, k_y):
-    """Assemble U(k_y) = S_y(k_y) C_y S_x C_x over the x axis.
+    """The dense 4*L_x x 4*L_x unitary U(k_y) = S_y(k_y) C_y S_x C_x.
 
     Index layout: 4*(x + half_x) + c.  Requires y-translation invariance
     (constant noiseless theta_y); theta_x may be any profile including
     noise.  The walk on a one-site y axis with P -> cos(k_y) and
-    Q -> i sin(k_y).
+    Q -> i sin(k_y); raises if the assembled block is not unitary.
     """
     _require_block_structure(op)
     tx = op.profile_x.table(op.lattice.half_x)
     U = _assemble(tx, [op.profile_y.theta],
                   sparse.csr_matrix([[np.cos(k_y)]]),
                   sparse.csr_matrix([[1j * np.sin(k_y)]]))
-    return MomentumBlock(k_y, U.toarray().astype(complex))
+    U = U.toarray().astype(complex)
+    dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
+    if dev > 1e-12:
+        raise ValueError(f"momentum block is not unitary "
+                         f"(max deviation {dev:.3g})")
+    return U
 
 
 def _quasi_energy(lam):
@@ -75,8 +64,11 @@ def _quasi_energy(lam):
     return E
 
 
-def eigenphases(matrix):
-    """Quasi-energies E in (-pi, pi] of a unitary matrix, sorted ascending."""
+def quasi_energies(matrix):
+    """Quasi-energies E in (-pi, pi] of a unitary matrix, sorted ascending.
+
+    Batched over leading axes of a (..., n, n) stack.
+    """
     lam = np.linalg.eigvals(matrix)
     drift = np.max(np.abs(np.abs(lam) - 1.0))
     if drift > 1e-10:
@@ -85,16 +77,9 @@ def eigenphases(matrix):
     return np.sort(_quasi_energy(lam))
 
 
-def quasi_energies(block):
-    """Sorted quasi-energies of a MomentumBlock (or raw unitary matrix)."""
-    m = block.matrix if isinstance(block, MomentumBlock) else block
-    return eigenphases(m)
-
-
-def block_eigensystem(block):
-    """(E, vectors) of a momentum block, sorted by E; vectors as columns."""
-    m = block.matrix if isinstance(block, MomentumBlock) else block
-    lam, V = np.linalg.eig(m)
+def block_eigensystem(matrix):
+    """(E, vectors) of a unitary matrix, sorted by E; vectors as columns."""
+    lam, V = np.linalg.eig(matrix)
     E = _quasi_energy(lam)
     order = np.argsort(E)
     return E[order], V[:, order]
@@ -150,7 +135,7 @@ def bulk_bands(theta_x, theta_y, k_x, k_y):
     s_x[..., idx, idx] = np.exp(-1j * k_x[..., None] * SHIFT_X_STEPS)
     s_y = (np.cos(k_y)[..., None, None] * np.eye(4)
            + 1j * np.sin(k_y)[..., None, None] * SHIFT_Y_Q_CELL)
-    return eigenphases(
+    return quasi_energies(
         s_y @ coin_matrix("y", theta_y) @ s_x @ coin_matrix("x", theta_x))
 
 
@@ -166,34 +151,34 @@ def bulk_gap_edge(theta, k_y):
     return float(np.arccos(np.clip(R, -1.0, 1.0)))
 
 
-def in_gap_points(spectrum, theta, rel_margin=0.05):
-    """(k_y, E) spectrum entries inside the theta_y = 0 bulk gap around 0."""
+def in_gap_points(spectrum, theta):
+    """(k_y, E) spectrum entries with |E| below 95% of the theta_y = 0
+    bulk gap edge."""
     pts = []
     for k, Es in zip(spectrum.k_values, spectrum.energies):
-        edge = bulk_gap_edge(theta, k) * (1.0 - rel_margin)
+        edge = bulk_gap_edge(theta, k) * 0.95
         for E in Es:
             if abs(E) < edge:
                 pts.append((float(k), float(E)))
     return pts
 
 
-def bulk_openings(theta_media, theta_y, k_y, n_kx=241, min_width=None):
+def bulk_openings(theta_media, theta_y, k_y, n_kx=241):
     """Quasi-energy openings of the projected bulk bands at fixed k_y.
 
     Samples the uniform bands of every medium in `theta_media` (a scalar
     theta_x or an iterable, e.g. the two sides of a domain wall) over a
     dense k_x line, then reports the cyclic gaps between consecutive
-    covered energies that exceed `min_width`.  Bands move at most ~2 per
-    unit k_x, so the default threshold 5*(2 pi / n_kx) cannot split a
-    covered band into spurious openings at the default sampling.
+    covered energies that exceed 5*(2 pi / n_kx).  Bands move at most ~2
+    per unit k_x, so that threshold cannot split a covered band into
+    spurious openings.
 
     Returns a list of (lo, hi) with hi > lo; an opening across E = +-pi is
     reported with hi > pi.
     """
     if np.isscalar(theta_media):
         theta_media = (theta_media,)
-    if min_width is None:
-        min_width = 5.0 * (2.0 * np.pi / n_kx)
+    min_width = 5.0 * (2.0 * np.pi / n_kx)
     ks = np.linspace(-np.pi, np.pi, n_kx, endpoint=False)
     pts = np.sort(np.concatenate(
         [bulk_bands(tx, theta_y, ks, k_y).ravel() for tx in theta_media]))
@@ -223,14 +208,14 @@ def states_in_openings(energies, openings, margin=0.0):
     return hits
 
 
-def fit_edge_branch(spectrum, theta, k_window=0.2, rel_margin=0.05):
+def fit_edge_branch(spectrum, theta, k_window=0.2):
     """Fit |E| = v |k_y| to the in-gap branch near k_y = 0.
 
     Returns (v, relative_residual, points).  The relative residual is
     rms(|E| - v |k_y|) / rms(E) over the fitted points; points at k_y = 0
     contribute their |E| directly (the branch must cross zero there).
     """
-    pts = [(k, E) for k, E in in_gap_points(spectrum, theta, rel_margin)
+    pts = [(k, E) for k, E in in_gap_points(spectrum, theta)
            if abs(k) <= k_window]
     if not pts:
         raise ValueError("no in-gap points found in the fit window")
@@ -298,7 +283,7 @@ class Eigenpair:
                 f"residual={self.residual:.2e})")
 
 
-def near_unity_states(op, count, maxiter=None):
+def near_unity_states(op, count):
     """The `count` walk eigenpairs with quasi-energy closest to zero.
 
     Works on the Hermitian surrogate W = (U + U^T)/2 (real symmetric since
@@ -337,7 +322,6 @@ def near_unity_states(op, count, maxiter=None):
         while True:
             try:
                 w, V = eigsh(W, k=k_sub, which="LA", v0=v0,
-                             maxiter=maxiter,
                              ncv=min(n - 1, max(4 * k_sub, 40)))
             except ArpackNoConvergence as err:
                 nconv = len(err.eigenvalues)

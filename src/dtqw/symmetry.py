@@ -20,11 +20,6 @@ from .continuum import SIGMA_X, SIGMA_Y
 from .operators import walk_matrix_dense
 
 
-def _kron2(tau, sigma):
-    # sigma (x) tau product in the c = 2*tau + sigma basis (sigma fast)
-    return np.kron(tau, sigma)
-
-
 class SymmetryOp:
     """A (possibly antiunitary) internal-space symmetry candidate.
 
@@ -44,38 +39,24 @@ class SymmetryOp:
         if dev > 1e-12:
             raise ValueError(f"matrix part of {name} is not unitary")
 
-    @property
-    def antiunitary(self):
-        return self.kind in ("time_reversal", "particle_hole")
-
-    @property
-    def squaring_sign(self):
-        """Sign s with W conj(W) = s * 1 (antiunitary square)."""
-        sq = self.matrix @ self.matrix.conj()
-        n = self.matrix.shape[0]
-        if np.allclose(sq, np.eye(n), atol=1e-12):
-            return +1
-        if np.allclose(sq, -np.eye(n), atol=1e-12):
-            return -1
-        raise ValueError(f"{self.name} does not square to +-1")
-
     def __repr__(self):
         return f"SymmetryOp({self.name!r}, kind={self.kind!r})"
 
 
 def time_reversal_op():
     """Theta = (sigma^x (x) tau^y) K; squares to -1."""
-    return SymmetryOp("Theta", _kron2(SIGMA_Y, SIGMA_X), "time_reversal")
+    # sigma^x (x) tau^y is kron(tau^y, sigma^x) in the c = 2*tau + sigma basis
+    return SymmetryOp("Theta", np.kron(SIGMA_Y, SIGMA_X), "time_reversal")
 
 
-def particle_hole_op(dim=4):
+def particle_hole_op():
     """Xi = 1 K (plain complex conjugation); squares to +1."""
-    return SymmetryOp("Xi", np.eye(dim), "particle_hole")
+    return SymmetryOp("Xi", np.eye(4), "particle_hole")
 
 
 def chiral_op():
     """Pi = sigma^x (x) tau^y = Theta * Xi."""
-    return SymmetryOp("Pi", _kron2(SIGMA_Y, SIGMA_X), "chiral")
+    return SymmetryOp("Pi", np.kron(SIGMA_Y, SIGMA_X), "chiral")
 
 
 def chiral_1d_op():
@@ -119,13 +100,6 @@ def check_walk_particle_hole(op):
     return float(np.max(np.abs(U.imag)))
 
 
-def wrap_angle(E):
-    """Map angles to (-pi, pi]; works on scalars and arrays."""
-    out = np.mod(np.asarray(E, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-    out = np.where(out == -np.pi, np.pi, out)
-    return float(out) if np.isscalar(E) else out
-
-
 def _phase_multiset_distance(E1, E2):
     """Bottleneck distance between the phase multisets {e^{-iE1}}, {e^{-iE2}}.
 
@@ -158,7 +132,7 @@ def spectral_particle_hole_residual(spectrum):
     return worst
 
 
-def _pi_partners(k_values, atol_k):
+def _pi_partners(k_values):
     """Index of the k_y + pi partner (mod 2 pi) of every grid point."""
     k = np.asarray(k_values, dtype=float)
     two_pi = 2.0 * np.pi
@@ -167,14 +141,14 @@ def _pi_partners(k_values, atol_k):
         target = np.mod(ki + np.pi + np.pi, two_pi) - np.pi  # wrap to (-pi,pi]
         d = np.abs(np.mod(k - target + np.pi, two_pi) - np.pi)
         j = int(np.argmin(d))
-        if d[j] > atol_k:
+        if d[j] > 1e-9:
             raise ValueError(
                 f"k grid is not pi-pairable: no partner for k_y={ki:.6g}")
         partners.append(j)
     return partners
 
 
-def check_sublattice_shift(spectrum, atol_k=1e-9):
+def check_sublattice_shift(spectrum):
     """Residual of the sublattice relation E(k_y + pi) = E(k_y) - pi.
 
     Pairs every grid point with its k_y + pi partner (mod 2 pi; the grid
@@ -184,8 +158,7 @@ def check_sublattice_shift(spectrum, atol_k=1e-9):
     half-shift structure, noise included.
     """
     worst = 0.0
-    for Es, j in zip(spectrum.energies, _pi_partners(spectrum.k_values,
-                                                      atol_k)):
+    for Es, j in zip(spectrum.energies, _pi_partners(spectrum.k_values)):
         worst = max(worst, _phase_multiset_distance(
             Es, np.asarray(spectrum.energies[j]) + np.pi))
     return worst
@@ -198,8 +171,7 @@ def unshifted_pi_distance(spectrum):
     is generically large even though the shifted relation holds exactly.
     """
     worst = 0.0
-    for Es, j in zip(spectrum.energies, _pi_partners(spectrum.k_values,
-                                                      1e-9)):
+    for Es, j in zip(spectrum.energies, _pi_partners(spectrum.k_values)):
         worst = max(worst, _phase_multiset_distance(
             Es, spectrum.energies[j]))
     return worst

@@ -132,6 +132,16 @@ class TestPresetRuns:
         names = set(os.listdir(out))
         assert "bands.csv" in names and "meta.json" in names
         assert not any(n.endswith(".svg") for n in names)
+        # fig7c writes enclosed.csv only for a gapped bulk; emit=svg skips
+        # it together with spectrum.csv
+        out = str(tmp_path / "svg")
+        meta = run_preset("fig7c", {"emit": "svg", "L": "11"}, outdir=out)
+        assert sorted(os.listdir(out)) == ["meta.json", "spectrum.svg"]
+        assert meta["outputs"] == ["spectrum.svg"]
+        out = str(tmp_path / "json")
+        meta = run_preset("trotter", {"emit": "json", "L": "7"}, outdir=out)
+        assert os.listdir(out) == ["meta.json"]
+        assert meta["outputs"] == []
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):

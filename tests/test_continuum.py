@@ -32,10 +32,6 @@ class TestMomentumMatrix:
         v[4] = 1.0
         assert np.allclose(T @ v, np.roll(v, -1), atol=1e-12)
 
-    def test_central_scheme_is_banded(self):
-        p = momentum_matrix(9, scheme="central")
-        assert abs(p[0, 2]) < 1e-15 and abs(p[0, 1]) > 0
-
 
 class TestWalkFactorIdentity:
     def test_1d_walk_equals_exponential_product(self):
@@ -117,10 +113,10 @@ class TestLatticeHamiltonian:
         rng = np.random.default_rng(3)
         A = rng.normal(size=(900, 900)) + 1j * rng.normal(size=(900, 900))
         M = A + A.conj().T
-        LatticeHamiltonian(M.copy(), (225,), [], PAR, "spectral")
+        LatticeHamiltonian(M.copy(), (225,), [], PAR)
         M[700, 650] += 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
-            LatticeHamiltonian(M, (225,), [], PAR, "spectral")
+            LatticeHamiltonian(M, (225,), [], PAR)
 
 
 class TestFactoredRoutes:

@@ -97,7 +97,6 @@ class TestBandFilter:
     def test_filter_concentrates_quasi_energy(self):
         # project a broad packet onto a window around E0 and verify the
         # energy spread sharpens: var of E under |<E|psi>|^2 shrinks
-        from dtqw.spectral import momentum_block, block_eigensystem
         op = StepOperator2D(LatticeSpec(21), Constant(np.pi / 5),
                             Constant(np.pi / 5))
         rng = np.random.Generator(np.random.PCG64(4))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from dtqw.lattice import LatticeSpec
 from dtqw.operators import StepOperator2D, walk_matrix_dense
 from dtqw.profiles import Constant, DomainWall
-from dtqw.spectral import (block_eigensystem, bulk_bands, bulk_gap_edge,
-                           bulk_openings, commensurate_grid, eigenphases,
+import dtqw.spectral
+from dtqw.spectral import (ConvergenceError, block_eigensystem, bulk_bands,
+                           bulk_gap_edge, bulk_openings, commensurate_grid,
                            momentum_block, near_unity_states, quasi_energies,
                            spectrum_scan, states_in_openings)
 
@@ -22,7 +24,7 @@ class TestBlocks:
         lat = LatticeSpec(7)
         op = StepOperator2D(lat, DomainWall(np.pi / 3, -np.pi / 3, 2),
                             Constant(np.pi / 7))
-        dense = eigenphases(walk_matrix_dense(op))
+        dense = quasi_energies(walk_matrix_dense(op))
         tiled = np.sort(np.concatenate(
             [quasi_energies(momentum_block(op, k))
              for k in commensurate_grid(7)]))
@@ -35,13 +37,13 @@ class TestBlocks:
         blk = momentum_block(op, 0.4)
         E, V = block_eigensystem(blk)
         lam = np.exp(-1j * E)
-        resid = np.linalg.norm(blk.matrix @ V - V * lam[None, :])
+        resid = np.linalg.norm(blk @ V - V * lam[None, :])
         assert resid < 1e-10
         assert np.all(np.diff(E) >= 0)
 
     def test_eigenphases_are_in_half_open_interval(self):
         # lambda = -1 has angle +pi, so E = -pi; the wrap maps it to +pi
-        assert np.array_equal(eigenphases(-np.eye(2)),
+        assert np.array_equal(quasi_energies(-np.eye(2)),
                               [np.pi, np.pi])
 
     def test_noise_in_y_profile_rejected(self):
@@ -142,7 +144,7 @@ class TestNearUnityStates:
         pairs = near_unity_states(op, count)
         assert len(pairs) == count
         assert max(p.residual for p in pairs) <= 1e-12
-        dense = eigenphases(walk_matrix_dense(op))
+        dense = quasi_energies(walk_matrix_dense(op))
         assert np.allclose(np.sort([abs(p.energy) for p in pairs]),
                            np.sort(np.abs(dense))[:count], atol=1e-12)
 
@@ -154,6 +156,19 @@ class TestNearUnityStates:
         pairs = near_unity_states(op, 3)
         assert len(pairs) == 3
         assert all(p.residual < 1e-9 for p in pairs)
+
+    def test_arpack_failure_raises_convergence_error(self, monkeypatch):
+        def no_convergence(W, k, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                      np.zeros(3), np.zeros((W.shape[0], 3)))
+
+        monkeypatch.setattr(dtqw.spectral, "eigsh", no_convergence)
+        wall = DomainWall(np.pi / 3, -np.pi / 3, 2)
+        op = StepOperator2D(LatticeSpec(9), wall, wall)
+        # 8 requested pairs run ARPACK with an 8 + 8 vector subspace
+        with pytest.raises(ConvergenceError,
+                           match="converged only 3/16 pairs"):
+            near_unity_states(op, 8)
 
 
 class TestSpectrumScan:

@@ -10,7 +10,7 @@ from dtqw.symmetry import (_phase_multiset_distance, check_hamiltonian_symmetry,
                            check_sublattice_shift, check_walk_particle_hole,
                            chiral_1d_op, chiral_op, particle_hole_op,
                            spectral_particle_hole_residual, time_reversal_op,
-                           unshifted_pi_distance, wrap_angle)
+                           unshifted_pi_distance)
 
 
 class TestPhaseMultisetDistance:
@@ -125,12 +125,3 @@ class TestContinuumSymmetries:
         par, wall = wall_hamiltonian
         H1 = build_dirac(1, wall, par, 21)
         assert check_hamiltonian_symmetry(H1, chiral_1d_op()) < 1e-13
-
-
-class TestWrapAngle:
-    @pytest.mark.parametrize("E,expect", [
-        (0.0, 0.0), (np.pi, np.pi), (-np.pi, np.pi),
-        (3 * np.pi / 2, -np.pi / 2), (2 * np.pi, 0.0),
-    ])
-    def test_values(self, E, expect):
-        assert wrap_angle(E) == pytest.approx(expect, abs=1e-14)
