@@ -17,14 +17,14 @@ from dtqw.spectral import fit_edge_branch
 op = StepOperator2D(LatticeSpec(41),
                     DomainWall(np.pi / 3, -np.pi / 3, 10),
                     Constant(0.0))
-spectrum = spectrum_scan(op)
+k, E = spectrum_scan(op)
+E0 = np.sort(np.abs(E[np.argmin(np.abs(k))]))   # the k_y ~ 0 block
 
-print(f"smallest |E| at k_y = 0: {spectrum.min_abs_energy(0.0):.2e}")
-v, resid, pts = fit_edge_branch(spectrum, np.pi / 3, k_window=0.5)
+print(f"smallest |E| at k_y = 0: {E0[0]:.2e}")
+v, resid, pts = fit_edge_branch(k, E, np.pi / 3, k_window=0.5)
 print(f"edge branch velocity: {v:.4f} (relative fit residual {resid:.2%}, "
       f"{len(pts)} in-gap points)")
 
 # the branch is two-fold degenerate: one copy per interface
-E0 = np.sort(np.abs(spectrum.energies[np.argmin(np.abs(spectrum.k_values))]))
 print(f"four smallest |E| at the k_y ~ 0 block: "
       + ", ".join(f"{e:.2e}" for e in E0[:4]))

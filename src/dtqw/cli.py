@@ -10,7 +10,7 @@ import sys
 
 from . import __version__
 from .config import ConfigError, parse_config
-from .presets import PRESETS, base_config, run_config
+from .presets import PRESETS, run_config
 
 
 def _usage(out):
@@ -47,9 +47,7 @@ def main(argv=None):
         elif command in PRESETS:
             if file is not None:
                 raise ConfigError("--config is only valid with 'dtqw run'")
-            cfg = base_config(command)
-            cfg.update(parse_config(rest).to_dict())
-            cfg.set("preset", command)
+            cfg = parse_config(rest).set("preset", command)
         else:
             raise ConfigError(f"unknown command or preset {command!r}; "
                               f"available presets: {', '.join(PRESETS)}")

@@ -402,34 +402,19 @@ def combine_2d(E_x, E_y, s, sign=+1):
                               float(A), float(s))
 
 
-def analytic_zero_mode_2d(kind, params, lattice, center=(0, 0)):
-    """Closed-form 2D zero modes sampled on the walk lattice.
-
-    kind='gaussian': spinor (-1,1) (x) (-1,1) times
-        exp(-beta (x^2+y^2) / 2 eps)   (the oscillator ground state).
-    kind='corner': spinor (1,1) (x) (1,1) times
-        exp(-(m0/eps)(|x-x0| + |y-y0|)), the product of two wall-bound
-        states, recentered at the wall corner `center`.
+def analytic_zero_mode_2d(params, lattice):
+    """The oscillator ground state, a closed-form 2D zero mode, sampled on
+    the walk lattice: spinor (-1,1) (x) (-1,1) times
+    exp(-beta (x^2+y^2) / 2 eps).
 
     Returns a normalized (L_x, L_y, 4) array; errors out when the tail at
     the lattice boundary exceeds 1e-8.
     """
     xs = lattice.coords_x.astype(float)
     ys = lattice.coords_y.astype(float)
-    if kind == "gaussian":
-        fx = np.exp(-params.beta * xs ** 2 / (2.0 * params.eps))
-        fy = np.exp(-params.beta * ys ** 2 / (2.0 * params.eps))
-        spinor = np.kron([-1.0, 1.0], [-1.0, 1.0])   # tau (x) sigma = (+,-,-,+)
-    elif kind == "corner":
-        if params.m0 is None:
-            raise ValueError("corner zero mode needs params.m0")
-        x0, y0 = center
-        kappa = params.m0 / params.eps
-        fx = np.exp(-kappa * np.abs(xs - x0))
-        fy = np.exp(-kappa * np.abs(ys - y0))
-        spinor = np.kron([1.0, 1.0], [1.0, 1.0])
-    else:
-        raise ValueError(f"kind must be 'gaussian' or 'corner', got {kind!r}")
+    fx = np.exp(-params.beta * xs ** 2 / (2.0 * params.eps))
+    fy = np.exp(-params.beta * ys ** 2 / (2.0 * params.eps))
+    spinor = np.kron([-1.0, 1.0], [-1.0, 1.0])   # tau (x) sigma = (+,-,-,+)
     psi = fx[:, None, None] * fy[None, :, None] * spinor[None, None, :]
     psi = psi.astype(complex)
     psi /= np.linalg.norm(psi)

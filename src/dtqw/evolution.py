@@ -61,10 +61,12 @@ def refine_unit_eigenstate(op, psi, iterations):
     i iterations (residuals[0] is the input residual).
     """
     psi = lat.normalize(psi)
-    residuals = [float(np.linalg.norm(op.apply(psi) - psi))]
+    U_psi = op.apply(psi)
+    residuals = [float(np.linalg.norm(U_psi - psi))]
     for _ in range(iterations):
-        psi = lat.normalize(0.5 * (op.apply(psi) + op.apply_adjoint(psi)))
-        residuals.append(float(np.linalg.norm(op.apply(psi) - psi)))
+        psi = lat.normalize(0.5 * (U_psi + op.apply_adjoint(psi)))
+        U_psi = op.apply(psi)
+        residuals.append(float(np.linalg.norm(U_psi - psi)))
     return psi, residuals
 
 
@@ -101,7 +103,7 @@ def prepare_initial_state(spec):
     op = spec.op
     if isinstance(spec.initial, str) and spec.initial == "gaussian":
         params = OracleParams(eps=1.0, beta=spec.beta_over_eps)
-        psi = analytic_zero_mode_2d("gaussian", params, op.lattice)
+        psi = analytic_zero_mode_2d(params, op.lattice)
     elif isinstance(spec.initial, (tuple, list)) and len(spec.initial) == 3:
         psi = lat.basis_state(op.lattice, *spec.initial)
     else:

@@ -138,11 +138,12 @@ def _scan(cfg):
 
 
 def _run_spectrum(cfg):
-    op, spectrum = _scan(cfg)
+    op, (k, E) = _scan(cfg)
+    k_col, E_col = np.repeat(k, E.shape[1]), E.ravel()
     files = {
-        "spectrum.csv": lambda p: write_csv(p, ["k_y", "E"], spectrum.rows()),
-        "spectrum.svg": lambda p: svg_scatter(p, *zip(*spectrum.rows()),
-                                              "k_y", "E"),
+        "spectrum.csv": lambda p: write_csv(p, ["k_y", "E"],
+                                            zip(k_col, E_col)),
+        "spectrum.svg": lambda p: svg_scatter(p, k_col, E_col, "k_y", "E"),
     }
     # enclosed in-opening states, when the bulk is gapped by theta_y
     extras = {}
@@ -151,10 +152,10 @@ def _run_spectrum(cfg):
     if theta_y and wall is not None:
         media = (op.profile_x.theta1, op.profile_x.theta2)
         enclosed = []
-        for k, Es in zip(spectrum.k_values, spectrum.energies):
-            ops_ = bulk_openings(media, theta_y, k)
-            for E in states_in_openings(Es, ops_, margin=0.01):
-                enclosed.append((float(k), float(E)))
+        for k_y, row in zip(k, E):
+            ops_ = bulk_openings(media, theta_y, k_y)
+            for e in states_in_openings(row, ops_, margin=0.01):
+                enclosed.append((float(k_y), float(e)))
         extras["enclosed_count"] = len(enclosed)
         files["enclosed.csv"] = lambda p: write_csv(p, ["k_y", "E"], enclosed)
     return files, extras
@@ -292,7 +293,7 @@ def _oracle_report(L_big):
     z = dirac_oscillator_eigenstate(0, 0, par, L_big)
     rep["zero_mode_residual_1d"] = float(
         np.linalg.norm(H1.matrix @ z.reshape(-1)))
-    gz = analytic_zero_mode_2d("gaussian", par, LatticeSpec(L2))
+    gz = analytic_zero_mode_2d(par, LatticeSpec(L2))
     rep["zero_mode_residual_2d"] = float(
         np.linalg.norm(H2.matrix @ gz.reshape(-1)))
     # overlap of the analytic zero mode with the numeric near-zero subspace
@@ -346,20 +347,20 @@ def _run_trotter(cfg):
 
 def _run_symmetry(cfg):
     op = cfg.step_operator()
-    spectrum = spectrum_scan(op)
     rep = {
-        "phs_multiset_residual": spectral_particle_hole_residual(spectrum),
+        "phs_multiset_residual": spectral_particle_hole_residual(
+            spectrum_scan(op)[1]),
         "walk_reality_residual": check_walk_particle_hole(
             StepOperator2D(LatticeSpec(7), op.profile_x.__class__(
                 *_small_wall_args(op.profile_x)), op.profile_y)),
     }
     grid = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     rep["sublattice_shift_residual"] = check_sublattice_shift(
-        spectrum_scan(op, k_grid=grid))
+        *spectrum_scan(op, k_grid=grid))
     noisy = StepOperator2D(op.lattice, op.profile_x.with_noise(
         0.25, cfg.get_int("seed", 11)), op.profile_y)
     rep["phs_multiset_residual_noise"] = spectral_particle_hole_residual(
-        spectrum_scan(noisy))
+        spectrum_scan(noisy)[1])
 
     par = OracleParams(eps=1.0, beta=np.pi / 20)
     wallm = lambda x: np.pi / 3 if abs(x) <= 2 else -np.pi / 3  # noqa: E731
@@ -397,13 +398,8 @@ def run_config(cfg, outdir=None):
     """Execute a config (preset-based or fully explicit); returns meta dict."""
     name = cfg.get("preset")
     if name is not None:
-        if name not in PRESETS:
-            raise ConfigError(f"unknown preset {name!r}; available: "
-                              f"{', '.join(PRESETS)}")
+        cfg = base_config(name).update(cfg.to_dict())
         kind = PRESETS[name][0]
-        merged = base_config(name)
-        merged.update(cfg.to_dict())
-        cfg = merged
     else:
         kind = "dynamics" if cfg.get("T_max") is not None else "spectrum"
     outdir = outdir or cfg.get("outdir") or (name or "run")
@@ -426,7 +422,5 @@ def run_config(cfg, outdir=None):
 
 def run_preset(name, overrides=None, outdir=None):
     """Run a named preset with optional {key: value} overrides."""
-    cfg = base_config(name)
-    if overrides:
-        cfg.update(overrides)
+    cfg = ExperimentConfig({"preset": name}).update(overrides or {})
     return run_config(cfg, outdir=outdir)

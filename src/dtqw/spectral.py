@@ -58,7 +58,15 @@ def momentum_block(op, k_y):
 
 
 def _quasi_energy(lam):
-    """E = -arg(lam) in (-pi, pi] for eigenvalues lam = exp(-iE)."""
+    """E = -arg(lam) in (-pi, pi] for eigenvalues lam = exp(-iE).
+
+    Raises if any |lam| drifts from 1 by more than 1e-10: the matrix (or
+    subspace) they came from was not unitary enough for eigenphases.
+    """
+    drift = np.max(np.abs(np.abs(lam) - 1.0))
+    if drift > 1e-10:
+        raise ValueError(f"eigenvalue modulus drifts from 1 by {drift:.3g}; "
+                         "matrix is not unitary enough")
     E = -np.angle(lam)
     E[E == -np.pi] = np.pi
     return E
@@ -69,12 +77,7 @@ def quasi_energies(matrix):
 
     Batched over leading axes of a (..., n, n) stack.
     """
-    lam = np.linalg.eigvals(matrix)
-    drift = np.max(np.abs(np.abs(lam) - 1.0))
-    if drift > 1e-10:
-        raise ValueError(f"eigenvalue modulus drifts from 1 by {drift:.3g}; "
-                         "matrix is not unitary enough")
-    return np.sort(_quasi_energy(lam))
+    return np.sort(_quasi_energy(np.linalg.eigvals(matrix)))
 
 
 def block_eigensystem(matrix):
@@ -85,25 +88,6 @@ def block_eigensystem(matrix):
     return E[order], V[:, order]
 
 
-class QuasiEnergySpectrum:
-    """E(k_y) over a grid: one sorted quasi-energy array per k_y."""
-
-    def __init__(self, k_values, energies):
-        self.k_values = np.asarray(k_values, dtype=float)
-        self.energies = [np.asarray(e) for e in energies]
-
-    def rows(self):
-        """Iterate (k_y, E) pairs, one per eigenvalue, for CSV emission."""
-        for k, Es in zip(self.k_values, self.energies):
-            for E in Es:
-                yield k, E
-
-    def min_abs_energy(self, k_y):
-        """Smallest |E| at the grid point nearest k_y."""
-        i = int(np.argmin(np.abs(self.k_values - k_y)))
-        return float(np.min(np.abs(self.energies[i])))
-
-
 def commensurate_grid(L_y):
     """The lattice-commensurate grid k_y = 2 pi n / L_y, n = -floor(L/2)..floor(L/2)."""
     half = L_y // 2
@@ -111,11 +95,15 @@ def commensurate_grid(L_y):
 
 
 def spectrum_scan(op, k_grid=None):
-    """Quasi-energy spectra over a k_y grid (default: commensurate grid)."""
-    if k_grid is None:
-        k_grid = commensurate_grid(op.lattice.L_y)
-    energies = [quasi_energies(momentum_block(op, k)) for k in k_grid]
-    return QuasiEnergySpectrum(k_grid, energies)
+    """Quasi-energies of every momentum block over a k_y grid.
+
+    The grid defaults to the commensurate one.  Returns (k, E): k has
+    shape (n_k,) and E shape (n_k, 4*L_x), row i holding the sorted
+    quasi-energies of the block at k[i].
+    """
+    k = np.asarray(commensurate_grid(op.lattice.L_y) if k_grid is None
+                   else k_grid, dtype=float)
+    return k, np.array([quasi_energies(momentum_block(op, kk)) for kk in k])
 
 
 def bulk_bands(theta_x, theta_y, k_x, k_y):
@@ -145,22 +133,10 @@ def bulk_gap_edge(theta, k_y):
     The uniform dispersion is cos E = cos(theta) cos(k_x) cos(k_y)
     + sin(theta) sin(k_x) sin(k_y); maximizing over k_x gives the band
     closest to zero.  The edge is the same for +-theta, so it applies on
-    both sides of a domain wall.
+    both sides of a domain wall.  k_y may be an array.
     """
     R = np.hypot(np.cos(theta) * np.cos(k_y), np.sin(theta) * np.sin(k_y))
-    return float(np.arccos(np.clip(R, -1.0, 1.0)))
-
-
-def in_gap_points(spectrum, theta):
-    """(k_y, E) spectrum entries with |E| below 95% of the theta_y = 0
-    bulk gap edge."""
-    pts = []
-    for k, Es in zip(spectrum.k_values, spectrum.energies):
-        edge = bulk_gap_edge(theta, k) * 0.95
-        for E in Es:
-            if abs(E) < edge:
-                pts.append((float(k), float(E)))
-    return pts
+    return np.arccos(np.clip(R, -1.0, 1.0))
 
 
 def bulk_openings(theta_media, theta_y, k_y, n_kx=241):
@@ -208,25 +184,29 @@ def states_in_openings(energies, openings, margin=0.0):
     return hits
 
 
-def fit_edge_branch(spectrum, theta, k_window=0.2):
+def fit_edge_branch(k, E, theta, k_window=0.2):
     """Fit |E| = v |k_y| to the in-gap branch near k_y = 0.
 
-    Returns (v, relative_residual, points).  The relative residual is
-    rms(|E| - v |k_y|) / rms(E) over the fitted points; points at k_y = 0
+    (k, E) is a spectrum_scan table.  The fitted points are the entries
+    with |k_y| <= k_window and |E| below 95% of the theta_y = 0 bulk gap
+    edge, in row-major order.  Returns (v, relative_residual, points) with
+    points an (m, 2) array of (k_y, E).  The relative residual is
+    rms(|E| - v |k_y|) / rms(E) over the points; points at k_y = 0
     contribute their |E| directly (the branch must cross zero there).
     """
-    pts = [(k, E) for k, E in in_gap_points(spectrum, theta)
-           if abs(k) <= k_window]
-    if not pts:
+    k_rows = np.broadcast_to(k[:, None], E.shape)
+    mask = ((np.abs(k_rows) <= k_window)
+            & (np.abs(E) < bulk_gap_edge(theta, k)[:, None] * 0.95))
+    if not mask.any():
         raise ValueError("no in-gap points found in the fit window")
-    k = np.array([abs(p[0]) for p in pts])
-    E = np.array([abs(p[1]) for p in pts])
-    denom = float(k @ k)
+    pts = np.column_stack((k_rows[mask], E[mask]))
+    ka, Ea = np.abs(pts[:, 0]), np.abs(pts[:, 1])
+    denom = float(ka @ ka)
     if denom == 0.0:
         raise ValueError("fit window contains only k_y = 0")
-    v = float(k @ E) / denom
-    resid = float(np.sqrt(np.mean((E - v * k) ** 2))
-                  / np.sqrt(np.mean(E ** 2)))
+    v = float(ka @ Ea) / denom
+    resid = float(np.sqrt(np.mean((Ea - v * ka) ** 2))
+                  / np.sqrt(np.mean(Ea ** 2)))
     return v, resid, pts
 
 
@@ -288,9 +268,10 @@ def near_unity_states(op, count):
 
     Works on the Hermitian surrogate W = (U + U^T)/2 (real symmetric since
     the walk matrix is real): its largest eigenvalues are cos(E) for the E
-    nearest zero.  ARPACK finds them from a deterministic start vector; a
-    dense eigh does when the lattice is too small for a count + 8 vector
-    ARPACK subspace.  U is then re-diagonalized inside the converged
+    nearest zero.  ARPACK finds them from a deterministic start vector in a
+    count + 8 vector subspace, grown by 16 while a degenerate multiplet
+    straddles the cut; a dense eigh takes over once that subspace would
+    reach n - 2 vectors.  U is then re-diagonalized inside the kept
     subspace to recover signed E and per-state residuals
     ||U psi - e^{-iE} psi||.
 
@@ -307,19 +288,12 @@ def near_unity_states(op, count):
     # spurious Ritz values anywhere inside the spectral hull).  Always
     # extend the cut to the next genuine gap in the W spectrum.
     gap_tol = 1e-9
+    v0 = np.random.Generator(np.random.PCG64(20240817)).normal(size=n)
     k_sub = count + 8
-    if k_sub >= n - 2:
-        w, V = np.linalg.eigh(W.toarray())
-        order = np.argsort(w)[::-1]
-        w = w[order]
-        j = count
-        while j < n and w[j - 1] - w[j] <= gap_tol:
-            j += 1
-        V = V[:, order[:j]]
-    else:
-        rng = np.random.Generator(np.random.PCG64(20240817))
-        v0 = rng.normal(size=n)
-        while True:
+    while True:
+        if k_sub >= n - 2:
+            w, V = np.linalg.eigh(W.toarray())
+        else:
             try:
                 w, V = eigsh(W, k=k_sub, which="LA", v0=v0,
                              ncv=min(n - 1, max(4 * k_sub, 40)))
@@ -329,17 +303,17 @@ def near_unity_states(op, count):
                     f"eigensolver converged only {nconv}/{k_sub} pairs "
                     f"within the iteration budget",
                     best_residual=None) from err
-            order = np.argsort(w)[::-1]
-            w = w[order]
-            V = V[:, order]
-            j = count
-            while j < k_sub and w[j - 1] - w[j] <= gap_tol:
-                j += 1
-            if j < k_sub or k_sub >= n - 2:
-                break
-            # multiplet straddles the buffer: enlarge and retry
-            k_sub = min(k_sub + 16, n - 2)
-        V = V[:, :j]
+        order = np.argsort(w)[::-1]
+        w = w[order]
+        V = V[:, order]
+        j = count
+        while j < len(w) and w[j - 1] - w[j] <= gap_tol:
+            j += 1
+        if j < len(w) or k_sub >= n - 2:
+            break
+        # multiplet straddles the buffer: enlarge and retry
+        k_sub = min(k_sub + 16, n - 2)
+    V = V[:, :j]
     # resolve U inside the W subspace: small non-Hermitian eigenproblem
     UV = U @ V
     lam, C = np.linalg.eig(V.T @ UV)
@@ -352,25 +326,14 @@ def near_unity_states(op, count):
             for j in order]
 
 
-def region_mask(lattice, x_center=None, y_center=None, radius=0,
-                manhattan_centers=None):
-    """Boolean (L_x, L_y) site mask for localization measurements.
-
-    Either a slab |x - x_center| <= radius (and/or |y - y_center| <=
-    radius), or the union of Manhattan balls around `manhattan_centers`.
-    """
+def region_mask(lattice, manhattan_centers, radius):
+    """Boolean (L_x, L_y) site mask for localization measurements: the
+    union of Manhattan balls of `radius` around `manhattan_centers`."""
     X = lattice.coords_x[:, None]
     Y = lattice.coords_y[None, :]
-    if manhattan_centers is not None:
-        mask = np.zeros((lattice.L_x, lattice.L_y), dtype=bool)
-        for (x0, y0) in manhattan_centers:
-            mask |= (np.abs(X - x0) + np.abs(Y - y0)) <= radius
-        return mask
-    mask = np.ones((lattice.L_x, lattice.L_y), dtype=bool)
-    if x_center is not None:
-        mask &= np.abs(X - x_center) <= radius
-    if y_center is not None:
-        mask &= np.abs(Y - y_center) <= radius
+    mask = np.zeros((lattice.L_x, lattice.L_y), dtype=bool)
+    for (x0, y0) in manhattan_centers:
+        mask |= (np.abs(X - x0) + np.abs(Y - y0)) <= radius
     return mask
 
 

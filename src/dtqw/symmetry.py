@@ -124,54 +124,44 @@ def _phase_multiset_distance(E1, E2):
     return best
 
 
-def spectral_particle_hole_residual(spectrum):
-    """Max multiset distance between {E} and {-E} over all k_y."""
-    worst = 0.0
-    for Es in spectrum.energies:
-        worst = max(worst, _phase_multiset_distance(Es, -np.asarray(Es)))
-    return worst
+def spectral_particle_hole_residual(E):
+    """Max multiset distance between {E} and {-E} over the rows of a
+    spectrum_scan table E (one row per k_y)."""
+    return max(_phase_multiset_distance(row, -row) for row in E)
 
 
-def _pi_partners(k_values):
+def _pi_partners(k):
     """Index of the k_y + pi partner (mod 2 pi) of every grid point."""
-    k = np.asarray(k_values, dtype=float)
     two_pi = 2.0 * np.pi
-    partners = []
-    for ki in k:
-        target = np.mod(ki + np.pi + np.pi, two_pi) - np.pi  # wrap to (-pi,pi]
-        d = np.abs(np.mod(k - target + np.pi, two_pi) - np.pi)
-        j = int(np.argmin(d))
-        if d[j] > 1e-9:
-            raise ValueError(
-                f"k grid is not pi-pairable: no partner for k_y={ki:.6g}")
-        partners.append(j)
-    return partners
+    target = np.mod(k + np.pi + np.pi, two_pi) - np.pi  # wrap to (-pi,pi]
+    d = np.abs(np.mod(k[None, :] - target[:, None] + np.pi, two_pi) - np.pi)
+    j = np.argmin(d, axis=1)
+    lonely = d[np.arange(len(k)), j] > 1e-9
+    if lonely.any():
+        raise ValueError("k grid is not pi-pairable: no partner for "
+                         f"k_y={k[np.argmax(lonely)]:.6g}")
+    return j
 
 
-def check_sublattice_shift(spectrum):
+def check_sublattice_shift(k, E):
     """Residual of the sublattice relation E(k_y + pi) = E(k_y) - pi.
 
-    Pairs every grid point with its k_y + pi partner (mod 2 pi; the grid
-    must close under that map) and compares the sorted energies at k_y
-    against the sorted pi-shifted energies at k_y + pi.  Returns the max
-    multiset distance; exact up to rounding for any walk with the S_y
-    half-shift structure, noise included.
+    (k, E) is a spectrum_scan table.  Pairs every grid point with its
+    k_y + pi partner (mod 2 pi; the grid must close under that map) and
+    compares the energies at k_y against the pi-shifted energies at
+    k_y + pi.  Returns the max multiset distance; exact up to rounding for
+    any walk with the S_y half-shift structure, noise included.
     """
-    worst = 0.0
-    for Es, j in zip(spectrum.energies, _pi_partners(spectrum.k_values)):
-        worst = max(worst, _phase_multiset_distance(
-            Es, np.asarray(spectrum.energies[j]) + np.pi))
-    return worst
+    return max(_phase_multiset_distance(row, E[j] + np.pi)
+               for row, j in zip(E, _pi_partners(k)))
 
 
-def unshifted_pi_distance(spectrum):
+def unshifted_pi_distance(k, E):
     """Plain multiset distance between {E(k_y)} and {E(k_y + pi)}.
 
-    Reported for diagnosis: on lattices with an odd number of x sites this
-    is generically large even though the shifted relation holds exactly.
+    (k, E) is a spectrum_scan table.  Reported for diagnosis: on lattices
+    with an odd number of x sites this is generically large even though
+    the shifted relation holds exactly.
     """
-    worst = 0.0
-    for Es, j in zip(spectrum.energies, _pi_partners(spectrum.k_values)):
-        worst = max(worst, _phase_multiset_distance(
-            Es, spectrum.energies[j]))
-    return worst
+    return max(_phase_multiset_distance(row, E[j])
+               for row, j in zip(E, _pi_partners(k)))

@@ -115,9 +115,9 @@ def test_c03_width_saturation(fig1_run):
 
 
 def test_c04_edge_branch_crossing_and_localization(wall_op, wall_scan):
-    spectrum, dt = wall_scan
-    e_min = spectrum.min_abs_energy(0.0)
-    v, resid, pts = fit_edge_branch(spectrum, np.pi / 3, k_window=0.2)
+    (k, E_scan), dt = wall_scan
+    e_min = float(np.min(np.abs(E_scan[np.argmin(np.abs(k))])))
+    v, resid, pts = fit_edge_branch(k, E_scan, np.pi / 3, k_window=0.2)
     E, V = block_eigensystem(momentum_block(wall_op, 0.0))
     idx = np.argsort(np.abs(E))[:4]
     xs = wall_op.lattice.coords_x
@@ -155,11 +155,12 @@ def test_c06_noise_keeps_crossing_lifts_degeneracy(noisy_wall_op):
 
 
 def test_c07_symmetry_suite(wall_op, wall_scan, noisy_wall_op):
-    clean, _ = wall_scan
+    (_, clean), _ = wall_scan
     phs_clean = spectral_particle_hole_residual(clean)
-    phs_noise = spectral_particle_hole_residual(spectrum_scan(noisy_wall_op))
+    phs_noise = spectral_particle_hole_residual(
+        spectrum_scan(noisy_wall_op)[1])
     grid = np.linspace(-np.pi, np.pi, 32, endpoint=False)
-    shift = check_sublattice_shift(spectrum_scan(wall_op, k_grid=grid))
+    shift = check_sublattice_shift(*spectrum_scan(wall_op, k_grid=grid))
     reality = check_walk_particle_hole(
         StepOperator2D(LatticeSpec(7), DomainWall(np.pi / 3, -np.pi / 3, 2),
                        Constant(0.0)))
@@ -302,11 +303,11 @@ def test_c12_edge_states_in_band_openings(theta_y, label):
     op = StepOperator2D(LatticeSpec(101),
                         DomainWall(np.pi / 3, -np.pi / 3, 25),
                         Constant(theta_y))
-    spectrum = spectrum_scan(op)
+    k, E = spectrum_scan(op)
     n_zero = n_pi = 0
-    for k, Es in zip(spectrum.k_values, spectrum.energies):
-        openings = bulk_openings((np.pi / 3, -np.pi / 3), theta_y, k)
-        hits = states_in_openings(Es, openings, margin=0.01)
+    for k_y, row in zip(k, E):
+        openings = bulk_openings((np.pi / 3, -np.pi / 3), theta_y, k_y)
+        hits = states_in_openings(row, openings, margin=0.01)
         n_zero += sum(1 for e in hits if abs(e) < np.pi / 2)
         n_pi += sum(1 for e in hits if abs(e) >= np.pi / 2)
     _report(12, f"theta_y={label}: {n_zero} states in the E~0 openings, "

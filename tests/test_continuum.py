@@ -198,7 +198,7 @@ class TestCombine2D:
     def test_analytic_zero_mode_solves_2d(self):
         H2 = build_dirac(2, (lambda x: PAR.beta * x, lambda y: PAR.beta * y),
                          PAR, 25)
-        gz = analytic_zero_mode_2d("gaussian", PAR, LatticeSpec(25))
+        gz = analytic_zero_mode_2d(PAR, LatticeSpec(25))
         assert np.linalg.norm(H2.matrix @ gz.reshape(-1)) < 1e-5
 
 

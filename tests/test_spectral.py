@@ -170,13 +170,43 @@ class TestNearUnityStates:
                            match="converged only 3/16 pairs"):
             near_unity_states(op, 8)
 
+    def test_arpack_retry_grows_the_subspace(self, monkeypatch):
+        # the free walk's top cos E level is 16-fold on L = 9: count = 5
+        # plus the 8-vector buffer cuts into it, so the subspace grows by 16
+        sizes = []
+        arpack = dtqw.spectral.eigsh
+
+        def counting_eigsh(W, k, **kwargs):
+            sizes.append(k)
+            return arpack(W, k=k, **kwargs)
+
+        monkeypatch.setattr(dtqw.spectral, "eigsh", counting_eigsh)
+        op = StepOperator2D(LatticeSpec(9), Constant(0.0), Constant(0.0))
+        pairs = near_unity_states(op, 5)
+        assert sizes == [13, 29]
+        assert max(p.residual for p in pairs) <= 1e-12
+        dense = quasi_energies(walk_matrix_dense(op))
+        assert np.allclose(np.sort([abs(p.energy) for p in pairs]),
+                           np.sort(np.abs(dense))[:5], atol=1e-12)
+
 
 class TestSpectrumScan:
-    def test_rows_and_min_abs(self):
-        op = StepOperator2D(LatticeSpec(9),
-                            DomainWall(np.pi / 3, -np.pi / 3, 3),
-                            Constant(0.0))
-        spec = spectrum_scan(op)
-        rows = list(spec.rows())
-        assert len(rows) == 9 * 36
-        assert spec.min_abs_energy(0.0) >= 0.0
+    @pytest.fixture(scope="class")
+    def op(self):
+        return StepOperator2D(LatticeSpec(9),
+                              DomainWall(np.pi / 3, -np.pi / 3, 3),
+                              Constant(0.0))
+
+    def test_table_shape_grid_and_rows(self, op):
+        k, E = spectrum_scan(op)
+        assert k.shape == (9,) and E.shape == (9, 36)
+        assert np.array_equal(k, commensurate_grid(9))
+        assert np.all(np.diff(E, axis=1) >= 0.0)
+        for k_y, row in zip(k, E):
+            assert np.array_equal(row, quasi_energies(momentum_block(op, k_y)))
+
+    def test_explicit_grid_keeps_its_order(self, op):
+        k, E = spectrum_scan(op, k_grid=[0.3, -1.1])
+        assert k.dtype == float and np.array_equal(k, [0.3, -1.1])
+        assert E.shape == (2, 36)
+        assert np.array_equal(E[1], quasi_energies(momentum_block(op, -1.1)))

@@ -60,15 +60,15 @@ def wall_hamiltonian():
 
 class TestWalkSymmetries:
     def test_particle_hole_multiset(self, small_wall_op):
-        spec = spectrum_scan(small_wall_op)
-        assert spectral_particle_hole_residual(spec) < 1e-12
+        _, E = spectrum_scan(small_wall_op)
+        assert spectral_particle_hole_residual(E) < 1e-12
 
     def test_particle_hole_survives_noise(self, small_wall_op):
         op = StepOperator2D(
             small_wall_op.lattice,
             small_wall_op.profile_x.with_noise(0.25, 11),
             small_wall_op.profile_y)
-        assert spectral_particle_hole_residual(spectrum_scan(op)) < 1e-12
+        assert spectral_particle_hole_residual(spectrum_scan(op)[1]) < 1e-12
 
     def test_walk_matrix_reality(self):
         op = StepOperator2D(LatticeSpec(7),
@@ -78,14 +78,14 @@ class TestWalkSymmetries:
 
     def test_sublattice_shift_on_pairable_grid(self, small_wall_op):
         grid = np.linspace(-np.pi, np.pi, 32, endpoint=False)
-        spec = spectrum_scan(small_wall_op, k_grid=grid)
-        assert check_sublattice_shift(spec) < 1e-12
+        k, E = spectrum_scan(small_wall_op, k_grid=grid)
+        assert check_sublattice_shift(k, E) < 1e-12
 
     def test_sublattice_shift_needs_pairable_grid(self, small_wall_op):
         # the commensurate grid of an odd lattice has no k + pi partners
-        spec = spectrum_scan(small_wall_op)
-        with pytest.raises(ValueError):
-            check_sublattice_shift(spec)
+        k, E = spectrum_scan(small_wall_op)
+        with pytest.raises(ValueError, match="not pi-pairable"):
+            check_sublattice_shift(k, E)
 
     def test_unshifted_pi_periodicity_fails_on_odd_lattices(self,
                                                             small_wall_op):
@@ -94,8 +94,8 @@ class TestWalkSymmetries:
         # periodic axis; the residual is a finite-size O(1e-3) number, not
         # round-off
         grid = np.linspace(-np.pi, np.pi, 32, endpoint=False)
-        spec = spectrum_scan(small_wall_op, k_grid=grid)
-        assert unshifted_pi_distance(spec) > 1e-4
+        k, E = spectrum_scan(small_wall_op, k_grid=grid)
+        assert unshifted_pi_distance(k, E) > 1e-4
 
 
 class TestContinuumSymmetries:
