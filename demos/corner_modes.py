@@ -10,8 +10,9 @@ These are the walk's second-order topological states: products of two
 import numpy as np
 
 from dtqw import LatticeSpec, StepOperator2D, near_unity_states
+from dtqw.lattice import probability_map
 from dtqw.profiles import DomainWall
-from dtqw.spectral import localization_metrics, region_mask
+from dtqw.spectral import corner_weight
 
 LW = 6
 wall = DomainWall(np.pi / 3, -np.pi / 3, LW)
@@ -19,11 +20,10 @@ op = StepOperator2D(LatticeSpec(25), wall, wall)
 
 pairs = near_unity_states(op, 8)
 corners = [(sx * LW, sy * LW) for sx in (1, -1) for sy in (1, -1)]
-ball = region_mask(op.lattice, manhattan_centers=corners, radius=5)
 
 print(f"{'E':>13}  {'residual':>9}  {'corner weight':>13}")
 for p in pairs:
-    w = localization_metrics(p.state, [ball])["weights"][0]
+    w = corner_weight(probability_map(p.state), LW)
     print(f"{p.energy:+13.3e}  {p.residual:9.1e}  {w:13.3f}")
 
 print(f"\nwall crossings at {corners}; weight measured within "

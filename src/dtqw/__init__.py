@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .config import ConfigError, ExperimentConfig, parse_config
 from .evolution import DynamicsSpec, band_filter, run_dynamics
 from .lattice import LatticeSpec
-from .operators import StepOperator1D, StepOperator2D
+from .operators import StepOperator2D
 from .profiles import (Constant, DomainWall, LinearSaturated, parse_angle,
                        parse_profile)
 from .spectral import (bulk_bands, commensurate_grid, near_unity_states,
@@ -23,7 +23,7 @@ __all__ = [
     "ConfigError", "ExperimentConfig", "parse_config",
     "DynamicsSpec", "band_filter", "run_dynamics",
     "LatticeSpec",
-    "StepOperator1D", "StepOperator2D",
+    "StepOperator2D",
     "Constant", "DomainWall", "LinearSaturated",
     "parse_angle", "parse_profile",
     "bulk_bands", "commensurate_grid", "near_unity_states",

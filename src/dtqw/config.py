@@ -12,7 +12,7 @@ import io as _io
 import json
 from collections import OrderedDict
 
-from .profiles import parse_angle, parse_profile
+from .profiles import Constant, parse_angle, parse_profile
 from .lattice import LatticeSpec
 from .operators import StepOperator2D
 
@@ -175,15 +175,25 @@ class ExperimentConfig:
         L_y = self.get_int("L_y", L_x)
         return LatticeSpec(L_x, L_y)
 
-    def profile(self, axis):
-        text = self.get(f"theta_{axis}")
+    def profile(self, axis, kind=None):
+        """The theta_<axis> profile; with `kind` given it must be of that
+        class, and a Constant must also carry no noise."""
+        key = f"theta_{axis}"
+        text = self.get(key)
         if text is None:
-            raise ConfigError(f"theta_{axis} is required but missing")
-        return parse_profile(text)
+            raise ConfigError(f"{key} is required but missing")
+        prof = parse_profile(text)
+        if kind is not None and (not isinstance(prof, kind) or (
+                kind is Constant and prof.noise_amplitude)):
+            noiseless = "noiseless " if kind is Constant else ""
+            raise ConfigError(f"{key} must be a {noiseless}{kind.__name__} "
+                              f"profile for this pipeline, got {text!r}")
+        return prof
 
-    def step_operator(self):
+    def step_operator(self, kind=None):
+        """The walk of this config; `kind` constrains theta_y's profile."""
         return StepOperator2D(self.lattice(), self.profile("x"),
-                              self.profile("y"))
+                              self.profile("y", kind))
 
     def band_pass(self):
         center = self.get_float("band_center")

@@ -594,41 +594,15 @@ def topo_product(nus):
     return out
 
 
-class ChiralSet:
-    """1D Hamiltonian blocks H_1..H_n and chiral operators G_1..G_{n-1}.
+def build_higher_order(masses, params, Ls, gammas=None):
+    """Assemble H^(n) from n = len(masses) anticommuting blocks, n in {2, 3}.
 
-    Each block acts on (axis_m, 2) with its own mass profile; each G is a
-    2x2 involution expected to anticommute with its block's internal part.
-    """
-
-    def __init__(self, masses, params, Ls, gammas=None):
-        self.n = len(masses)
-        if self.n not in (2, 3):
-            raise ValueError("2 or 3 blocks supported")
-        Ls = [_check_odd(L) for L in (Ls if np.iterable(Ls)
-                                      else [Ls] * self.n)]
-        if len(Ls) != self.n:
-            raise ValueError("need one axis length per block")
-        self.Ls = Ls
-        self.params = params
-        self.mass_arrays = [mass_array(m, L) for m, L in zip(masses, Ls)]
-        if gammas is None:
-            gammas = [SIGMA_X] * (self.n - 1)
-        self.gammas = [np.asarray(g, dtype=complex) for g in gammas]
-        if len(self.gammas) != self.n - 1:
-            raise ValueError(f"need {self.n - 1} chiral operators, "
-                             f"got {len(self.gammas)}")
-
-    def block(self, m):
-        """Dense H_m on (axis_m, 2)."""
-        return dirac_1d_factor(self.mass_arrays[m], self.params, self.Ls[m])[0]
-
-
-def build_higher_order(n, chiral_set):
-    """Assemble H^(n) from anticommuting blocks; n in {2, 3}.
-
-    The m-th term carries G_1 ... G_{m-1} on the internal slots below its
-    own and H_m on slot m:
+    Block m is the 1D Hamiltonian H_m on (axis_m, 2) with mass profile
+    masses[m] on an axis of length Ls[m] (one odd length, or one per
+    block).  The chiral operators G_1..G_{n-1} (default sigma^x each) are
+    2x2 involutions expected to anticommute with their block's internal
+    part.  The m-th term carries G_1 ... G_{m-1} on the internal slots
+    below its own and H_m on slot m:
 
         H^(n) = sum_m  G_1 (x) ... (x) G_{m-1} (x) H_m (x) 1 (x) ... (x) 1
 
@@ -637,17 +611,26 @@ def build_higher_order(n, chiral_set):
     slot2, slot1)).  Returns (LatticeHamiltonian, report dict); raises when
     a chiral operator fails to anticommute with its block, naming the pair.
     """
-    cs = chiral_set
-    if n != cs.n:
-        raise ValueError(f"n={n} but the chiral set has {cs.n} blocks")
+    n = len(masses)
+    if n not in (2, 3):
+        raise ValueError("2 or 3 blocks supported")
+    Ls = [_check_odd(L) for L in (Ls if np.iterable(Ls) else [Ls] * n)]
+    if len(Ls) != n:
+        raise ValueError("need one axis length per block")
+    mass_arrays = [mass_array(m, L) for m, L in zip(masses, Ls)]
+    if gammas is None:
+        gammas = [SIGMA_X] * (n - 1)
+    gammas = [np.asarray(g, dtype=complex) for g in gammas]
+    if len(gammas) != n - 1:
+        raise ValueError(f"need {n - 1} chiral operators, got {len(gammas)}")
     report = {"anticommutators": [], "involutions": []}
-    for i, G in enumerate(cs.gammas):
+    for i, G in enumerate(gammas):
         r_inv = float(np.max(np.abs(G @ G - np.eye(2))))
         report["involutions"].append(r_inv)
         if r_inv > 1e-12:
             raise ValueError(f"Gamma_{i + 1}^2 != 1 (residual {r_inv:.3g})")
-        block = cs.block(i)
-        G_full = np.kron(np.eye(cs.Ls[i]), G)
+        block = dirac_1d_factor(mass_arrays[i], params, Ls[i])[0]
+        G_full = np.kron(np.eye(Ls[i]), G)
         r_anti = float(np.max(np.abs(G_full @ block + block @ G_full)))
         report["anticommutators"].append(r_anti)
         if r_anti > 1e-10:
@@ -656,22 +639,22 @@ def build_higher_order(n, chiral_set):
                              "requires anticommuting blocks")
 
     eye2 = np.eye(2)
-    size = int(np.prod(cs.Ls)) * 2 ** n
+    size = int(np.prod(Ls)) * 2 ** n
     H = np.zeros((size, size), dtype=complex)
     for m in range(n):
-        for site_part, internal_part in _dirac_terms(cs.mass_arrays[m],
-                                                     cs.params.eps):
-            sites = [np.eye(L) for L in cs.Ls]
+        for site_part, internal_part in _dirac_terms(mass_arrays[m],
+                                                     params.eps):
+            sites = [np.eye(L) for L in Ls]
             sites[m] = site_part
             # internal slot j (1-based, fastest kron factor = slot 1):
             # Gamma_j below the block's own slot, the block part at slot m,
             # identity above
-            slots = list(cs.gammas[:m]) + [internal_part] + [eye2] * (n - m - 1)
+            slots = list(gammas[:m]) + [internal_part] + [eye2] * (n - m - 1)
             H += _kron(*sites, *slots[::-1])
-    H = LatticeHamiltonian(H, tuple(cs.Ls), list(cs.mass_arrays), cs.params)
+    H = LatticeHamiltonian(H, tuple(Ls), list(mass_arrays), params)
     if n == 2:
-        ref = build_dirac(2, (cs.mass_arrays[0], cs.mass_arrays[1]),
-                          cs.params, cs.Ls[0], cs.Ls[1])
+        ref = build_dirac(2, (mass_arrays[0], mass_arrays[1]),
+                          params, Ls[0], Ls[1])
         dev = float(np.max(np.abs(H.matrix - ref.matrix)))
         report["matches_dirac_2d"] = dev
         if dev > 1e-12:

@@ -22,8 +22,8 @@ applied right-to-left.  In the fixed basis (LD, RD, LU, RU):
 All four factors are real, so the assembled position-space matrix of U is
 real for any angle profiles.
 
-The 1D split-step walk U = S C on two components (L=0, R=1) uses the same
-rotation coin and the same shift convention.
+At theta_y = 0 on y-uniform states, C_y = S_y = 1, so U is S_x C_x on
+each tau pair (LD,RD) and (LU,RU): the 1D split-step walk on (L, R).
 
 The factor table below (COIN_GENERATORS, SHIFT_X_STEPS, SHIFT_Y_Q_CELL) is
 the one description of the four factors from which `spectral` derives the
@@ -106,16 +106,6 @@ def _apply_shift_y(state, sign=+1):
     return out
 
 
-def apply_shift(axis, state, adjoint=False):
-    """Apply S_x or S_y (or its adjoint) to a (L_x, L_y, 4) state."""
-    sign = -1 if adjoint else +1
-    if axis == "x":
-        return _apply_shift_x(state, sign)
-    if axis == "y":
-        return _apply_shift_y(state, sign)
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-
-
 class StepOperator2D:
     """The one-step walk unitary U = S_y C_y S_x C_x for given angle profiles.
 
@@ -164,38 +154,6 @@ class StepOperator2D:
                 f"y={self.profile_y.to_spec_string()})")
 
 
-class StepOperator1D:
-    """The 1D split-step walk U = S C on (L, R) spinors of shape (L_x, 2)."""
-
-    def __init__(self, L_x, profile_x):
-        if L_x < 3 or L_x % 2 == 0:
-            raise ValueError(f"L_x must be odd and >= 3, got {L_x}")
-        self.L_x = int(L_x)
-        self.half_x = self.L_x // 2
-        self.profile_x = profile_x
-        tx = profile_x.table(self.half_x)
-        self._c = np.cos(tx)
-        self._s = np.sin(tx)
-
-    def apply(self, state):
-        c, s = self._c, self._s
-        coined_L = c * state[:, 0] - s * state[:, 1]
-        coined_R = s * state[:, 0] + c * state[:, 1]
-        out = np.empty_like(state)
-        out[:, 0] = np.roll(coined_L, -1)
-        out[:, 1] = np.roll(coined_R, 1)
-        return out
-
-    def apply_adjoint(self, state):
-        unshifted_L = np.roll(state[:, 0], 1)
-        unshifted_R = np.roll(state[:, 1], -1)
-        c, s = self._c, self._s
-        out = np.empty_like(state)
-        out[:, 0] = c * unshifted_L + s * unshifted_R
-        out[:, 1] = -s * unshifted_L + c * unshifted_R
-        return out
-
-
 def walk_matrix_dense(op):
     """Explicit matrix of U by applying the step to every basis vector.
 
@@ -215,15 +173,3 @@ def walk_matrix_dense(op):
         flat[j] = 0.0
     return U
 
-
-def walk_matrix_dense_1d(op):
-    """Explicit 2L x 2L matrix of the 1D walk; index = 2*(x+half) + comp."""
-    n = 2 * op.L_x
-    U = np.empty((n, n), dtype=complex)
-    basis = np.zeros((op.L_x, 2), dtype=complex)
-    flat = basis.reshape(-1)
-    for j in range(n):
-        flat[j] = 1.0
-        U[:, j] = op.apply(basis).reshape(-1)
-        flat[j] = 0.0
-    return U

@@ -19,12 +19,11 @@ from .continuum import (OracleParams, apply_dirac_2d, build_dirac,
                         square_decomposition_check, trotter_error)
 from .evolution import DynamicsSpec, run_dynamics
 from .io import svg_polyline, svg_scatter, write_csv, write_json
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, probability_map
 from .operators import StepOperator2D
-from .spectral import (block_eigensystem, bulk_bands, bulk_openings,
-                       localization_metrics, momentum_block,
-                       near_unity_states, region_mask, spectrum_scan,
-                       states_in_openings)
+from .profiles import Constant, DomainWall, parse_angle
+from .spectral import (bulk_bands, corner_weight, enclosed_states,
+                       near_unity_states, spectrum_scan, zero_mode_profiles)
 from .symmetry import (check_hamiltonian_symmetry, check_sublattice_shift,
                        check_walk_particle_hole, chiral_op, particle_hole_op,
                        spectral_particle_hole_residual, time_reversal_op)
@@ -130,7 +129,7 @@ def _run_dynamics(cfg):
 
 
 def _scan(cfg):
-    op = cfg.step_operator()
+    op = cfg.step_operator(Constant)
     n_k = cfg.get_int("k_points", 0)
     grid = None if n_k == 0 else np.linspace(-np.pi, np.pi, n_k,
                                              endpoint=False)
@@ -147,50 +146,36 @@ def _run_spectrum(cfg):
     }
     # enclosed in-opening states, when the bulk is gapped by theta_y
     extras = {}
-    theta_y = op.profile_y.theta if hasattr(op.profile_y, "theta") else None
-    wall = getattr(op.profile_x, "theta1", None)
-    if theta_y and wall is not None:
-        media = (op.profile_x.theta1, op.profile_x.theta2)
-        enclosed = []
-        for k_y, row in zip(k, E):
-            ops_ = bulk_openings(media, theta_y, k_y)
-            for e in states_in_openings(row, ops_, margin=0.01):
-                enclosed.append((float(k_y), float(e)))
+    wall, theta_y = op.profile_x, op.profile_y.theta
+    if theta_y and isinstance(wall, DomainWall):
+        enclosed = enclosed_states(k, E, (wall.theta1, wall.theta2), theta_y)
         extras["enclosed_count"] = len(enclosed)
         files["enclosed.csv"] = lambda p: write_csv(p, ["k_y", "E"], enclosed)
     return files, extras
 
 
 def _run_edge_profiles(cfg):
-    op = cfg.step_operator()
-    E, V = block_eigensystem(momentum_block(op, 0.0))
-    idx = np.argsort(np.abs(E))[:4]
-    L = op.lattice.L_x
+    op = cfg.step_operator(Constant)
+    E, profiles = zero_mode_profiles(op)
     xs = op.lattice.coords_x
-    profiles = [np.sum(np.abs(V[:, i].reshape(L, 4)) ** 2, axis=1)
-                for i in idx]
     rows = [(int(x), *(float(p[j]) for p in profiles))
             for j, x in enumerate(xs)]
     header = ["x"] + [f"P_{i + 1}" for i in range(len(profiles))]
     return {
         "profiles.csv": lambda p: write_csv(p, header, rows),
         "profiles.svg": lambda p: svg_polyline(p, xs, profiles[0], "x", "P"),
-    }, {"energies": [float(E[i]) for i in idx]}
+    }, {"energies": [float(e) for e in E]}
 
 
 def _run_corner(cfg):
+    Lw = cfg.profile("x", DomainWall).L_wall
     op = cfg.step_operator()
-    pairs = near_unity_states(op, cfg.get_int("count", 8))
-    Lw = op.profile_x.L_wall
-    ball = region_mask(op.lattice, manhattan_centers=[
-        (sx * Lw, sy * Lw) for sx in (1, -1) for sy in (1, -1)], radius=5)
-    rows = []
-    for p in pairs:
-        w = localization_metrics(p.state, [ball])["weights"][0]
-        rows.append((p.energy, p.residual, w))
+    pairs = near_unity_states(op, cfg.get_int("count"))
+    rows = [(p.energy, p.residual, corner_weight(probability_map(p.state), Lw))
+            for p in pairs]
 
     def site_map(p):
-        P = np.sum(np.abs(pairs[0].state) ** 2, axis=-1)
+        P = probability_map(pairs[0].state)
         xs, ys = op.lattice.coords_x, op.lattice.coords_y
         write_csv(p, ["x", "y", "P"], [
             (int(x), int(y), float(P[i, j]))
@@ -221,10 +206,9 @@ def _svg_sections(path, rows):
 
 
 def _run_bands(cfg):
-    from .profiles import parse_profile
-    tx = parse_profile(cfg.get("theta_x", "pi/3")).theta
-    ty = parse_profile(cfg.get("theta_y", "0")).theta
-    n = cfg.get_int("k_points", 41)
+    tx = cfg.profile("x", Constant).theta
+    ty = cfg.profile("y", Constant).theta
+    n = cfg.get_int("k_points")
     ks = np.linspace(-np.pi, np.pi, n)
     header = ["k_x", "k_y", "E_1", "E_2", "E_3", "E_4"]
     return {
@@ -241,9 +225,8 @@ _SWEEP_THETA_Y = ("0", "pi/12", "pi/6", "pi/4", "pi/3")
 
 
 def _run_bands_sweep(cfg):
-    from .profiles import parse_angle, parse_profile
-    tx = parse_profile(cfg.get("theta_x", "pi/3")).theta
-    n = cfg.get_int("k_points", 41)
+    tx = cfg.profile("x", Constant).theta
+    n = cfg.get_int("k_points")
     ks = np.linspace(-np.pi, np.pi, n)
     tys = [parse_angle(t) for t in _SWEEP_THETA_Y]
     blocks = [_band_rows(tx, ty, _SECTION_LINES, ks) for ty in tys]
@@ -322,14 +305,14 @@ def _oracle_report(L_big):
 
 
 def _run_oracle(cfg):
-    rep = _oracle_report(cfg.get_int("L_x", 101))
+    rep = _oracle_report(cfg.get_int("L_x"))
     return ({"report.json": lambda p: write_json(p, rep)},
             {"combine_2d_residual": rep["combine_2d_residual"]})
 
 
 def _run_trotter(cfg):
     par = OracleParams(eps=1.0, beta=np.pi / 20)
-    L = cfg.get_int("L_x", 21)
+    L = cfg.get_int("L_x")
     mass = lambda x: par.beta * x   # noqa: E731
     tasks = [(1, dt) for dt in (0.5, 0.25, 0.125)] + \
             [(2, dt) for dt in (0.5, 0.25)]
@@ -346,19 +329,20 @@ def _run_trotter(cfg):
 
 
 def _run_symmetry(cfg):
-    op = cfg.step_operator()
+    w = cfg.profile("x", DomainWall)
+    op = cfg.step_operator(Constant)
     rep = {
         "phs_multiset_residual": spectral_particle_hole_residual(
             spectrum_scan(op)[1]),
         "walk_reality_residual": check_walk_particle_hole(
-            StepOperator2D(LatticeSpec(7), op.profile_x.__class__(
-                *_small_wall_args(op.profile_x)), op.profile_y)),
+            StepOperator2D(LatticeSpec(7), DomainWall(w.theta1, w.theta2, 2),
+                           op.profile_y)),
     }
     grid = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     rep["sublattice_shift_residual"] = check_sublattice_shift(
         *spectrum_scan(op, k_grid=grid))
     noisy = StepOperator2D(op.lattice, op.profile_x.with_noise(
-        0.25, cfg.get_int("seed", 11)), op.profile_y)
+        0.25, cfg.get_int("seed")), op.profile_y)
     rep["phs_multiset_residual_noise"] = spectral_particle_hole_residual(
         spectrum_scan(noisy)[1])
 
@@ -371,14 +355,6 @@ def _run_symmetry(cfg):
         "chiral": check_hamiltonian_symmetry(H, chiral_op()),
     }
     return {"report.json": lambda p: write_json(p, rep)}, {}
-
-
-def _small_wall_args(profile):
-    """Shrink a wall profile onto a 7-site axis for the reality check."""
-    from .profiles import DomainWall
-    if isinstance(profile, DomainWall):
-        return (profile.theta1, profile.theta2, 2)
-    raise ConfigError("symmetry preset expects a wall profile in theta_x")
 
 
 _PIPELINES = {

@@ -106,6 +106,19 @@ def spectrum_scan(op, k_grid=None):
     return k, np.array([quasi_energies(momentum_block(op, kk)) for kk in k])
 
 
+def zero_mode_profiles(op):
+    """The four k_y = 0 eigenstates nearest E = 0 and their site profiles.
+
+    Returns (E, P): E the four quasi-energies in order of |E|, P of shape
+    (4, L_x) with P[i, x] = sum_c |psi_i(x, c)|^2 (each row sums to 1).
+    """
+    E, V = block_eigensystem(momentum_block(op, 0.0))
+    idx = np.argsort(np.abs(E))[:4]
+    L = op.lattice.L_x
+    return E[idx], np.array([np.sum(np.abs(V[:, i].reshape(L, 4)) ** 2,
+                                    axis=1) for i in idx])
+
+
 def bulk_bands(theta_x, theta_y, k_x, k_y):
     """The four quasi-energies of the uniform walk at (k_x, k_y).
 
@@ -182,6 +195,14 @@ def states_in_openings(energies, openings, margin=0.0):
                 hits.append(float(e))
                 break
     return hits
+
+
+def enclosed_states(k, E, theta_media, theta_y):
+    """The (k_y, E) entries of a spectrum_scan table inside the bulk
+    openings at their own k_y, at least 0.01 off the opening edges."""
+    return [(float(k_y), e) for k_y, row in zip(k, E)
+            for e in states_in_openings(
+                row, bulk_openings(theta_media, theta_y, k_y), margin=0.01)]
 
 
 def fit_edge_branch(k, E, theta, k_window=0.2):
@@ -326,25 +347,17 @@ def near_unity_states(op, count):
             for j in order]
 
 
-def region_mask(lattice, manhattan_centers, radius):
-    """Boolean (L_x, L_y) site mask for localization measurements: the
-    union of Manhattan balls of `radius` around `manhattan_centers`."""
-    X = lattice.coords_x[:, None]
-    Y = lattice.coords_y[None, :]
-    mask = np.zeros((lattice.L_x, lattice.L_y), dtype=bool)
-    for (x0, y0) in manhattan_centers:
-        mask |= (np.abs(X - x0) + np.abs(Y - y0)) <= radius
-    return mask
+def corner_weight(P, L_wall):
+    """Share of a site-probability map within Manhattan radius 5 of the
+    four wall crossings (+-L_wall, +-L_wall).
 
-
-def localization_metrics(state, regions):
-    """Probability weight inside each region mask, plus the IPR.
-
-    `state` may be a (L_x, L_y, 4) walk state or any array whose |.|^2
-    summed over the last axis gives a site probability map.
+    P has shape (L_x, L_y) with centred coordinates, x = -(L_x // 2) ..
+    L_x // 2 along axis 0 and y likewise along axis 1.  The nearest
+    crossing to (x, y) is (sign(x) L_wall, sign(y) L_wall), so the union
+    of the four balls is one test on (|x|, |y|).
     """
-    P = np.sum(np.abs(state) ** 2, axis=-1)
-    total = P.sum()
-    weights = [float(P[mask].sum() / total) for mask in regions]
-    ipr = float(np.sum((P / total) ** 2))
-    return {"weights": weights, "ipr": ipr}
+    L_x, L_y = P.shape
+    x = np.abs(np.arange(L_x) - L_x // 2)[:, None]
+    y = np.abs(np.arange(L_y) - L_y // 2)[None, :]
+    near = np.abs(x - L_wall) + np.abs(y - L_wall) <= 5
+    return float(P[near].sum() / P.sum())

@@ -13,14 +13,13 @@ import pytest
 
 from dtqw.continuum import OracleParams, trotter_error
 from dtqw.evolution import prepare_initial_state
-from dtqw.lattice import LatticeSpec, norm, position_moments
+from dtqw.lattice import LatticeSpec, norm, position_moments, probability_map
 from dtqw.operators import StepOperator2D
 from dtqw.presets import _oracle_report, base_config, dynamics_spec
 from dtqw.profiles import Constant, DomainWall, LinearSaturated
-from dtqw.spectral import (block_eigensystem, bulk_bands, bulk_openings,
-                           fit_edge_branch, localization_metrics,
-                           momentum_block, near_unity_states, quasi_energies,
-                           region_mask, spectrum_scan, states_in_openings)
+from dtqw.spectral import (bulk_bands, corner_weight, enclosed_states,
+                           fit_edge_branch, momentum_block, near_unity_states,
+                           quasi_energies, spectrum_scan, zero_mode_profiles)
 from dtqw.symmetry import (check_hamiltonian_symmetry, check_sublattice_shift,
                            check_walk_particle_hole, chiral_op,
                            particle_hole_op, spectral_particle_hole_residual,
@@ -118,14 +117,10 @@ def test_c04_edge_branch_crossing_and_localization(wall_op, wall_scan):
     (k, E_scan), dt = wall_scan
     e_min = float(np.min(np.abs(E_scan[np.argmin(np.abs(k))])))
     v, resid, pts = fit_edge_branch(k, E_scan, np.pi / 3, k_window=0.2)
-    E, V = block_eigensystem(momentum_block(wall_op, 0.0))
-    idx = np.argsort(np.abs(E))[:4]
+    _, P = zero_mode_profiles(wall_op)
     xs = wall_op.lattice.coords_x
     near_wall = (np.abs(xs - 25) <= 5) | (np.abs(xs + 25) <= 5)
-    weights = []
-    for i in idx:
-        P = np.sum(np.abs(V[:, i].reshape(101, 4)) ** 2, axis=1)
-        weights.append(float(P[near_wall].sum()))
+    weights = [float(p[near_wall].sum()) for p in P]
     _report(4, f"|E|min(0) {e_min:.2e}, fit v {v:.4f} resid {resid:.4f}, "
                f"wall weights min {min(weights):.3f}, {dt:.0f}s")
     assert e_min < 1e-3
@@ -179,15 +174,6 @@ def test_c07_symmetry_suite(wall_op, wall_scan, noisy_wall_op):
     assert diii < 1e-12
 
 
-def _corner_weights(op, pairs, lw):
-    ball = region_mask(op.lattice, manhattan_centers=[
-        (sx * lw, sy * lw) for sx in (1, -1) for sy in (1, -1)], radius=5)
-    # weight of the multiplet as a whole (equal-weight mixture)
-    P = np.mean([np.sum(np.abs(p.state) ** 2, axis=-1) for p in pairs],
-                axis=0)
-    return float(P[ball].sum() / P.sum())
-
-
 def test_c08_corner_states_both_scales():
     par = []
     for L, lw, budget in ((41, 10, 60.0), (101, 25, 300.0)):
@@ -197,7 +183,9 @@ def test_c08_corner_states_both_scales():
         pairs = near_unity_states(op, 8)
         dt = time.perf_counter() - t0
         small = [p for p in pairs if abs(p.energy) < 0.05]
-        w = _corner_weights(op, pairs[:8], lw)
+        # weight of the multiplet as a whole (equal-weight mixture)
+        w = corner_weight(np.mean(
+            [probability_map(p.state) for p in pairs[:8]], axis=0), lw)
         par.append((L, len(small), w, dt, budget))
     ctrl_op = StepOperator2D(LatticeSpec(41), Constant(np.pi / 3),
                              Constant(np.pi / 3))
@@ -303,13 +291,10 @@ def test_c12_edge_states_in_band_openings(theta_y, label):
     op = StepOperator2D(LatticeSpec(101),
                         DomainWall(np.pi / 3, -np.pi / 3, 25),
                         Constant(theta_y))
-    k, E = spectrum_scan(op)
-    n_zero = n_pi = 0
-    for k_y, row in zip(k, E):
-        openings = bulk_openings((np.pi / 3, -np.pi / 3), theta_y, k_y)
-        hits = states_in_openings(row, openings, margin=0.01)
-        n_zero += sum(1 for e in hits if abs(e) < np.pi / 2)
-        n_pi += sum(1 for e in hits if abs(e) >= np.pi / 2)
+    hits = enclosed_states(*spectrum_scan(op), (np.pi / 3, -np.pi / 3),
+                           theta_y)
+    n_zero = sum(1 for _, e in hits if abs(e) < np.pi / 2)
+    n_pi = len(hits) - n_zero
     _report(12, f"theta_y={label}: {n_zero} states in the E~0 openings, "
                 f"{n_pi} in the E~pi openings")
     assert n_zero > 0 and n_pi > 0

@@ -154,6 +154,21 @@ class TestPresetRuns:
         assert main(["run", "--theta-x", "pi/banana"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv,key", [
+        (["fig2a", "--theta-y", "linear:pi/20:2:pi/4"], "theta_y"),
+        (["fig5", "--theta-y", "pi/6+noise:0.1:2"], "theta_y"),
+        (["fig6", "--theta-x", "pi/3"], "theta_x"),
+        (["bandsB1", "--theta-x", "wall:pi/3:-pi/3:3"], "theta_x"),
+        (["symmetry", "--theta-x", "pi/3"], "theta_x"),
+    ])
+    def test_cli_profile_the_pipeline_cannot_run_exits_2(
+            self, argv, key, tmp_path, capsys):
+        from dtqw.cli import main
+        assert main(argv + ["--outdir", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} must be" in err
+        assert "Traceback" not in err
+
     def test_cli_convergence_error_exits_3(self, tmp_path, monkeypatch,
                                            capsys):
         import dtqw.presets

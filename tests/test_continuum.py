@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dtqw.continuum import (ChiralSet, LatticeHamiltonian, OracleParams,
+from dtqw.continuum import (LatticeHamiltonian, OracleParams,
                             SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, _kron,
                             analytic_zero_mode_2d, apply_dirac_2d,
                             build_dirac, build_higher_order, combine_2d,
@@ -11,9 +11,9 @@ from dtqw.continuum import (ChiralSet, LatticeHamiltonian, OracleParams,
                             jr_edge_state, jr_scattering, momentum_matrix,
                             square_decomposition_check, topo_index,
                             topo_product, trotter_error)
-from dtqw.lattice import LatticeSpec
-from dtqw.operators import StepOperator1D, walk_matrix_dense_1d
-from dtqw.profiles import LinearSaturated
+from dtqw.lattice import LD, RD, LatticeSpec
+from dtqw.operators import StepOperator2D
+from dtqw.profiles import Constant, LinearSaturated
 
 PAR = OracleParams(eps=1.0, beta=np.pi / 20)
 
@@ -35,11 +35,21 @@ class TestMomentumMatrix:
 
 class TestWalkFactorIdentity:
     def test_1d_walk_equals_exponential_product(self):
-        # the coined step is exactly S C = e^{-iK} e^{-iM} with
-        # K = -eps p (x) sigma^z and M = diag(theta) (x) sigma^y
+        # at theta_y = 0 the 2D step maps y-uniform (LD, RD) states to
+        # y-uniform (LD, RD) states, and that map is exactly
+        # S_x C_x = e^{-iK} e^{-iM} with K = -eps p (x) sigma^z and
+        # M = diag(theta) (x) sigma^y
         L = 21
         prof = LinearSaturated(np.pi / 20, 5, np.pi / 4)
-        U = walk_matrix_dense_1d(StepOperator1D(L, prof))
+        op = StepOperator2D(LatticeSpec(L, 3), prof, Constant(0.0))
+        U = np.empty((2 * L, 2 * L), dtype=complex)
+        for j in range(2 * L):
+            psi = np.zeros(op.lattice.shape, dtype=complex)
+            psi[j // 2, :, (LD, RD)[j % 2]] = 1.0
+            out = op.apply(psi)
+            assert np.array_equal(out, np.broadcast_to(out[:, :1], out.shape))
+            assert not out[..., 2:].any()     # no LU/RU part
+            U[:, j] = out[:, 0, :2].reshape(-1)
         p = momentum_matrix(L)
         theta = prof.table(L // 2)
         K = -PAR.eps * np.kron(p, SIGMA_Z)
@@ -231,24 +241,21 @@ class TestHigherOrder:
     def test_n2_matches_direct_build(self):
         wall = lambda x: 0.4 if abs(x) <= 2 else -0.4   # noqa: E731
         for Ls in (9, (7, 9)):
-            cs = ChiralSet((wall, wall), PAR, Ls)
-            H2a, report = build_higher_order(2, cs)
-            H2b = build_dirac(2, (wall, wall), PAR, *cs.Ls)
+            H2a, report = build_higher_order((wall, wall), PAR, Ls)
+            H2b = build_dirac(2, (wall, wall), PAR, *H2a.dims)
             assert np.max(np.abs(H2a.matrix - H2b.matrix)) < 1e-13
             assert max(report["anticommutators"]) < 1e-12
 
     def test_n3_terms_anticommute(self):
         wall = lambda x: 0.4 if abs(x) <= 1 else -0.4   # noqa: E731
-        cs = ChiralSet((wall, wall, wall), PAR, 5)
-        H3, _ = build_higher_order(3, cs)
+        H3, _ = build_higher_order((wall, wall, wall), PAR, 5)
         ev = np.linalg.eigvalsh(H3.matrix)
         assert np.allclose(ev, -ev[::-1], atol=1e-12)   # +- symmetric
 
     def test_broken_chiral_rejected(self):
         wall = lambda x: 0.4 if abs(x) <= 1 else -0.4   # noqa: E731
-        cs = ChiralSet((wall, wall), PAR, 5, gammas=[SIGMA_Z])
         with pytest.raises(ValueError, match="Gamma_1"):
-            build_higher_order(2, cs)
+            build_higher_order((wall, wall), PAR, 5, gammas=[SIGMA_Z])
 
 
 class TestTopoIndex:

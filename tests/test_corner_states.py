@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from dtqw.lattice import LatticeSpec
+from dtqw.lattice import LatticeSpec, probability_map
 from dtqw.operators import StepOperator2D
 from dtqw.profiles import Constant, DomainWall
-from dtqw.spectral import (localization_metrics, near_unity_states,
-                           region_mask)
+from dtqw.spectral import corner_weight, near_unity_states
 
 L, LW = 25, 6
 
@@ -30,13 +29,9 @@ class TestCornerStates:
         assert np.allclose(E, -E[::-1], atol=1e-12)
 
     def test_weight_concentrates_at_wall_corners(self, corner_pairs):
-        op, pairs = corner_pairs
-        ball = region_mask(op.lattice, manhattan_centers=[
-            (sx * LW, sy * LW) for sx in (1, -1) for sy in (1, -1)],
-            radius=5)
+        _, pairs = corner_pairs
         for p in pairs[:8]:
-            w = localization_metrics(p.state, [ball])["weights"][0]
-            assert w > 0.9
+            assert corner_weight(probability_map(p.state), LW) > 0.9
 
     def test_single_corner_occupancy_not_enforced(self, corner_pairs):
         # eigenvectors of the degenerate multiplet may spread over several
@@ -44,10 +39,27 @@ class TestCornerStates:
         # show the states are localized, not lattice-filling.
         _, pairs = corner_pairs
         for p in pairs[:8]:
-            assert localization_metrics(p.state, [])["ipr"] > 0.01
+            P = probability_map(p.state)
+            assert np.sum((P / P.sum()) ** 2) > 0.01
 
     def test_trivial_control_has_no_small_energies(self):
         op = StepOperator2D(LatticeSpec(L), Constant(np.pi / 3),
                             Constant(np.pi / 3))
         pairs = near_unity_states(op, 8)
         assert all(abs(p.energy) > 0.05 for p in pairs)
+
+
+
+class TestCornerWeight:
+    # a 9 x 11 map has x = -4..4 along axis 0 and y = -5..5 along axis 1;
+    # its transpose swaps the lengths, so a mix-up of the axes shows
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_non_square_map(self, transpose):
+        def weight(x, y):
+            P = np.zeros((9, 11))
+            P[x + 4, y + 5] = 1.0
+            return corner_weight(P.T if transpose else P, 1)
+
+        assert weight(1, -1) == 1.0    # on the crossing (+L_wall, -L_wall)
+        assert weight(4, -3) == 1.0    # Manhattan distance 5: on the rim
+        assert weight(4, -4) == 0.0    # Manhattan distance 6 from the nearest
