@@ -3,13 +3,21 @@
 With a y-independent coin angle the walk block-diagonalizes over the y
 momentum: replacing the S_y half-shift combinations P -> cos(k_y),
 Q -> i sin(k_y) turns the step operator into a 4*L_x x 4*L_x unitary
-U(k_y) whose eigenphases are the quasi-energies E in (-pi, pi]
-(eigenvalue = exp(-iE)).
+U(k_y) = cos(k_y) A + i sin(k_y) B, with A and B the real blocks at
+(P, Q) = (1, 0) and (0, 1), whose eigenphases are the quasi-energies E in
+(-pi, pi] (eigenvalue = exp(-iE)).  Since A and B are real,
+U(-k_y) = conj U(k_y) and the spectrum at -k_y is the negated spectrum at
+k_y, so a scan solves one block of each +-k_y pair and mirrors the other.
 
-Corner-state searches on the full 2D lattice use the Hermitian surrogate
-W = (U + U^dag)/2: the walk matrix is real in position space, so W is real
-symmetric, its largest eigenvalues cos(E) mark the quasi-energies nearest
-zero, and U restricted to the converged subspace resolves the E signs.
+Every eigenphase solve goes through the Hermitian surrogate
+W = (U + U^dag)/2, which commutes with U and has eigenvalues cos(E).
+The split-step walk carries an antiunitary symmetry that squares to -1
+(Kitagawa, Rudner, Berg and Demler, Phys. Rev. A 82, 033429, 2010), so the
+eigenvalues of W come in degenerate pairs; U restricted to each small
+cluster of W eigenvectors resolves the E signs.  Corner-state searches on
+the full 2D lattice use the same surrogate: the walk matrix is real in
+position space, so W is real symmetric and its largest eigenvalues cos(E)
+mark the quasi-energies nearest zero.
 """
 
 import numpy as np
@@ -36,25 +44,48 @@ def _require_block_structure(op):
             f"plain Constant, got {op.profile_y.to_spec_string()!r}")
 
 
-def momentum_block(op, k_y):
-    """The dense 4*L_x x 4*L_x unitary U(k_y) = S_y(k_y) C_y S_x C_x.
+def _block_terms(op):
+    """The real dense pair (A, B) with U(k_y) = cos(k_y) A + i sin(k_y) B.
 
-    Index layout: 4*(x + half_x) + c.  Requires y-translation invariance
-    (constant noiseless theta_y); theta_x may be any profile including
-    noise.  The walk on a one-site y axis with P -> cos(k_y) and
-    Q -> i sin(k_y); raises if the assembled block is not unitary.
+    A and B are the walk on a one-site y axis with the half-shift pair
+    (P, Q) = (1, 0) and (0, 1); U is linear in (P, Q).
     """
     _require_block_structure(op)
     tx = op.profile_x.table(op.lattice.half_x)
-    U = _assemble(tx, [op.profile_y.theta],
-                  sparse.csr_matrix([[np.cos(k_y)]]),
-                  sparse.csr_matrix([[1j * np.sin(k_y)]]))
-    U = U.toarray().astype(complex)
+    ty = [op.profile_y.theta]
+    one, zero = sparse.csr_matrix([[1.0]]), sparse.csr_matrix((1, 1))
+    return (_assemble(tx, ty, one, zero).toarray(),
+            _assemble(tx, ty, zero, one).toarray())
+
+
+def _combine(terms, k_y):
+    # complex even at k_y = 0: a real block would take LAPACK's real
+    # routines and move the printed k_y = 0 spectra
+    A, B = terms
+    U = np.cos(k_y) * A + 1j * np.sin(k_y) * B
     dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
     if dev > 1e-12:
         raise ValueError(f"momentum block is not unitary "
                          f"(max deviation {dev:.3g})")
     return U
+
+
+def momentum_block(op, k_y):
+    """The dense 4*L_x x 4*L_x unitary U(k_y) = S_y(k_y) C_y S_x C_x.
+
+    Index layout: 4*(x + half_x) + c.  Requires y-translation invariance
+    (constant noiseless theta_y); theta_x may be any profile including
+    noise.  Built as cos(k_y) A + i sin(k_y) B from the k-independent real
+    terms, so U(-k_y) = conj U(k_y) exactly; raises if the block is not
+    unitary.
+    """
+    return _combine(_block_terms(op), k_y)
+
+
+def _wrap_pi(E):
+    """Read E = -pi as +pi (in place), so quasi-energies lie in (-pi, pi]."""
+    E[E == -np.pi] = np.pi
+    return E
 
 
 def _quasi_energy(lam):
@@ -67,17 +98,49 @@ def _quasi_energy(lam):
     if drift > 1e-10:
         raise ValueError(f"eigenvalue modulus drifts from 1 by {drift:.3g}; "
                          "matrix is not unitary enough")
-    E = -np.angle(lam)
-    E[E == -np.pi] = np.pi
-    return E
+    return _wrap_pi(-np.angle(lam))
 
 
-def quasi_energies(matrix):
-    """Quasi-energies E in (-pi, pi] of a unitary matrix, sorted ascending.
+# W eigenvalues closer than this are one cluster; the cut keeps each
+# cluster's W eigenvectors a U-invariant subspace to ~1e-11 (see the
+# residual guard), and the walk's pairing keeps clusters at 2-4 members
+_CLUSTER_GAP = 1e-5
+_RESIDUAL_TOL = 1e-9
 
-    Batched over leading axes of a (..., n, n) stack.
+
+def quasi_energies(U):
+    """Quasi-energies E in (-pi, pi] of one unitary matrix, sorted ascending.
+
+    Diagonalizes W = (U + U^dag)/2 with eigh, cuts its sorted eigenvalues
+    into clusters wherever they step by more than 1e-5, and resolves U
+    inside each cluster with a small eig of V_c^dag U V_c (batched over
+    clusters of equal size).  W commutes with U, so this is exact for any
+    unitary matrix.  Raises ValueError if an eigenpair residual
+    ||U x - lam x|| / ||x|| exceeds 1e-9 or an eigenvalue modulus drifts
+    from 1 (U not unitary enough).
     """
-    return np.sort(_quasi_energy(np.linalg.eigvals(matrix)))
+    U = np.asarray(U)
+    w, V = np.linalg.eigh((U + U.conj().T) * 0.5)
+    n = len(w)
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > _CLUSTER_GAP)
+    sizes = np.diff(starts, append=n)
+    UV = U @ V
+    lam = np.empty(n, dtype=complex)
+    resid = 0.0
+    for m in np.unique(sizes):
+        idx = starts[sizes == m][:, None] + np.arange(m)   # (clusters, m)
+        Vc = np.moveaxis(V[:, idx], 1, 0)                  # (clusters, n, m)
+        UVc = np.moveaxis(UV[:, idx], 1, 0)
+        mu, C = np.linalg.eig(Vc.conj().swapaxes(1, 2) @ UVc)
+        X = Vc @ C
+        R = UVc @ C - X * mu[:, None, :]
+        resid = max(resid, float(np.max(np.linalg.norm(R, axis=1)
+                                        / np.linalg.norm(X, axis=1))))
+        lam[idx] = mu
+    if resid > _RESIDUAL_TOL:
+        raise ValueError(f"eigenpair residual {resid:.3g} exceeds "
+                         f"{_RESIDUAL_TOL:g}; matrix is not unitary enough")
+    return np.sort(_quasi_energy(lam))
 
 
 def block_eigensystem(matrix):
@@ -99,11 +162,24 @@ def spectrum_scan(op, k_grid=None):
 
     The grid defaults to the commensurate one.  Returns (k, E): k has
     shape (n_k,) and E shape (n_k, 4*L_x), row i holding the sorted
-    quasi-energies of the block at k[i].
+    quasi-energies of the block at k[i].  A row whose -k[i] is exactly an
+    earlier solved grid point is that point's row negated (E = -pi read as
+    +pi) and re-sorted, since U(-k_y) = conj U(k_y); every other row is
+    solved.
     """
     k = np.asarray(commensurate_grid(op.lattice.L_y) if k_grid is None
                    else k_grid, dtype=float)
-    return k, np.array([quasi_energies(momentum_block(op, kk)) for kk in k])
+    terms = _block_terms(op)
+    E = np.empty((len(k), terms[0].shape[0]))
+    solved = {}
+    for i, k_y in enumerate(k):
+        j = solved.get(-k_y)
+        if j is None:
+            E[i] = quasi_energies(_combine(terms, k_y))
+            solved.setdefault(k_y, i)
+        else:
+            E[i] = np.sort(_wrap_pi(-E[j]))
+    return k, E
 
 
 def zero_mode_profiles(op):
@@ -136,8 +212,8 @@ def bulk_bands(theta_x, theta_y, k_x, k_y):
     s_x[..., idx, idx] = np.exp(-1j * k_x[..., None] * SHIFT_X_STEPS)
     s_y = (np.cos(k_y)[..., None, None] * np.eye(4)
            + 1j * np.sin(k_y)[..., None, None] * SHIFT_Y_Q_CELL)
-    return quasi_energies(
-        s_y @ coin_matrix("y", theta_y) @ s_x @ coin_matrix("x", theta_x))
+    return np.sort(_quasi_energy(np.linalg.eigvals(
+        s_y @ coin_matrix("y", theta_y) @ s_x @ coin_matrix("x", theta_x))))
 
 
 def bulk_gap_edge(theta, k_y):
@@ -284,6 +360,17 @@ class Eigenpair:
                 f"residual={self.residual:.2e})")
 
 
+def _best_residual(W, err):
+    """Smallest ||W v - w v|| / ||v|| over the partial pairs an
+    ArpackNoConvergence carries, or None when it carries none."""
+    w, V = err.eigenvalues, err.eigenvectors
+    if len(w) == 0:
+        return None
+    R = W @ V - V * w
+    return float(np.min(np.linalg.norm(R, axis=0)
+                        / np.linalg.norm(V, axis=0)))
+
+
 def near_unity_states(op, count):
     """The `count` walk eigenpairs with quasi-energy closest to zero.
 
@@ -323,7 +410,7 @@ def near_unity_states(op, count):
                 raise ConvergenceError(
                     f"eigensolver converged only {nconv}/{k_sub} pairs "
                     f"within the iteration budget",
-                    best_residual=None) from err
+                    best_residual=_best_residual(W, err)) from err
         order = np.argsort(w)[::-1]
         w = w[order]
         V = V[:, order]

@@ -6,10 +6,23 @@ from dtqw.lattice import LatticeSpec
 from dtqw.operators import StepOperator2D, walk_matrix_dense
 from dtqw.profiles import Constant, DomainWall
 import dtqw.spectral
-from dtqw.spectral import (ConvergenceError, block_eigensystem, bulk_bands,
-                           bulk_gap_edge, bulk_openings, commensurate_grid,
-                           momentum_block, near_unity_states, quasi_energies,
-                           spectrum_scan, states_in_openings)
+from dtqw.spectral import (ConvergenceError, _quasi_energy, block_eigensystem,
+                           bulk_bands, bulk_gap_edge, bulk_openings,
+                           commensurate_grid, momentum_block,
+                           near_unity_states, quasi_energies, spectrum_scan,
+                           states_in_openings)
+from dtqw.symmetry import _phase_multiset_distance
+
+
+def _eigvals_route(U):
+    """The general eigensolver route the W kernel is checked against."""
+    return _quasi_energy(np.linalg.eigvals(U))
+
+
+def _haar_unitary(n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    Q, R = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 class TestBlocks:
@@ -46,11 +59,61 @@ class TestBlocks:
         assert np.array_equal(quasi_energies(-np.eye(2)),
                               [np.pi, np.pi])
 
+    def test_blocks_conjugate_under_k_reflection(self):
+        op = StepOperator2D(LatticeSpec(9),
+                            DomainWall(np.pi / 3, -np.pi / 3, 3)
+                            .with_noise(0.25, 4), Constant(np.pi / 3))
+        for k in (0.3, 1.1, 2.9):
+            assert np.array_equal(momentum_block(op, -k),
+                                  momentum_block(op, k).conj())
+
     def test_noise_in_y_profile_rejected(self):
         op = StepOperator2D(LatticeSpec(9), Constant(0.1),
                             Constant(0.1).with_noise(0.05, 1))
         with pytest.raises(ValueError):
             momentum_block(op, 0.0)
+
+
+class TestKernel:
+    """quasi_energies (the W kernel) against the general eigvals route."""
+
+    @pytest.mark.parametrize("theta_y, k_y", [
+        (0.0, 0.0), (0.0, 0.7), (np.pi / 3, 0.0), (np.pi / 3, -2.3)])
+    def test_noisy_wall_blocks_match_eigvals(self, theta_y, k_y):
+        op = StepOperator2D(LatticeSpec(21),
+                            DomainWall(np.pi / 3, -np.pi / 3, 5)
+                            .with_noise(0.25, 7), Constant(theta_y))
+        U = momentum_block(op, k_y)
+        # W eigenvalues cluster in pairs, and in fours at k_y = theta_y = 0
+        w = np.linalg.eigvalsh((U + U.conj().T) / 2)
+        starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > 1e-5)
+        assert np.max(np.diff(starts, append=len(w))) == (
+            4 if theta_y == k_y == 0.0 else 2)
+        E = quasi_energies(U)
+        assert E.shape == (84,) and np.all(np.diff(E) >= 0.0)
+        assert _phase_multiset_distance(E, _eigvals_route(U)) <= 1e-13
+
+    def test_degenerate_minus_one_matches_eigvals(self):
+        Q = _haar_unitary(7, 3)
+        phases = np.array([np.pi, np.pi, np.pi, 0.4, -0.4, 2.0, -1.1])
+        U = (Q * np.exp(-1j * phases)) @ Q.conj().T
+        E = quasi_energies(U)
+        assert _phase_multiset_distance(E, _eigvals_route(U)) <= 1e-13
+        assert np.allclose(E[-3:], np.pi, rtol=0, atol=1e-13)
+
+    def test_non_unitary_input_rejected(self):
+        op = StepOperator2D(LatticeSpec(9),
+                            DomainWall(np.pi / 3, -np.pi / 3, 3),
+                            Constant(np.pi / 3))
+        U = momentum_block(op, 0.4)
+        with pytest.raises(ValueError, match="modulus drifts"):
+            quasi_energies(1.001 * U)
+        # a non-normal perturbation: W's eigenvectors no longer span
+        # U-invariant subspaces
+        N = np.zeros_like(U)
+        N[0, -1] = 1e-6
+        with pytest.raises(ValueError, match="eigenpair residual"):
+            quasi_energies(U + N)
 
 
 class TestBulkBands:
@@ -158,17 +221,36 @@ class TestNearUnityStates:
         assert all(p.residual < 1e-9 for p in pairs)
 
     def test_arpack_failure_raises_convergence_error(self, monkeypatch):
+        # the partial pairs are three genuine eigenvectors of W with their
+        # Ritz values off by known amounts, so each residual is that offset
+        offsets = np.array([3e-4, 2e-5, 1e-3])
+
         def no_convergence(W, k, **kwargs):
+            w, V = np.linalg.eigh(W.toarray())
             raise ArpackNoConvergence("ARPACK error -1: No convergence",
-                                      np.zeros(3), np.zeros((W.shape[0], 3)))
+                                      w[-3:] + offsets, V[:, -3:])
 
         monkeypatch.setattr(dtqw.spectral, "eigsh", no_convergence)
         wall = DomainWall(np.pi / 3, -np.pi / 3, 2)
         op = StepOperator2D(LatticeSpec(9), wall, wall)
         # 8 requested pairs run ARPACK with an 8 + 8 vector subspace
         with pytest.raises(ConvergenceError,
-                           match="converged only 3/16 pairs"):
+                           match="converged only 3/16 pairs") as info:
             near_unity_states(op, 8)
+        assert info.value.best_residual == pytest.approx(2e-5, rel=1e-6)
+
+    def test_arpack_failure_without_pairs_has_no_residual(self, monkeypatch):
+        def no_convergence(W, k, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                      np.zeros(0), np.zeros((W.shape[0], 0)))
+
+        monkeypatch.setattr(dtqw.spectral, "eigsh", no_convergence)
+        op = StepOperator2D(LatticeSpec(9), Constant(np.pi / 3),
+                            Constant(np.pi / 3))
+        with pytest.raises(ConvergenceError,
+                           match="converged only 0/16 pairs") as info:
+            near_unity_states(op, 8)
+        assert info.value.best_residual is None
 
     def test_arpack_retry_grows_the_subspace(self, monkeypatch):
         # the free walk's top cos E level is 16-fold on L = 9: count = 5
@@ -197,13 +279,57 @@ class TestSpectrumScan:
                               DomainWall(np.pi / 3, -np.pi / 3, 3),
                               Constant(0.0))
 
+    @staticmethod
+    def _check_rows(op, k, E):
+        """Rows with an earlier exact -k partner are its mirror; the rest
+        are direct solves.  Returns the number of mirrored rows."""
+        first = {}
+        mirrored = 0
+        for i, k_y in enumerate(k):
+            direct = quasi_energies(momentum_block(op, k_y))
+            j = first.get(-k_y)
+            if j is None:
+                assert np.array_equal(E[i], direct)
+                first.setdefault(k_y, i)
+                continue
+            mirror = -E[j]
+            mirror[mirror == -np.pi] = np.pi
+            assert np.array_equal(E[i], np.sort(mirror))
+            assert _phase_multiset_distance(E[i], direct) <= 1e-13
+            mirrored += 1
+        return mirrored
+
     def test_table_shape_grid_and_rows(self, op):
         k, E = spectrum_scan(op)
         assert k.shape == (9,) and E.shape == (9, 36)
         assert np.array_equal(k, commensurate_grid(9))
         assert np.all(np.diff(E, axis=1) >= 0.0)
-        for k_y, row in zip(k, E):
-            assert np.array_equal(row, quasi_energies(momentum_block(op, k_y)))
+        assert self._check_rows(op, k, E) == 4
+
+    def test_mirror_on_noisy_transverse_coin_wall(self):
+        op = StepOperator2D(LatticeSpec(11),
+                            DomainWall(np.pi / 3, -np.pi / 3, 3)
+                            .with_noise(0.25, 5), Constant(np.pi / 3))
+        k, E = spectrum_scan(op)
+        assert self._check_rows(op, k, E) == 5
+        # linspace grid: -pi has no +pi partner, and only the k_y that
+        # negate exactly are mirrored
+        grid = np.linspace(-np.pi, np.pi, 32, endpoint=False)
+        k, E = spectrum_scan(op, k_grid=grid)
+        assert k[0] == -np.pi
+        assert self._check_rows(op, k, E) == 10
+
+    def test_solves_one_block_per_pair(self, op, monkeypatch):
+        calls = []
+        kernel = dtqw.spectral.quasi_energies
+
+        def counting(U):
+            calls.append(U.shape)
+            return kernel(U)
+
+        monkeypatch.setattr(dtqw.spectral, "quasi_energies", counting)
+        spectrum_scan(op)
+        assert len(calls) == (op.lattice.L_y + 1) // 2
 
     def test_explicit_grid_keeps_its_order(self, op):
         k, E = spectrum_scan(op, k_grid=[0.3, -1.1])
