@@ -13,11 +13,13 @@ Every eigenphase solve goes through the Hermitian surrogate
 W = (U + U^dag)/2, which commutes with U and has eigenvalues cos(E).
 The split-step walk carries an antiunitary symmetry that squares to -1
 (Kitagawa, Rudner, Berg and Demler, Phys. Rev. A 82, 033429, 2010), so the
-eigenvalues of W come in degenerate pairs; U restricted to each small
-cluster of W eigenvectors resolves the E signs.  Corner-state searches on
-the full 2D lattice use the same surrogate: the walk matrix is real in
-position space, so W is real symmetric and its largest eigenvalues cos(E)
-mark the quasi-energies nearest zero.
+eigenvalues of W come in degenerate pairs; U restricted to each cluster
+of W eigenvectors (cut at W steps above 1e-5) resolves the E signs, with
+a ValueError on an eigenpair residual above 1e-9.  Spectra, block
+eigenvectors and the corner-state search share that one resolution; the
+search feeds it the top of the 2D lattice's W, real symmetric since the
+walk matrix is real, whose largest eigenvalues cos(E) mark the
+quasi-energies nearest zero.
 """
 
 import numpy as np
@@ -103,52 +105,64 @@ def _quasi_energy(lam):
 
 # W eigenvalues closer than this are one cluster; the cut keeps each
 # cluster's W eigenvectors a U-invariant subspace to ~1e-11 (see the
-# residual guard), and the walk's pairing keeps clusters at 2-4 members
+# residual guard); clusters have 2-4 members on walls, 8 at wall corners
 _CLUSTER_GAP = 1e-5
 _RESIDUAL_TOL = 1e-9
 
 
-def quasi_energies(U):
-    """Quasi-energies E in (-pi, pi] of one unitary matrix, sorted ascending.
+def _resolve(U, w, V):
+    """Eigenpairs of U on the span of W eigenpairs (w sorted either way).
 
-    Diagonalizes W = (U + U^dag)/2 with eigh, cuts its sorted eigenvalues
-    into clusters wherever they step by more than 1e-5, and resolves U
-    inside each cluster with a small eig of V_c^dag U V_c (batched over
-    clusters of equal size).  W commutes with U, so this is exact for any
-    unitary matrix.  Raises ValueError if an eigenpair residual
-    ||U x - lam x|| / ||x|| exceeds 1e-9 or an eigenvalue modulus drifts
-    from 1 (U not unitary enough).
+    Cuts w into clusters wherever it steps by more than _CLUSTER_GAP and
+    diagonalizes V_c^dag U V_c inside each cluster, batched over clusters
+    of equal size; W commutes with U, so each cluster spans a U-invariant
+    subspace.  Returns (E, X, resid) in the order of w: quasi-energies,
+    unit eigenvectors as columns and residuals ||U x - e^{-iE} x||.
+    Raises ValueError if a residual exceeds _RESIDUAL_TOL or an eigenvalue
+    modulus drifts from 1 (U not unitary enough).
     """
-    U = np.asarray(U)
-    w, V = np.linalg.eigh((U + U.conj().T) * 0.5)
     n = len(w)
-    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > _CLUSTER_GAP)
+    starts = np.flatnonzero(abs(np.diff(w, prepend=-np.inf)) > _CLUSTER_GAP)
     sizes = np.diff(starts, append=n)
     UV = U @ V
     lam = np.empty(n, dtype=complex)
-    resid = 0.0
+    X = np.empty((V.shape[0], n), dtype=complex)
+    resid = np.empty(n)
     for m in np.unique(sizes):
         idx = starts[sizes == m][:, None] + np.arange(m)   # (clusters, m)
         Vc = np.moveaxis(V[:, idx], 1, 0)                  # (clusters, n, m)
         UVc = np.moveaxis(UV[:, idx], 1, 0)
         mu, C = np.linalg.eig(Vc.conj().swapaxes(1, 2) @ UVc)
-        X = Vc @ C
-        R = UVc @ C - X * mu[:, None, :]
-        resid = max(resid, float(np.max(np.linalg.norm(R, axis=1)
-                                        / np.linalg.norm(X, axis=1))))
+        Xc = Vc @ C
+        norm = np.linalg.norm(Xc, axis=1)
+        resid[idx] = np.linalg.norm(UVc @ C - Xc * mu[:, None, :],
+                                    axis=1) / norm
+        X[:, idx] = np.moveaxis(Xc / norm[:, None, :], 0, 1)
         lam[idx] = mu
-    if resid > _RESIDUAL_TOL:
-        raise ValueError(f"eigenpair residual {resid:.3g} exceeds "
+    worst = float(np.max(resid))
+    if worst > _RESIDUAL_TOL:
+        raise ValueError(f"eigenpair residual {worst:.3g} exceeds "
                          f"{_RESIDUAL_TOL:g}; matrix is not unitary enough")
-    return np.sort(_quasi_energy(lam))
+    return _quasi_energy(lam), X, resid
 
 
-def block_eigensystem(matrix):
-    """(E, vectors) of a unitary matrix, sorted by E; vectors as columns."""
-    lam, V = np.linalg.eig(matrix)
-    E = _quasi_energy(lam)
+def block_eigensystem(U):
+    """(E, unit vectors as columns) of one unitary matrix, sorted by E.
+
+    eigh of W = (U + U^dag)/2, then _resolve; exact for any unitary
+    matrix.  Raises ValueError on an eigenpair residual above 1e-9 or an
+    eigenvalue modulus that drifts from 1.
+    """
+    U = np.asarray(U)
+    E, X, _ = _resolve(U, *np.linalg.eigh((U + U.conj().T) * 0.5))
     order = np.argsort(E)
-    return E[order], V[:, order]
+    return E[order], X[:, order]
+
+
+def quasi_energies(U):
+    """Quasi-energies E in (-pi, pi] of one unitary matrix, sorted
+    ascending: the E of block_eigensystem."""
+    return block_eigensystem(U)[0]
 
 
 def commensurate_grid(L_y):
@@ -182,17 +196,39 @@ def spectrum_scan(op, k_grid=None):
     return k, E
 
 
+def _canonical_basis(E, V, x):
+    """A basis of the eigenstates (E, V) that does not depend on LAPACK.
+
+    Sorts the states by E and groups them wherever E steps by more than
+    _RESIDUAL_TOL; each group is orthonormalized and rotated to the basis
+    that diagonalizes the position x (one value per vector component), so
+    degenerate states localized at different walls separate.  Returns
+    (E, V) ordered by group, then by <x>.
+    """
+    order = np.argsort(E, kind="stable")
+    E, V = E[order], V[:, order]
+    groups = np.split(np.arange(len(E)),
+                      np.flatnonzero(np.diff(E) > _RESIDUAL_TOL) + 1)
+    for g in groups:
+        Q = np.linalg.qr(V[:, g])[0]
+        V[:, g] = Q @ np.linalg.eigh(Q.conj().T @ (x[:, None] * Q))[1]
+    return E, V
+
+
 def zero_mode_profiles(op):
     """The four k_y = 0 eigenstates nearest E = 0 and their site profiles.
 
-    Returns (E, P): E the four quasi-energies in order of |E|, P of shape
-    (4, L_x) with P[i, x] = sum_c |psi_i(x, c)|^2 (each row sums to 1).
+    The states are taken in the canonical basis of _canonical_basis, so
+    each degenerate zero mode sits at one wall.  Returns (E, P): E the
+    four quasi-energies in ascending order, P of shape (4, L_x) with
+    P[i, x] = sum_c |psi_i(x, c)|^2 (each row sums to 1), rows ordered by
+    E group, then by <x>.
     """
     E, V = block_eigensystem(momentum_block(op, 0.0))
     idx = np.argsort(np.abs(E))[:4]
-    L = op.lattice.L_x
-    return E[idx], np.array([np.sum(np.abs(V[:, i].reshape(L, 4)) ** 2,
-                                    axis=1) for i in idx])
+    E, V = _canonical_basis(E[idx], V[:, idx],
+                            np.repeat(op.lattice.coords_x, 4))
+    return E, np.sum(np.abs(V.T.reshape(4, -1, 4)) ** 2, axis=2)
 
 
 def bulk_bands(theta_x, theta_y, k_x, k_y):
@@ -377,11 +413,12 @@ def near_unity_states(op, count):
     Works on the Hermitian surrogate W = (U + U^T)/2 (real symmetric since
     the walk matrix is real): its largest eigenvalues are cos(E) for the E
     nearest zero.  ARPACK finds them from a deterministic start vector in a
-    count + 8 vector subspace, grown by 16 while a degenerate multiplet
-    straddles the cut; a dense eigh takes over once that subspace would
-    reach n - 2 vectors.  U is then re-diagonalized inside the kept
-    subspace to recover signed E and per-state residuals
-    ||U psi - e^{-iE} psi||.
+    count + 8 vector subspace; the cut extends to the next W gap wider
+    than 1e-5 (the cluster gap of _resolve), and the subspace grows by 16
+    while no such gap falls inside it.  A dense eigh takes over once that
+    subspace would reach n - 2 vectors.  The kept W pairs go through
+    _resolve, which gives signed E and per-state residuals
+    ||U psi - e^{-iE} psi|| and raises ValueError above 1e-9.
 
     Returns a list of Eigenpair sorted by |E|, states shaped (L_x, L_y, 4).
     """
@@ -391,11 +428,6 @@ def near_unity_states(op, count):
         raise ValueError(f"count must be in 1..{n}")
     U = walk_matrix_sparse(op)
     W = (U + U.T) * 0.5
-    # The kept subspace must be U-invariant, which fails if the cut lands
-    # inside a degenerate cos(E) multiplet (the inner eig then yields
-    # spurious Ritz values anywhere inside the spectral hull).  Always
-    # extend the cut to the next genuine gap in the W spectrum.
-    gap_tol = 1e-9
     v0 = np.random.Generator(np.random.PCG64(20240817)).normal(size=n)
     k_sub = count + 8
     while True:
@@ -412,26 +444,17 @@ def near_unity_states(op, count):
                     f"within the iteration budget",
                     best_residual=_best_residual(W, err)) from err
         order = np.argsort(w)[::-1]
-        w = w[order]
-        V = V[:, order]
+        w, V = w[order], V[:, order]
+        # never cut inside a W cluster: the kept span must be U-invariant
         j = count
-        while j < len(w) and w[j - 1] - w[j] <= gap_tol:
+        while j < len(w) and w[j - 1] - w[j] <= _CLUSTER_GAP:
             j += 1
         if j < len(w) or k_sub >= n - 2:
             break
-        # multiplet straddles the buffer: enlarge and retry
         k_sub = min(k_sub + 16, n - 2)
-    V = V[:, :j]
-    # resolve U inside the W subspace: small non-Hermitian eigenproblem
-    UV = U @ V
-    lam, C = np.linalg.eig(V.T @ UV)
-    vecs = V @ C
-    vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
-    E = _quasi_energy(lam)
-    resid = np.linalg.norm(U @ vecs - lam * vecs, axis=0)
-    order = np.argsort(np.abs(E))[:count]
-    return [Eigenpair(E[j], vecs[:, j].reshape(lattice.shape), resid[j])
-            for j in order]
+    E, X, resid = _resolve(U, w[:j], V[:, :j])
+    return [Eigenpair(E[j], X[:, j].reshape(lattice.shape), resid[j])
+            for j in np.argsort(np.abs(E))[:count]]
 
 
 def corner_weight(P, L_wall):

@@ -108,20 +108,18 @@ def _phase_multiset_distance(E1, E2):
     sorted real-line comparison.  Both multisets are sorted by angle (the
     cyclic order is branch-cut independent) and matched under the best
     cyclic alignment; the optimal non-crossing matching on a circle is a
-    cyclic shift, so scanning shifts gives the true bottleneck distance.
-    For small distances the chord equals the angle difference.
+    cyclic shift, so taking the best of all shifts (one index matrix, row s
+    the shift by s) gives the true bottleneck distance.  For small
+    distances the chord equals the angle difference.
     """
     a = np.sort(np.mod(np.asarray(E1, dtype=float), 2.0 * np.pi))
     b = np.sort(np.mod(np.asarray(E2, dtype=float), 2.0 * np.pi))
     if a.shape != b.shape:
         raise ValueError("phase multisets must have equal size")
-    za, zb = np.exp(-1j * a), np.exp(-1j * b)
-    best = np.inf
-    for s in range(len(zb)):
-        best = min(best, float(np.max(np.abs(za - np.roll(zb, s)))))
-        if best == 0.0:
-            break
-    return best
+    n = len(b)
+    shifts = (np.arange(n)[:, None] + np.arange(n)) % n
+    return float(np.min(np.max(
+        np.abs(np.exp(-1j * a) - np.exp(-1j * b)[shifts]), axis=1)))
 
 
 def spectral_particle_hole_residual(E):

@@ -6,17 +6,23 @@ from dtqw.lattice import LatticeSpec
 from dtqw.operators import StepOperator2D, walk_matrix_dense
 from dtqw.profiles import Constant, DomainWall
 import dtqw.spectral
-from dtqw.spectral import (ConvergenceError, _quasi_energy, block_eigensystem,
-                           bulk_bands, bulk_gap_edge, bulk_openings,
-                           commensurate_grid, momentum_block,
+from dtqw.spectral import (ConvergenceError, _canonical_basis, _quasi_energy,
+                           block_eigensystem, bulk_bands, bulk_gap_edge,
+                           bulk_openings, commensurate_grid, momentum_block,
                            near_unity_states, quasi_energies, spectrum_scan,
-                           states_in_openings)
+                           states_in_openings, zero_mode_profiles)
 from dtqw.symmetry import _phase_multiset_distance
 
 
 def _eigvals_route(U):
     """The general eigensolver route the W kernel is checked against."""
     return _quasi_energy(np.linalg.eigvals(U))
+
+
+def _eig_route(U):
+    """(E, vectors) from the general eig, unsorted."""
+    lam, V = np.linalg.eig(U)
+    return _quasi_energy(lam), V
 
 
 def _haar_unitary(n, seed):
@@ -43,16 +49,20 @@ class TestBlocks:
              for k in commensurate_grid(7)]))
         assert np.allclose(dense, tiled, atol=1e-10)
 
-    def test_block_eigensystem_residual(self):
+    @pytest.mark.parametrize("theta_y", [0.0, np.pi / 3])
+    @pytest.mark.parametrize("k_y", [0.0, 0.4])
+    def test_block_eigensystem_residual(self, theta_y, k_y):
         op = StepOperator2D(LatticeSpec(9),
-                            DomainWall(np.pi / 3, -np.pi / 3, 3),
-                            Constant(0.0))
-        blk = momentum_block(op, 0.4)
+                            DomainWall(np.pi / 3, -np.pi / 3, 3)
+                            .with_noise(0.25, 5), Constant(theta_y))
+        blk = momentum_block(op, k_y)
         E, V = block_eigensystem(blk)
-        lam = np.exp(-1j * E)
-        resid = np.linalg.norm(blk @ V - V * lam[None, :])
-        assert resid < 1e-10
         assert np.all(np.diff(E) >= 0)
+        assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0,
+                           atol=1e-14)
+        resid = np.linalg.norm(blk @ V - V * np.exp(-1j * E), axis=0)
+        assert np.max(resid) <= 1e-10
+        assert _phase_multiset_distance(E, _eigvals_route(blk)) <= 1e-13
 
     def test_eigenphases_are_in_half_open_interval(self):
         # lambda = -1 has angle +pi, so E = -pi; the wrap maps it to +pi
@@ -114,6 +124,64 @@ class TestKernel:
         N[0, -1] = 1e-6
         with pytest.raises(ValueError, match="eigenpair residual"):
             quasi_energies(U + N)
+
+
+class TestZeroModeProfiles:
+    """The canonical basis of the four k_y = 0 zero modes of a clean wall."""
+
+    @staticmethod
+    def _wall(L, L_wall):
+        return StepOperator2D(LatticeSpec(L),
+                              DomainWall(np.pi / 3, -np.pi / 3, L_wall),
+                              Constant(0.0))
+
+    @staticmethod
+    def _canonical(op, solve):
+        """(U, E, V): the k_y = 0 block and its four states nearest E = 0
+        from `solve`, in the canonical basis."""
+        U = momentum_block(op, 0.0)
+        E, V = solve(U)
+        idx = np.argsort(np.abs(E))[:4]
+        return (U, *_canonical_basis(E[idx], V[:, idx],
+                                     np.repeat(op.lattice.coords_x, 4)))
+
+    @staticmethod
+    def _profiles(V):
+        return np.sum(np.abs(V.T.reshape(4, -1, 4)) ** 2, axis=2)
+
+    def test_each_mode_sits_at_one_wall(self):
+        op = self._wall(41, 10)
+        E, P = zero_mode_profiles(op)
+        xs = op.lattice.coords_x
+        assert np.all(np.diff(E) >= 0) and np.max(np.abs(E)) < 1e-9
+        assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+        # one E group, so the rows run in <x> order: two per wall
+        assert np.allclose(P @ xs, [-10.5, -10.5, 10.5, 10.5], atol=1e-9)
+        side = np.maximum(P[:, xs < 0].sum(axis=1), P[:, xs > 0].sum(axis=1))
+        assert np.min(side) >= 1.0 - 1e-10
+
+    def test_basis_is_orthonormal_and_independent_of_the_solver(self):
+        op = self._wall(41, 10)
+        U, E, V = self._canonical(op, block_eigensystem)
+        assert np.allclose(V.conj().T @ V, np.eye(4), rtol=0, atol=1e-13)
+        assert np.max(np.linalg.norm(U @ V - V * np.exp(-1j * E),
+                                     axis=0)) <= 1e-10
+        _, P = zero_mode_profiles(op)
+        assert np.max(np.abs(self._profiles(V) - P)) <= 1e-14
+        # the general eig route, put through the same rotation
+        _, _, V_eig = self._canonical(op, _eig_route)
+        assert np.max(np.abs(self._profiles(V_eig) - P)) <= 1e-13
+
+    def test_split_quartet_keeps_eigenstates(self):
+        # at L = 21 tunnelling splits the quartet into two Kramers pairs
+        # (|E| ~ 1e-6), so each row stays a true eigenstate
+        op = self._wall(21, 5)
+        U, E, V = self._canonical(op, block_eigensystem)
+        assert np.min(np.abs(E)) > 1e-7
+        assert E[1] - E[0] <= 1e-9 < E[2] - E[1]
+        assert np.max(np.linalg.norm(U @ V - V * np.exp(-1j * E),
+                                     axis=0)) <= 1e-12
+        assert np.array_equal(zero_mode_profiles(op)[0], E)
 
 
 class TestBulkBands:
