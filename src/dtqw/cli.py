@@ -56,8 +56,8 @@ def main(argv=None):
         print(f"dtqw: config error: {err}", file=sys.stderr)
         return 2
     except (FloatingPointError, RuntimeError) as err:
-        # norm drift and eigensolver breakdowns (ConvergenceError) surface
-        # as RuntimeError
+        # norm drift, the spectral guards (UnitarityError) and eigensolver
+        # breakdowns (ConvergenceError) surface as RuntimeError
         print(f"dtqw: numerical failure: {err}", file=sys.stderr)
         return 3
 

@@ -14,17 +14,21 @@ W = (U + U^dag)/2, which commutes with U and has eigenvalues cos(E).
 The split-step walk carries an antiunitary symmetry that squares to -1
 (Kitagawa, Rudner, Berg and Demler, Phys. Rev. A 82, 033429, 2010), so the
 eigenvalues of W come in degenerate pairs; U restricted to each cluster
-of W eigenvectors (cut at W steps above 1e-5) resolves the E signs, with
-a ValueError on an eigenpair residual above 1e-9.  Spectra, block
-eigenvectors and the corner-state search share that one resolution; the
-search feeds it the top of the 2D lattice's W, real symmetric since the
-walk matrix is real, whose largest eigenvalues cos(E) mark the
-quasi-energies nearest zero.
+of W eigenvectors (cut at W steps above 1e-5) resolves the E signs.
+Spectra, block eigenvectors and the corner-state search share that one
+resolution.  The search feeds it the top of the 2D lattice's W, real
+symmetric since the walk matrix is real, whose largest eigenvalues cos(E)
+mark the quasi-energies nearest zero; a Chebyshev-filtered block
+iteration finds them, and each degenerate group of the states is rotated
+to a canonical basis that does not depend on the solver.  The numerical
+guards raise RuntimeError subclasses: UnitarityError, and ConvergenceError
+when the block iteration runs out of passes.
 """
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh, ArpackNoConvergence
+# unused here: bench/tracer.py still wraps dtqw.spectral.eigsh by name
+from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from .operators import (COIN_GENERATORS, SHIFT_X_STEPS, SHIFT_Y_Q_CELL,
                         coin_matrix)
@@ -37,6 +41,11 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, best_residual=None):
         super().__init__(message)
         self.best_residual = best_residual
+
+
+class UnitarityError(RuntimeError):
+    """A non-unitary momentum block, an eigenvalue modulus off 1, or an
+    eigenpair residual above _RESIDUAL_TOL."""
 
 
 def _require_block_structure(op):
@@ -67,8 +76,8 @@ def _combine(terms, k_y):
     U = np.cos(k_y) * A + 1j * np.sin(k_y) * B
     dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
     if dev > 1e-12:
-        raise ValueError(f"momentum block is not unitary "
-                         f"(max deviation {dev:.3g})")
+        raise UnitarityError(f"momentum block is not unitary "
+                             f"(max deviation {dev:.3g})")
     return U
 
 
@@ -98,8 +107,8 @@ def _quasi_energy(lam):
     """
     drift = np.max(np.abs(np.abs(lam) - 1.0))
     if drift > 1e-10:
-        raise ValueError(f"eigenvalue modulus drifts from 1 by {drift:.3g}; "
-                         "matrix is not unitary enough")
+        raise UnitarityError(f"eigenvalue modulus drifts from 1 by "
+                             f"{drift:.3g}; matrix is not unitary enough")
     return _wrap_pi(-np.angle(lam))
 
 
@@ -118,8 +127,8 @@ def _resolve(U, w, V):
     of equal size; W commutes with U, so each cluster spans a U-invariant
     subspace.  Returns (E, X, resid) in the order of w: quasi-energies,
     unit eigenvectors as columns and residuals ||U x - e^{-iE} x||.
-    Raises ValueError if a residual exceeds _RESIDUAL_TOL or an eigenvalue
-    modulus drifts from 1 (U not unitary enough).
+    Raises UnitarityError if a residual exceeds _RESIDUAL_TOL or an
+    eigenvalue modulus drifts from 1 (U not unitary enough).
     """
     n = len(w)
     starts = np.flatnonzero(abs(np.diff(w, prepend=-np.inf)) > _CLUSTER_GAP)
@@ -141,8 +150,9 @@ def _resolve(U, w, V):
         lam[idx] = mu
     worst = float(np.max(resid))
     if worst > _RESIDUAL_TOL:
-        raise ValueError(f"eigenpair residual {worst:.3g} exceeds "
-                         f"{_RESIDUAL_TOL:g}; matrix is not unitary enough")
+        raise UnitarityError(f"eigenpair residual {worst:.3g} exceeds "
+                             f"{_RESIDUAL_TOL:g}; matrix is not unitary "
+                             "enough")
     return _quasi_energy(lam), X, resid
 
 
@@ -150,8 +160,8 @@ def block_eigensystem(U):
     """(E, unit vectors as columns) of one unitary matrix, sorted by E.
 
     eigh of W = (U + U^dag)/2, then _resolve; exact for any unitary
-    matrix.  Raises ValueError on an eigenpair residual above 1e-9 or an
-    eigenvalue modulus that drifts from 1.
+    matrix.  Raises UnitarityError on an eigenpair residual above 1e-9 or
+    an eigenvalue modulus that drifts from 1.
     """
     U = np.asarray(U)
     E, X, _ = _resolve(U, *np.linalg.eigh((U + U.conj().T) * 0.5))
@@ -396,15 +406,127 @@ class Eigenpair:
                 f"residual={self.residual:.2e})")
 
 
-def _best_residual(W, err):
-    """Smallest ||W v - w v|| / ||v|| over the partial pairs an
-    ArpackNoConvergence carries, or None when it carries none."""
-    w, V = err.eigenvalues, err.eigenvectors
-    if len(w) == 0:
-        return None
-    R = W @ V - V * w
-    return float(np.min(np.linalg.norm(R, axis=0)
-                        / np.linalg.norm(V, axis=0)))
+# Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago and
+# Chelikowsky, J. Comput. Phys. 219, 172, 2006) on a block of `count` +
+# _BLOCK_PAD columns, grown by _BLOCK_GROWTH when no W gap wider than
+# _CLUSTER_GAP falls inside it or a pass cuts the worst kept residual by
+# less than 1 - _STALL.  The filter lifts the top Ritz value over the
+# lowest kept one by at most _FILTER_RANGE: a kept vector filtered r times
+# below the top carries r times the top's roundoff
+_BLOCK_PAD, _BLOCK_GROWTH, _STALL = 8, 16, 0.9
+_FILTER_DEGREE, _FILTER_RANGE = 30, 100.0
+_W_RESIDUAL_TOL = 1e-13
+_MAX_PASSES = 100
+
+
+def _chebyshev_filter(W, X, Y, w, j):
+    """Overwrite X with p(W) X, p the Chebyshev polynomial that damps
+    [-1, w[-1]] and is 1 at W's top bound 1, with w the Ritz values of X
+    (descending) of which the top j are kept; Y is a finite buffer.
+
+    The degree is _FILTER_DEGREE, or less where p would grow by more than
+    _FILTER_RANGE from w[j - 1] to w[0].  The scaled recurrence (Zhou and
+    Saad, SIAM J. Matrix Anal. Appl. 29, 954, 2007) keeps each iterate
+    O(1) and runs in place in X and Y.
+    """
+    e, c = (w[-1] + 1.0) * 0.5, (w[-1] - 1.0) * 0.5
+    # log T_m(t) grows by arccosh(t) per degree for t >= 1
+    growth = np.diff(np.arccosh(np.maximum((w[[j - 1, 0]] - c) / e, 1.0)))[0]
+    degree = _FILTER_DEGREE
+    if growth * degree > np.log(_FILTER_RANGE):
+        degree = max(1, int(np.log(_FILTER_RANGE) / growth))
+    sigma1 = sigma = e / (1.0 - c)
+    a, s = sigma1 / e, 0.0               # T_1 = t T_0 starts the recurrence
+    prev, cur = Y, X
+    for _ in range(degree):
+        # prev <- a (W - c) cur - s prev
+        P = W @ cur
+        P *= a
+        prev *= -s
+        prev += P
+        np.multiply(cur, a * c, out=P)
+        prev -= P
+        prev, cur = cur, prev
+        sigma_next = 1.0 / (2.0 / sigma1 - sigma)
+        a, s, sigma = 2.0 * sigma_next / e, sigma * sigma_next, sigma_next
+    if cur is not X:
+        X[...] = cur
+
+
+def _rayleigh_ritz(W, X, Y):
+    """Overwrite X with the Ritz vectors of W on span(X) and Y with their
+    residuals; return the Ritz values (descending) and residual norms."""
+    Q = np.linalg.qr(X)[0]
+    WQ = W @ Q
+    w, S = np.linalg.eigh(Q.T @ WQ)
+    w, S = w[::-1], S[:, ::-1]
+    np.matmul(Q, S, out=X)
+    np.matmul(WQ, S, out=Y)
+    np.multiply(X, w, out=Q)
+    Y -= Q
+    return w, np.linalg.norm(Y, axis=0)
+
+
+def _top_of_w(W, count):
+    """The top W eigenpairs (w descending, V) down to the first W gap
+    wider than _CLUSTER_GAP at or past `count`.
+
+    Each pass runs a Rayleigh-Ritz step on the block, which starts from a
+    fixed seed; it stops once the cut falls inside the block and every
+    kept residual ||W v - w v|| is below _W_RESIDUAL_TOL, else grows the
+    block (see above) or filters it.  A block of all n columns is exact
+    after one step.  Raises ConvergenceError, carrying the worst kept
+    residual, after _MAX_PASSES passes.
+    """
+    n = W.shape[0]
+    rng = np.random.Generator(np.random.PCG64(20240817))
+    X = rng.normal(size=(n, min(count + _BLOCK_PAD, n)))
+    Y = np.empty_like(X)
+    last = (0, 0.0)                          # (j, worst) of the last pass
+    for _ in range(_MAX_PASSES):
+        b = X.shape[1]
+        w, resid = _rayleigh_ritz(W, X, Y)
+        # never cut inside a W cluster: the kept span must be U-invariant
+        j = count
+        while j < b and w[j - 1] - w[j] <= _CLUSTER_GAP:
+            j += 1
+        worst = float(np.max(resid[:j]))
+        stalled = last[0] == j and worst > _STALL * last[1]
+        last = (j, worst)
+        if b < n and (j == b or stalled):
+            X = np.hstack((X, rng.normal(size=(n, min(_BLOCK_GROWTH,
+                                                      n - b)))))
+            Y = np.empty_like(X)
+            last = (0, 0.0)
+        elif worst < _W_RESIDUAL_TOL:
+            return w[:j], X[:, :j]
+        else:
+            _chebyshev_filter(W, X, Y, w, j)
+    raise ConvergenceError(
+        f"Chebyshev filter left a W residual of {worst:.3g} after "
+        f"{_MAX_PASSES} passes", best_residual=worst)
+
+
+def _canonical_pairs(U, E, X, lattice, count):
+    """The `count` eigenpairs (E, X) of U nearest E = 0 as Eigenpairs.
+
+    _canonical_basis rotates each degenerate group to diagonalize
+    d = x + y/sqrt(2) + [c = 0]: position separates the four wall
+    crossings, the coin term the two states at each.  Rows run by |E|
+    group, the negative group of a +-E pair first, then by <d>; each
+    residual ||U psi - e^{-iE} psi|| uses its row's E.
+    """
+    x, y = np.meshgrid(lattice.coords_x, lattice.coords_y, indexing="ij")
+    d = (x[..., None] + y[..., None] / np.sqrt(2.0)
+         + (np.arange(4) == 0)).ravel()
+    E, X = _canonical_basis(E, X, d)
+    g = np.cumsum(np.diff(E, prepend=-np.inf) > _RESIDUAL_TOL) - 1
+    E_group = np.bincount(g, E) / np.bincount(g)
+    # a +-E pair ties on |E| up to roundoff: the tolerance decides it
+    key = np.abs(E_group) - _RESIDUAL_TOL * (E_group < 0)
+    return [Eigenpair(E[i], X.T[i].reshape(lattice.shape), np.linalg.norm(
+        U @ X[:, i] - np.exp(-1j * E[i]) * X[:, i]))
+        for i in np.argsort(key[g], kind="stable")[:count]]
 
 
 def near_unity_states(op, count):
@@ -412,49 +534,24 @@ def near_unity_states(op, count):
 
     Works on the Hermitian surrogate W = (U + U^T)/2 (real symmetric since
     the walk matrix is real): its largest eigenvalues are cos(E) for the E
-    nearest zero.  ARPACK finds them from a deterministic start vector in a
-    count + 8 vector subspace; the cut extends to the next W gap wider
-    than 1e-5 (the cluster gap of _resolve), and the subspace grows by 16
-    while no such gap falls inside it.  A dense eigh takes over once that
-    subspace would reach n - 2 vectors.  The kept W pairs go through
-    _resolve, which gives signed E and per-state residuals
-    ||U psi - e^{-iE} psi|| and raises ValueError above 1e-9.
+    nearest zero.  A Chebyshev-filtered block iteration (_top_of_w) finds
+    them, down to the next W gap wider than 1e-5 (the cluster gap of
+    _resolve); _resolve gives signed E and unit eigenvectors, and
+    _canonical_pairs a basis of each degenerate group that does not depend
+    on the solver.  Raises ConvergenceError when the iteration runs out of
+    passes and UnitarityError on an eigenpair residual above 1e-9.
 
-    Returns a list of Eigenpair sorted by |E|, states shaped (L_x, L_y, 4).
+    Returns a list of Eigenpair ordered by |E| group (the negative group
+    of a +-E pair first), then by <x + y/sqrt(2) + [c = 0]>; states are
+    shaped (L_x, L_y, 4).
     """
     lattice = op.lattice
     n = lattice.size
     if count < 1 or count > n:
         raise ValueError(f"count must be in 1..{n}")
     U = walk_matrix_sparse(op)
-    W = (U + U.T) * 0.5
-    v0 = np.random.Generator(np.random.PCG64(20240817)).normal(size=n)
-    k_sub = count + 8
-    while True:
-        if k_sub >= n - 2:
-            w, V = np.linalg.eigh(W.toarray())
-        else:
-            try:
-                w, V = eigsh(W, k=k_sub, which="LA", v0=v0,
-                             ncv=min(n - 1, max(4 * k_sub, 40)))
-            except ArpackNoConvergence as err:
-                nconv = len(err.eigenvalues)
-                raise ConvergenceError(
-                    f"eigensolver converged only {nconv}/{k_sub} pairs "
-                    f"within the iteration budget",
-                    best_residual=_best_residual(W, err)) from err
-        order = np.argsort(w)[::-1]
-        w, V = w[order], V[:, order]
-        # never cut inside a W cluster: the kept span must be U-invariant
-        j = count
-        while j < len(w) and w[j - 1] - w[j] <= _CLUSTER_GAP:
-            j += 1
-        if j < len(w) or k_sub >= n - 2:
-            break
-        k_sub = min(k_sub + 16, n - 2)
-    E, X, resid = _resolve(U, w[:j], V[:, :j])
-    return [Eigenpair(E[j], X[:, j].reshape(lattice.shape), resid[j])
-            for j in np.argsort(np.abs(E))[:count]]
+    E, X, _ = _resolve(U, *_top_of_w((U + U.T) * 0.5, count))
+    return _canonical_pairs(U, E, X, lattice, count)
 
 
 def corner_weight(P, L_wall):

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import eigsh
 
-from dtqw.lattice import LatticeSpec
+from dtqw.lattice import LatticeSpec, probability_map
 from dtqw.operators import StepOperator2D, walk_matrix_dense
 from dtqw.profiles import Constant, DomainWall
 import dtqw.spectral
-from dtqw.spectral import (ConvergenceError, _canonical_basis, _quasi_energy,
+from dtqw.presets import run_preset
+from dtqw.spectral import (ConvergenceError, UnitarityError, _canonical_basis,
+                           _canonical_pairs, _quasi_energy, _resolve,
                            block_eigensystem, bulk_bands, bulk_gap_edge,
                            bulk_openings, commensurate_grid, momentum_block,
                            near_unity_states, quasi_energies, spectrum_scan,
-                           states_in_openings, zero_mode_profiles)
+                           states_in_openings, walk_matrix_sparse,
+                           zero_mode_profiles)
 from dtqw.symmetry import _phase_multiset_distance
 
 
@@ -116,13 +119,13 @@ class TestKernel:
                             DomainWall(np.pi / 3, -np.pi / 3, 3),
                             Constant(np.pi / 3))
         U = momentum_block(op, 0.4)
-        with pytest.raises(ValueError, match="modulus drifts"):
+        with pytest.raises(UnitarityError, match="modulus drifts"):
             quasi_energies(1.001 * U)
         # a non-normal perturbation: W's eigenvectors no longer span
         # U-invariant subspaces
         N = np.zeros_like(U)
         N[0, -1] = 1e-6
-        with pytest.raises(ValueError, match="eigenpair residual"):
+        with pytest.raises(UnitarityError, match="eigenpair residual"):
             quasi_energies(U + N)
 
 
@@ -266,8 +269,9 @@ class TestNearUnityStates:
             assert p.residual < 1e-8
 
     @pytest.mark.parametrize("spare", [0, 10])
-    def test_dense_branch_when_arpack_cannot_hold_subspace(self, spare):
-        # count + 8 >= n - 2 leaves no room for ARPACK: the dense eigh runs
+    def test_count_near_n_matches_dense(self, spare):
+        # spare = 0: the block holds all n columns and its first Ritz step
+        # is exact; spare = 10: the kept levels span most of W's spectrum
         op = StepOperator2D(LatticeSpec(3),
                             DomainWall(np.pi / 3, -np.pi / 3, 0),
                             Constant(np.pi / 5))
@@ -288,56 +292,148 @@ class TestNearUnityStates:
         assert len(pairs) == 3
         assert all(p.residual < 1e-9 for p in pairs)
 
-    def test_arpack_failure_raises_convergence_error(self, monkeypatch):
-        # the partial pairs are three genuine eigenvectors of W with their
-        # Ritz values off by known amounts, so each residual is that offset
-        offsets = np.array([3e-4, 2e-5, 1e-3])
-
-        def no_convergence(W, k, **kwargs):
-            w, V = np.linalg.eigh(W.toarray())
-            raise ArpackNoConvergence("ARPACK error -1: No convergence",
-                                      w[-3:] + offsets, V[:, -3:])
-
-        monkeypatch.setattr(dtqw.spectral, "eigsh", no_convergence)
+    def test_pass_budget_exhaustion_raises_convergence_error(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(dtqw.spectral, "_MAX_PASSES", 2)
         wall = DomainWall(np.pi / 3, -np.pi / 3, 2)
         op = StepOperator2D(LatticeSpec(9), wall, wall)
-        # 8 requested pairs run ARPACK with an 8 + 8 vector subspace
-        with pytest.raises(ConvergenceError,
-                           match="converged only 3/16 pairs") as info:
+        with pytest.raises(ConvergenceError, match="after 2 passes") as info:
             near_unity_states(op, 8)
-        assert info.value.best_residual == pytest.approx(2e-5, rel=1e-6)
+        assert np.isfinite(info.value.best_residual)
+        assert info.value.best_residual > dtqw.spectral._W_RESIDUAL_TOL
 
-    def test_arpack_failure_without_pairs_has_no_residual(self, monkeypatch):
-        def no_convergence(W, k, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence",
-                                      np.zeros(0), np.zeros((W.shape[0], 0)))
+    def test_block_grows_past_a_degenerate_level(self, monkeypatch):
+        # on L = 9 the free walk's top W levels are 4- and 16-fold:
+        # count = 5 cuts into the second, which a block of 5 + 8 columns
+        # cannot hold, so the block grows by 16
+        widths = []
+        chebyshev_filter = dtqw.spectral._chebyshev_filter
 
-        monkeypatch.setattr(dtqw.spectral, "eigsh", no_convergence)
-        op = StepOperator2D(LatticeSpec(9), Constant(np.pi / 3),
-                            Constant(np.pi / 3))
-        with pytest.raises(ConvergenceError,
-                           match="converged only 0/16 pairs") as info:
-            near_unity_states(op, 8)
-        assert info.value.best_residual is None
+        def counting_filter(W, X, *args):
+            widths.append(X.shape[1])
+            chebyshev_filter(W, X, *args)
 
-    def test_arpack_retry_grows_the_subspace(self, monkeypatch):
-        # the free walk's top cos E level is 16-fold on L = 9: count = 5
-        # plus the 8-vector buffer cuts into it, so the subspace grows by 16
-        sizes = []
-        arpack = dtqw.spectral.eigsh
-
-        def counting_eigsh(W, k, **kwargs):
-            sizes.append(k)
-            return arpack(W, k=k, **kwargs)
-
-        monkeypatch.setattr(dtqw.spectral, "eigsh", counting_eigsh)
+        monkeypatch.setattr(dtqw.spectral, "_chebyshev_filter",
+                            counting_filter)
         op = StepOperator2D(LatticeSpec(9), Constant(0.0), Constant(0.0))
         pairs = near_unity_states(op, 5)
-        assert sizes == [13, 29]
+        assert widths[0] == 13 and widths[-1] == 29
         assert max(p.residual for p in pairs) <= 1e-12
         dense = quasi_energies(walk_matrix_dense(op))
         assert np.allclose(np.sort([abs(p.energy) for p in pairs]),
                            np.sort(np.abs(dense))[:5], atol=1e-12)
+
+    def test_stalled_block_grows(self):
+        # 84 of 196 states: the kept W levels run from 0.88 down to 0.128,
+        # 0.007 above a 12-fold level that the 8-column pad cannot hold,
+        # so passes stall until the block grows
+        op = StepOperator2D(LatticeSpec(7), Constant(0.3), Constant(1.1))
+        pairs = near_unity_states(op, 84)
+        assert max(p.residual for p in pairs) <= 1e-12
+        dense = quasi_energies(walk_matrix_dense(op))
+        assert np.allclose(np.sort([abs(p.energy) for p in pairs]),
+                           np.sort(np.abs(dense))[:84], atol=1e-12)
+
+
+def _double_wall(L, L_wall, seed=None):
+    wx = wy = DomainWall(np.pi / 3, -np.pi / 3, L_wall)
+    if seed is not None:
+        wx, wy = wx.with_noise(0.25, seed), wy.with_noise(0.25, seed + 1)
+    return StepOperator2D(LatticeSpec(L), wx, wy)
+
+
+def _arpack_route(op, count):
+    """near_unity_states' rows from ARPACK's top W pairs, cut at the same
+    W gap and put through the same resolution and canonical basis."""
+    U = walk_matrix_sparse(op)
+    W = (U + U.T) * 0.5
+    v0 = np.random.Generator(np.random.PCG64(1)).normal(size=W.shape[0])
+    w, V = eigsh(W, k=count + 8, which="LA", v0=v0)
+    order = np.argsort(w)[::-1]
+    w, V = w[order], V[:, order]
+    j = count
+    while w[j - 1] - w[j] <= dtqw.spectral._CLUSTER_GAP:
+        j += 1
+    E, X, _ = _resolve(U, w[:j], V[:, :j])
+    return _canonical_pairs(U, E, X, op.lattice, count)
+
+
+def _maps(pairs):
+    return np.array([probability_map(p.state) for p in pairs])
+
+
+class TestCornerBasis:
+    """The corner states' canonical basis, checked against ARPACK."""
+
+    # tolerances follow each case's conditioning: states of different E
+    # groups come from eig inside one W cluster, fixed only to about
+    # eps / (E spacing) on any route.  At L = 41 the octet splits into
+    # pairs 1.9e-7 apart (maps 1.3e-9 and overlaps 5.5e-9 measured); the
+    # noisy L = 17 octet has levels >= 1e-3 apart (1.8e-13 and 1.5e-12)
+    @pytest.mark.parametrize("L, L_wall, seed, tol",
+                             [(41, 10, None, 1e-8), (17, 4, 3, 1e-11)])
+    def test_rows_match_the_arpack_route(self, L, L_wall, seed, tol):
+        op = _double_wall(L, L_wall, seed)
+        pairs, ref = near_unity_states(op, 8), _arpack_route(op, 8)
+        E = np.array([p.energy for p in pairs])
+        assert np.max(np.abs(E - [p.energy for p in ref])) <= 1e-13
+        assert np.max(np.abs(_maps(pairs) - _maps(ref))) <= tol
+        X = np.array([p.state.ravel() for p in pairs]).T
+        assert np.allclose(X.conj().T @ X, np.eye(8), rtol=0, atol=tol)
+        assert max(p.residual for p in pairs) <= 1e-12
+        # |E| groups, the negative one of a +-E pair first
+        assert np.all(np.diff(np.abs(E)) >= -1e-12)
+        assert np.all(E[:-1][np.abs(E[:-1] + E[1:]) <= 1e-12] < 0)
+
+    # at L = 91 the octet is one E group, which only the coin term of d
+    # splits into single states
+    @pytest.mark.parametrize("L, L_wall, seed", [(41, 10, None),
+                                                 (17, 4, 3), (91, 22, None)])
+    def test_rows_do_not_depend_on_the_basis_inside_a_group(self, L, L_wall,
+                                                            seed):
+        op = _double_wall(L, L_wall, seed)
+        U = walk_matrix_sparse(op)
+        w, V = dtqw.spectral._top_of_w((U + U.T) * 0.5, 8)
+        E, X, _ = _resolve(U, w, V)
+        order = np.argsort(E)[::-1]                # reversed column order
+        E, X = E[order], X[:, order]
+        mixed = X.copy()
+        cuts = np.flatnonzero(np.diff(E) < -dtqw.spectral._RESIDUAL_TOL) + 1
+        for i, g in enumerate(np.split(np.arange(len(E)), cuts)):
+            mixed[:, g] = X[:, g] @ _haar_unitary(len(g), i)
+        lat = op.lattice
+        a = _canonical_pairs(U, E, X, lat, 8)
+        b = _canonical_pairs(U, E, mixed, lat, 8)
+        assert [p.energy for p in a] == [p.energy for p in b]
+        assert np.max(np.abs(_maps(a) - _maps(b))) <= 1e-12
+        # nor on roundoff in |E| between the two groups of a +-E pair
+        for f in (1 - 1e-13, 1 + 1e-13):
+            c = _canonical_pairs(U, np.where(E > 0, E * f, E), X, lat, 8)
+            assert np.array_equal(np.sign([p.energy for p in c]),
+                                  np.sign([p.energy for p in a]))
+            assert np.max(np.abs(_maps(a) - _maps(c))) <= 1e-12
+
+    def test_octet_rows_each_sit_at_one_corner(self):
+        # at L = 91 the octet is one E group (spread 8e-11, below 1e-9), so
+        # the d rotation puts each state at one crossing, in <d> order
+        op = _double_wall(91, 22)
+        pairs = near_unity_states(op, 8)
+        P = _maps(pairs)
+        x = op.lattice.coords_x
+        sx, sy = np.sign(x)[:, None], np.sign(x)[None, :]
+        corners = [(-1, -1), (-1, -1), (-1, 1), (-1, 1),
+                   (1, -1), (1, -1), (1, 1), (1, 1)]
+        for Pi, (cx, cy) in zip(P, corners):
+            assert Pi[(sx == cx) & (sy == cy)].sum() >= 1.0 - 1e-6
+
+    def test_corner_path_never_calls_arpack(self, tmp_path, monkeypatch):
+        def no_arpack(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(dtqw.spectral, "eigsh", no_arpack)
+        run_preset("fig6", {"L": "11", "theta_x": "wall:pi/3:-pi/3:3",
+                            "theta_y": "wall:pi/3:-pi/3:3"},
+                   outdir=str(tmp_path / "fig6"))
 
 
 class TestSpectrumScan:
