@@ -205,13 +205,31 @@ class ExperimentConfig:
         return (center, sigma, self.get_int("band_passes", 1))
 
     def initial_state_spec(self):
+        """'gaussian', an (x, y, c) basis site on this config's lattice,
+        or the complex (L_x, L_y, 4) array that a file: value names."""
         text = self.get("initial", "gaussian")
         if text == "gaussian":
             return "gaussian"
+        lat = self.lattice()
         if text.startswith("basis:"):
-            return tuple(int(p) for p in text.split(":")[1:])
+            x, y, c = (int(p) for p in text.split(":")[1:])
+            if abs(x) > lat.half_x or abs(y) > lat.half_y:
+                raise ConfigError(
+                    f"initial site ({x}, {y}) lies outside {lat!r}; need "
+                    f"|x| <= {lat.half_x} and |y| <= {lat.half_y}")
+            return (x, y, c)
         import numpy as np
-        return np.load(text[len("file:"):])
+        path = text[len("file:"):]
+        try:
+            psi = np.asarray(np.load(path), dtype=complex)
+        except (OSError, ValueError, TypeError) as err:
+            raise ConfigError(f"initial file {path!r} cannot be loaded as "
+                              f"an array: {err}") from None
+        if psi.shape != lat.shape or not np.linalg.norm(psi) > 0:
+            raise ConfigError(f"initial file {path!r} holds shape "
+                              f"{psi.shape}; expected a nonzero array of "
+                              f"shape {lat.shape}")
+        return psi
 
     def emit_set(self):
         return set(self.get("emit", "csv,json,svg").split(","))

@@ -39,18 +39,14 @@ class OracleParams:
 
     eps   : velocity scale a/dt (lattice units: 1)
     beta  : mass slope, equal to the coin slope b (dt = 1)
-    m0    : wall mass magnitude
     omega : oscillator frequency 2*eps*beta
     """
 
-    def __init__(self, eps=1.0, beta=np.pi / 20, m0=None):
+    def __init__(self, eps=1.0, beta=np.pi / 20):
         if eps <= 0 or beta <= 0:
             raise ValueError("eps and beta must be positive")
-        if m0 is not None and m0 <= 0:
-            raise ValueError("m0 must be positive when given")
         self.eps = float(eps)
         self.beta = float(beta)
-        self.m0 = None if m0 is None else float(m0)
 
     @property
     def omega(self):
@@ -62,8 +58,7 @@ class OracleParams:
         return np.sqrt(self.eps / self.beta)
 
     def __repr__(self):
-        return (f"OracleParams(eps={self.eps}, beta={self.beta}, "
-                f"m0={self.m0})")
+        return f"OracleParams(eps={self.eps}, beta={self.beta})"
 
 
 def _check_odd(L):
@@ -144,13 +139,6 @@ class LatticeHamiltonian:
 
     def __repr__(self):
         return f"LatticeHamiltonian(dim={self.dim}, dims={self.dims})"
-
-
-def _kron(*factors):
-    out = np.array([[1.0 + 0.0j]])
-    for f in factors:
-        out = np.kron(out, f)
-    return out
 
 
 def _dirac_terms(m, eps):
@@ -427,22 +415,6 @@ def analytic_zero_mode_2d(params, lattice):
     return psi
 
 
-def jr_edge_state(m0, eps, L):
-    """Bound state at a mass wall: (1,1)/sqrt2 * exp(-m0 |x| / eps).
-
-    The wall sits at x = 0 (recenter with np.roll for walls elsewhere);
-    probability falls by exp(-2 m0 / eps) per site.  Returns (L, 2), unit
-    norm.
-    """
-    if m0 <= 0:
-        raise ValueError("m0 must be positive")
-    L = _check_odd(L)
-    x = coords(L).astype(float)
-    env = np.exp(-m0 * np.abs(x) / eps)
-    out = np.stack([env, env], axis=1).astype(complex) / np.sqrt(2.0)
-    return out / np.linalg.norm(out)
-
-
 def jr_scattering(k_x, m0, eps=1.0):
     """Reflection/transmission data against a mass wall.
 
@@ -457,37 +429,6 @@ def jr_scattering(k_x, m0, eps=1.0):
     C_over_A = complex(-np.cos(two_phi))
     E_x = float(np.hypot(eps * k_x, m0))
     return B_over_A, C_over_A, E_x
-
-
-def dispersion_reference(case, k, params):
-    """Reference energy curves for the three wall geometries.
-
-    case 'a': single wall seen from the scattering side -- a zero mode at
-        E=0 plus continua +-sqrt((eps k)^2 + m0^2) with gap edges +-m0.
-    case 'b': dispersion along the wall -- edge branches +-eps*k inside the
-        bulk continua +-sqrt((eps k)^2 + m0^2).
-    case 'c': two crossed walls -- zero mode, wall continua starting at
-        +-m0, and the doubled-mass continua +-sqrt((eps k)^2 + 2 m0^2)
-        starting at +-sqrt(2) m0.
-    """
-    if params.m0 is None:
-        raise ValueError("dispersion_reference needs params.m0")
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    eps, m0 = params.eps, params.m0
-    bulk = np.sqrt((eps * k) ** 2 + m0 ** 2)
-    if case == "a":
-        return {"k": k, "zero_mode": 0.0,
-                "upper": bulk, "lower": -bulk, "gap_edge": m0}
-    if case == "b":
-        return {"k": k, "edge_up": eps * k, "edge_down": -eps * k,
-                "upper": bulk, "lower": -bulk, "gap_edge": m0}
-    if case == "c":
-        bulk2 = np.sqrt((eps * k) ** 2 + 2.0 * m0 ** 2)
-        return {"k": k, "zero_mode": 0.0,
-                "edge_upper": bulk, "edge_lower": -bulk,
-                "bulk_upper": bulk2, "bulk_lower": -bulk2,
-                "gap_edge": m0, "second_edge": np.sqrt(2.0) * m0}
-    raise ValueError(f"case must be 'a', 'b' or 'c', got {case!r}")
 
 
 def _expm_factor(H, t):
@@ -576,88 +517,3 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None):
     ref = expm_multiply(-1j * t * H.matrix, psi0)
     return float(np.linalg.norm(psi - ref))
 
-
-def topo_index(m1, m2):
-    """nu = 1 iff the masses on the two sides of a wall differ in sign."""
-    if m1 == 0.0 or m2 == 0.0:
-        raise ValueError("topological index undefined for zero mass")
-    return 1 if np.sign(m1) != np.sign(m2) else 0
-
-
-def topo_product(nus):
-    """Product of per-axis indices: nonzero only when every factor is."""
-    out = 1
-    for nu in nus:
-        if nu not in (0, 1):
-            raise ValueError(f"indices must be 0 or 1, got {nu}")
-        out *= nu
-    return out
-
-
-def build_higher_order(masses, params, Ls, gammas=None):
-    """Assemble H^(n) from n = len(masses) anticommuting blocks, n in {2, 3}.
-
-    Block m is the 1D Hamiltonian H_m on (axis_m, 2) with mass profile
-    masses[m] on an axis of length Ls[m] (one odd length, or one per
-    block).  The chiral operators G_1..G_{n-1} (default sigma^x each) are
-    2x2 involutions expected to anticommute with their block's internal
-    part.  The m-th term carries G_1 ... G_{m-1} on the internal slots
-    below its own and H_m on slot m:
-
-        H^(n) = sum_m  G_1 (x) ... (x) G_{m-1} (x) H_m (x) 1 (x) ... (x) 1
-
-    (slot-1 factor leftmost; in matrix form the internal kron chain runs
-    from the highest slot down, matching the walk layout (x, y[, z], ...,
-    slot2, slot1)).  Returns (LatticeHamiltonian, report dict); raises when
-    a chiral operator fails to anticommute with its block, naming the pair.
-    """
-    n = len(masses)
-    if n not in (2, 3):
-        raise ValueError("2 or 3 blocks supported")
-    Ls = [_check_odd(L) for L in (Ls if np.iterable(Ls) else [Ls] * n)]
-    if len(Ls) != n:
-        raise ValueError("need one axis length per block")
-    mass_arrays = [mass_array(m, L) for m, L in zip(masses, Ls)]
-    if gammas is None:
-        gammas = [SIGMA_X] * (n - 1)
-    gammas = [np.asarray(g, dtype=complex) for g in gammas]
-    if len(gammas) != n - 1:
-        raise ValueError(f"need {n - 1} chiral operators, got {len(gammas)}")
-    report = {"anticommutators": [], "involutions": []}
-    for i, G in enumerate(gammas):
-        r_inv = float(np.max(np.abs(G @ G - np.eye(2))))
-        report["involutions"].append(r_inv)
-        if r_inv > 1e-12:
-            raise ValueError(f"Gamma_{i + 1}^2 != 1 (residual {r_inv:.3g})")
-        block = dirac_1d_factor(mass_arrays[i], params, Ls[i])[0]
-        G_full = np.kron(np.eye(Ls[i]), G)
-        r_anti = float(np.max(np.abs(G_full @ block + block @ G_full)))
-        report["anticommutators"].append(r_anti)
-        if r_anti > 1e-10:
-            raise ValueError(f"{{Gamma_{i + 1}, H_{i + 1}}} != 0 "
-                             f"(residual {r_anti:.3g}); the construction "
-                             "requires anticommuting blocks")
-
-    eye2 = np.eye(2)
-    size = int(np.prod(Ls)) * 2 ** n
-    H = np.zeros((size, size), dtype=complex)
-    for m in range(n):
-        for site_part, internal_part in _dirac_terms(mass_arrays[m],
-                                                     params.eps):
-            sites = [np.eye(L) for L in Ls]
-            sites[m] = site_part
-            # internal slot j (1-based, fastest kron factor = slot 1):
-            # Gamma_j below the block's own slot, the block part at slot m,
-            # identity above
-            slots = list(gammas[:m]) + [internal_part] + [eye2] * (n - m - 1)
-            H += _kron(*sites, *slots[::-1])
-    H = LatticeHamiltonian(H, tuple(Ls), list(mass_arrays), params)
-    if n == 2:
-        ref = build_dirac(2, (mass_arrays[0], mass_arrays[1]),
-                          params, Ls[0], Ls[1])
-        dev = float(np.max(np.abs(H.matrix - ref.matrix)))
-        report["matches_dirac_2d"] = dev
-        if dev > 1e-12:
-            raise ValueError(f"n=2 assembly deviates from the direct 2D "
-                             f"build by {dev:.3g}")
-    return H, report

@@ -34,7 +34,7 @@ independently, so the derived forms can be tested against them.
 
 import numpy as np
 
-from .lattice import LD, RD, LU, RU, LatticeSpec, allocate_state
+from .lattice import LD, RD, LU, RU, allocate_state
 
 # The walk factors in the fixed (LD, RD, LU, RU) order:
 # C_axis(theta) = cos(theta) 1 + sin(theta) COIN_GENERATORS[axis];

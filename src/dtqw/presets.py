@@ -170,7 +170,11 @@ def _run_edge_profiles(cfg):
 def _run_corner(cfg):
     Lw = cfg.profile("x", DomainWall).L_wall
     op = cfg.step_operator()
-    pairs = near_unity_states(op, cfg.get_int("count"))
+    count = cfg.get_int("count")
+    if count > op.lattice.size:
+        raise ConfigError(f"count {count} exceeds the {op.lattice.size} "
+                          f"states of {op.lattice!r}")
+    pairs = near_unity_states(op, count)
     rows = [(p.energy, p.residual, corner_weight(probability_map(p.state), Lw))
             for p in pairs]
 

@@ -59,11 +59,6 @@ def chiral_op():
     return SymmetryOp("Pi", np.kron(SIGMA_Y, SIGMA_X), "chiral")
 
 
-def chiral_1d_op():
-    """Gamma_1 = sigma^x, the 1D chiral involution."""
-    return SymmetryOp("Gamma1", SIGMA_X, "chiral")
-
-
 def check_hamiltonian_symmetry(H, op):
     """Max-norm residual of the defining relation of `op` on H.
 
@@ -153,13 +148,3 @@ def check_sublattice_shift(k, E):
     return max(_phase_multiset_distance(row, E[j] + np.pi)
                for row, j in zip(E, _pi_partners(k)))
 
-
-def unshifted_pi_distance(k, E):
-    """Plain multiset distance between {E(k_y)} and {E(k_y + pi)}.
-
-    (k, E) is a spectrum_scan table.  Reported for diagnosis: on lattices
-    with an odd number of x sites this is generically large even though
-    the shifted relation holds exactly.
-    """
-    return max(_phase_multiset_distance(row, E[j])
-               for row, j in zip(E, _pi_partners(k)))

@@ -155,6 +155,35 @@ class TestPresetRuns:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv,key", [
+        (["fig1", "--initial", "basis:99:0:0"], "initial"),
+        (["fig1", "--initial", "basis:-6:0:0"], "initial"),   # no wrap-around
+        (["fig1", "--initial", "file:{tmp}/missing.npy"], "initial"),
+        (["fig1", "--initial", "file:{tmp}/shape.npy"], "initial"),
+        (["fig1", "--initial", "file:{tmp}/zero.npy"], "initial"),
+        (["fig6", "--count", "100000"], "count"),
+    ], ids=["site-past-edge", "negative-site", "missing-file", "wrong-shape",
+            "zero-state", "count-past-n"])
+    def test_cli_value_the_pipeline_cannot_honour_exits_2(
+            self, argv, key, tmp_path, capsys):
+        from dtqw.cli import main
+        np.save(tmp_path / "shape.npy", np.ones((9, 9, 2)))
+        np.save(tmp_path / "zero.npy", np.zeros((9, 9, 4)))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv + ["--L", "9", "--outdir", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} " in err
+        assert "Traceback" not in err
+
+    def test_initial_state_inside_the_lattice_is_accepted(self, tmp_path):
+        cfg = ExperimentConfig({"L_x": "9", "L_y": "7",
+                                "initial": "basis:-4:3:2"})
+        assert cfg.initial_state_spec() == (-4, 3, 2)
+        psi = np.ones((9, 7, 4))
+        np.save(tmp_path / "psi.npy", psi)
+        cfg.set("initial", f"file:{tmp_path / 'psi.npy'}")
+        assert np.array_equal(cfg.initial_state_spec(), psi)
+
+    @pytest.mark.parametrize("argv,key", [
         (["fig2a", "--theta-y", "linear:pi/20:2:pi/4"], "theta_y"),
         (["fig5", "--theta-y", "pi/6+noise:0.1:2"], "theta_y"),
         (["fig6", "--theta-x", "pi/3"], "theta_x"),

@@ -1,16 +1,16 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from dtqw.continuum import (LatticeHamiltonian, OracleParams,
-                            SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, _kron,
+                            SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             analytic_zero_mode_2d, apply_dirac_2d,
-                            build_dirac, build_higher_order, combine_2d,
-                            dirac_2d_factors, dirac_oscillator_eigenstate,
-                            dispersion_reference, hermite_state,
-                            jr_edge_state, jr_scattering, momentum_matrix,
-                            square_decomposition_check, topo_index,
-                            topo_product, trotter_error)
+                            build_dirac, combine_2d, dirac_2d_factors,
+                            dirac_oscillator_eigenstate, hermite_state,
+                            jr_scattering, momentum_matrix,
+                            square_decomposition_check, trotter_error)
 from dtqw.lattice import LD, RD, LatticeSpec
 from dtqw.operators import StepOperator2D
 from dtqw.profiles import Constant, LinearSaturated
@@ -151,10 +151,16 @@ class TestFactoredRoutes:
         H = build_dirac(2, masses, PAR, L)
         m_x, m_y = H.masses
         p, eye = momentum_matrix(L), np.eye(L)
-        K_x = -PAR.eps * _kron(p, eye, SIGMA_0, SIGMA_Z)
-        M_x = _kron(np.diag(m_x), eye, SIGMA_0, SIGMA_Y)
-        K_y = -PAR.eps * _kron(eye, p, SIGMA_Z, SIGMA_X)
-        M_y = _kron(eye, np.diag(m_y), SIGMA_Y, SIGMA_X)
+
+        def kron(*factors):
+            return reduce(np.kron, factors)
+
+        K_x = -PAR.eps * kron(p, eye, SIGMA_0, SIGMA_Z)
+        M_x = kron(np.diag(m_x), eye, SIGMA_0, SIGMA_Y)
+        K_y = -PAR.eps * kron(eye, p, SIGMA_Z, SIGMA_X)
+        M_y = kron(eye, np.diag(m_y), SIGMA_Y, SIGMA_X)
+        # the direct 2D assembly is the sum of the four terms
+        assert np.max(np.abs(H.matrix - (K_x + M_x + K_y + M_y))) <= 1e-13
         step = (expm(-1j * dt * K_y) @ expm(-1j * dt * M_y)
                 @ expm(-1j * dt * K_x) @ expm(-1j * dt * M_x))
         rng = np.random.default_rng(9)
@@ -217,61 +223,6 @@ class TestJackiwRebbi:
         for kx in (0.3, 1.3, 2.0):
             B, C, E = jr_scattering(kx, 0.7)
             assert abs(B) ** 2 + abs(C) ** 2 == pytest.approx(1.0, abs=1e-14)
-
-    def test_edge_state_localizes(self):
-        par = OracleParams(eps=1.0, beta=np.pi / 20, m0=0.5)
-        psi = jr_edge_state(par.m0, par.eps, 41)
-        P = np.abs(psi) ** 2
-        # bound to the wall at x = 0 with decay length eps/m0 = 2 sites
-        assert P.reshape(41, -1).sum(axis=1)[20] == pytest.approx(
-            np.max(P.reshape(41, -1).sum(axis=1)))
-
-    def test_dispersion_cases(self):
-        par = OracleParams(eps=1.0, beta=np.pi / 20, m0=0.5)
-        a = dispersion_reference("a", [0.0, 1.0], par)
-        assert a["gap_edge"] == 0.5
-        assert a["upper"][0] == pytest.approx(0.5)
-        c = dispersion_reference("c", [0.0], par)
-        assert c["second_edge"] == pytest.approx(np.sqrt(2) * 0.5)
-        with pytest.raises(ValueError):
-            dispersion_reference("z", [0.0], par)
-
-
-class TestHigherOrder:
-    def test_n2_matches_direct_build(self):
-        wall = lambda x: 0.4 if abs(x) <= 2 else -0.4   # noqa: E731
-        for Ls in (9, (7, 9)):
-            H2a, report = build_higher_order((wall, wall), PAR, Ls)
-            H2b = build_dirac(2, (wall, wall), PAR, *H2a.dims)
-            assert np.max(np.abs(H2a.matrix - H2b.matrix)) < 1e-13
-            assert max(report["anticommutators"]) < 1e-12
-
-    def test_n3_terms_anticommute(self):
-        wall = lambda x: 0.4 if abs(x) <= 1 else -0.4   # noqa: E731
-        H3, _ = build_higher_order((wall, wall, wall), PAR, 5)
-        ev = np.linalg.eigvalsh(H3.matrix)
-        assert np.allclose(ev, -ev[::-1], atol=1e-12)   # +- symmetric
-
-    def test_broken_chiral_rejected(self):
-        wall = lambda x: 0.4 if abs(x) <= 1 else -0.4   # noqa: E731
-        with pytest.raises(ValueError, match="Gamma_1"):
-            build_higher_order((wall, wall), PAR, 5, gammas=[SIGMA_Z])
-
-
-class TestTopoIndex:
-    def test_wall_has_unit_index(self):
-        assert topo_index(0.5, -0.5) == 1
-        assert topo_index(0.5, 0.5) == 0
-
-    def test_product_rule(self):
-        assert topo_product([1, 1]) == 1
-        assert topo_product([1, 0]) == 0
-        with pytest.raises(ValueError):
-            topo_product([2, 1])
-
-    def test_zero_mass_undefined(self):
-        with pytest.raises(ValueError):
-            topo_index(0.0, 1.0)
 
 
 class TestTrotter:

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from dtqw.continuum import OracleParams, build_dirac
+from dtqw.continuum import SIGMA_X, OracleParams, build_dirac
 from dtqw.lattice import LatticeSpec
 from dtqw.operators import StepOperator2D
 from dtqw.profiles import Constant, DomainWall
 from dtqw.spectral import spectrum_scan
-from dtqw.symmetry import (_phase_multiset_distance, check_hamiltonian_symmetry,
-                           check_sublattice_shift, check_walk_particle_hole,
-                           chiral_1d_op, chiral_op, particle_hole_op,
-                           spectral_particle_hole_residual, time_reversal_op,
-                           unshifted_pi_distance)
+from dtqw.symmetry import (SymmetryOp, _phase_multiset_distance, _pi_partners,
+                           check_hamiltonian_symmetry, check_sublattice_shift,
+                           check_walk_particle_hole, chiral_op,
+                           particle_hole_op, spectral_particle_hole_residual,
+                           time_reversal_op)
 
 
 class TestPhaseMultisetDistance:
@@ -95,7 +95,9 @@ class TestWalkSymmetries:
         # round-off
         grid = np.linspace(-np.pi, np.pi, 32, endpoint=False)
         k, E = spectrum_scan(small_wall_op, k_grid=grid)
-        assert unshifted_pi_distance(k, E) > 1e-4
+        unshifted = max(_phase_multiset_distance(row, E[j])
+                        for row, j in zip(E, _pi_partners(k)))
+        assert unshifted > 1e-4
 
 
 class TestContinuumSymmetries:
@@ -124,4 +126,5 @@ class TestContinuumSymmetries:
     def test_1d_chiral(self, wall_hamiltonian):
         par, wall = wall_hamiltonian
         H1 = build_dirac(1, wall, par, 21)
-        assert check_hamiltonian_symmetry(H1, chiral_1d_op()) < 1e-13
+        gamma1 = SymmetryOp("Gamma1", SIGMA_X, "chiral")
+        assert check_hamiltonian_symmetry(H1, gamma1) < 1e-13
