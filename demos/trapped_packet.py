@@ -20,7 +20,7 @@ op = StepOperator2D(LatticeSpec(61), profile, profile)
 spec = DynamicsSpec(op, T_max=300, refine_iters=30,
                     shift=(2, 0), kick=(0.0, np.pi / 10),
                     band_pass=(0.2565, 8.0, 2))
-series, _ = run_dynamics(spec)
+series = run_dynamics(spec)
 
 r = np.hypot(series.mean_x, series.mean_y)
 late = series.window(100, 300)

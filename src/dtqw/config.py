@@ -8,7 +8,6 @@ grammar.
 """
 
 import configparser
-import io as _io
 import json
 from collections import OrderedDict
 
@@ -87,36 +86,36 @@ def _canon_str(text):
     return str(text)
 
 
-# key -> (section, canonicalizer, grammar shown in error messages)
+# key -> (canonicalizer, grammar shown in error messages)
 _KEYS = OrderedDict([
-    ("preset", ("experiment", _canon_str, "a preset name")),
-    ("L_x", ("lattice", _canon_odd_size, "odd integer >= 3")),
-    ("L_y", ("lattice", _canon_odd_size, "odd integer >= 3")),
-    ("theta_x", ("coins", _canon_profile,
+    ("preset", (_canon_str, "a preset name")),
+    ("L_x", (_canon_odd_size, "odd integer >= 3")),
+    ("L_y", (_canon_odd_size, "odd integer >= 3")),
+    ("theta_x", (_canon_profile,
                  "constant:<th> | linear:<b>:<x_c>:<th> | "
                  "wall:<th1>:<th2>:<L> [+noise:<W>:<seed>]")),
-    ("theta_y", ("coins", _canon_profile,
+    ("theta_y", (_canon_profile,
                  "constant:<th> | linear:<b>:<x_c>:<th> | "
                  "wall:<th1>:<th2>:<L> [+noise:<W>:<seed>]")),
-    ("T_max", ("run", _canon_pos_int, "integer >= 1")),
-    ("stride", ("run", _canon_pos_int, "integer >= 1")),
-    ("initial", ("run", _canon_initial,
+    ("T_max", (_canon_pos_int, "integer >= 1")),
+    ("stride", (_canon_pos_int, "integer >= 1")),
+    ("initial", (_canon_initial,
                  "gaussian | basis:<x>:<y>:<c> | file:<path>")),
-    ("beta_over_eps", ("run", _canon_angle, "angle (pi/20, 0.15707, ...)")),
-    ("shift_x", ("run", _canon_int, "integer")),
-    ("shift_y", ("run", _canon_int, "integer")),
-    ("kick_x", ("run", _canon_angle, "angle (pi/N, decimal)")),
-    ("kick_y", ("run", _canon_angle, "angle (pi/N, decimal)")),
-    ("refine_iters", ("run", _canon_nonneg_int, "integer >= 0")),
-    ("band_center", ("run", _canon_angle, "angle (pi/N, decimal)")),
-    ("band_sigma", ("run", _canon_float, "positive number")),
-    ("band_passes", ("run", _canon_pos_int, "integer >= 1")),
-    ("k_points", ("spectra", _canon_nonneg_int,
+    ("beta_over_eps", (_canon_angle, "angle (pi/20, 0.15707, ...)")),
+    ("shift_x", (_canon_int, "integer")),
+    ("shift_y", (_canon_int, "integer")),
+    ("kick_x", (_canon_angle, "angle (pi/N, decimal)")),
+    ("kick_y", (_canon_angle, "angle (pi/N, decimal)")),
+    ("refine_iters", (_canon_nonneg_int, "integer >= 0")),
+    ("band_center", (_canon_angle, "angle (pi/N, decimal)")),
+    ("band_sigma", (_canon_float, "positive number")),
+    ("band_passes", (_canon_pos_int, "integer >= 1")),
+    ("k_points", (_canon_nonneg_int,
                   "integer >= 0 (0 = commensurate grid)")),
-    ("count", ("spectra", _canon_pos_int, "integer >= 1")),
-    ("seed", ("output", _canon_int, "integer")),
-    ("outdir", ("output", _canon_str, "directory path")),
-    ("emit", ("output", _canon_emit, "comma list from csv,json,svg")),
+    ("count", (_canon_pos_int, "integer >= 1")),
+    ("seed", (_canon_int, "integer")),
+    ("outdir", (_canon_str, "directory path")),
+    ("emit", (_canon_emit, "comma list from csv,json,svg")),
 ])
 
 _ALIASES = {"T": "T_max", "L": None}  # L fans out to L_x and L_y
@@ -143,7 +142,7 @@ class ExperimentConfig:
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}; known keys: "
                               f"{', '.join(_KEYS)}")
-        section, canon, grammar = _KEYS[key]
+        canon, grammar = _KEYS[key]
         try:
             self.values[key] = canon(value)
         except (ValueError, TypeError) as err:
@@ -238,19 +237,6 @@ class ExperimentConfig:
 
     def to_dict(self):
         return dict(self.values)
-
-    def to_config_text(self):
-        cp = configparser.ConfigParser()
-        cp.optionxform = str
-        for key in _KEYS:
-            if key in self.values:
-                section = _KEYS[key][0]
-                if not cp.has_section(section):
-                    cp.add_section(section)
-                cp.set(section, key, self.values[key])
-        buf = _io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
 
     def __eq__(self, other):
         return (isinstance(other, ExperimentConfig)

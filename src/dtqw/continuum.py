@@ -8,17 +8,19 @@ Fourier-spectral derivative on the periodic lattice:
 
 so one walk step is the first-order product formula for the Hamiltonian
 
-    H = -eps sigma^z p_x + m_x(x) sigma^y
-        - eps tau^z sigma^x p_y + m_y(y) tau^y sigma^x          (a = eps*dt)
+    H = -sigma^z p_x + m_x(x) sigma^y
+        - tau^z sigma^x p_y + m_y(y) tau^y sigma^x
 
-i.e. H = H_x (x) tau^0 + sigma^x (x) H_y with the 1D factors
+in the walk's units: lattice constant a and time step dt are 1, so the
+Dirac velocity a/dt is 1 as well.  H = H_x (x) tau^0 + sigma^x (x) H_y with
+the 1D factors
 
-    H_mu = -eps s^z p_mu + m_mu s^y,   {s^x, H_mu} = 0.
+    H_mu = -s^z p_mu + m_mu s^y,   {s^x, H_mu} = 0.
 
 With a linear mass m = beta*x this is a Dirac oscillator: H^2 restricted to
-a s^x sector is a shifted harmonic oscillator with omega = 2*eps*beta, the
+a s^x sector is a shifted harmonic oscillator with omega = 2*beta, the
 spectrum is +-sqrt(n*omega), and the zero mode is the Gaussian
-(-1, 1)^T exp(-beta x^2 / 2 eps) living in the s^x = -1 sector.
+(-1, 1)^T exp(-beta x^2 / 2) living in the s^x = -1 sector.
 
 Internal tensor products follow the walk basis c = 2*tau + sigma, so a
 product written A_sigma (x) B_tau is the matrix kron(B_tau, A_sigma).
@@ -35,30 +37,28 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 class OracleParams:
-    """Scales tying the walk to its continuum limit.
+    """The oscillator scales of a linear mass m = beta*x.
 
-    eps   : velocity scale a/dt (lattice units: 1)
-    beta  : mass slope, equal to the coin slope b (dt = 1)
-    omega : oscillator frequency 2*eps*beta
+    beta  : mass slope, equal to the coin slope b (a = dt = 1)
+    omega : oscillator frequency 2*beta
     """
 
-    def __init__(self, eps=1.0, beta=np.pi / 20):
-        if eps <= 0 or beta <= 0:
-            raise ValueError("eps and beta must be positive")
-        self.eps = float(eps)
+    def __init__(self, beta=np.pi / 20):
+        if beta <= 0:
+            raise ValueError("beta must be positive")
         self.beta = float(beta)
 
     @property
     def omega(self):
-        return 2.0 * self.eps * self.beta
+        return 2.0 * self.beta
 
     @property
     def length(self):
-        """Oscillator length sqrt(eps/beta)."""
-        return np.sqrt(self.eps / self.beta)
+        """Oscillator length sqrt(1/beta)."""
+        return np.sqrt(1.0 / self.beta)
 
     def __repr__(self):
-        return f"OracleParams(eps={self.eps}, beta={self.beta})"
+        return f"OracleParams(beta={self.beta})"
 
 
 def _check_odd(L):
@@ -114,11 +114,10 @@ _HERM_ROWS = 256   # row block of the Hermiticity check
 class LatticeHamiltonian:
     """A dense Hermitian lattice Hamiltonian plus its construction data."""
 
-    def __init__(self, matrix, dims, masses, params):
+    def __init__(self, matrix, dims, masses):
         self.matrix = matrix
         self.dims = tuple(dims)          # axis lengths
         self.masses = masses             # list of per-axis mass arrays
-        self.params = params
         # over row blocks, so no full-size temporary is formed
         n = matrix.shape[0]
         herm = max(
@@ -141,24 +140,24 @@ class LatticeHamiltonian:
         return f"LatticeHamiltonian(dim={self.dim}, dims={self.dims})"
 
 
-def _dirac_terms(m, eps):
-    """The kinetic and mass terms of H = -eps s^z p + m(x) s^y.
+def _dirac_terms(m):
+    """The kinetic and mass terms of H = -s^z p + m(x) s^y.
 
-    Returns ((p, -eps s^z), (diag m, s^y)), each a (site, internal) pair
+    Returns ((p, -s^z), (diag m, s^y)), each a (site, internal) pair
     whose kron is the term on (x, spinor).
     """
-    return ((momentum_matrix(len(m)), -eps * SIGMA_Z),
+    return ((momentum_matrix(len(m)), -SIGMA_Z),
             (np.diag(m), SIGMA_Y))
 
 
-def dirac_1d_factor(mass, params, L):
-    """The 2-component factor H = -eps s^z p + m(x) s^y on (x, spinor)."""
+def dirac_1d_factor(mass, L):
+    """The 2-component factor H = -s^z p + m(x) s^y on (x, spinor)."""
     m = mass_array(mass, L)
-    kinetic, mass_term = _dirac_terms(m, params.eps)
+    kinetic, mass_term = _dirac_terms(m)
     return np.kron(*kinetic) + np.kron(*mass_term), m
 
 
-def dirac_2d_factors(masses, params, L_x, L_y=None):
+def dirac_2d_factors(masses, L_x, L_y=None):
     """The two 1D factors of the 2D Dirac Hamiltonian.
 
     Returns (H_x, H_y, m_x, m_y): H_x acts on (x, sigma) and H_y on
@@ -171,8 +170,8 @@ def dirac_2d_factors(masses, params, L_x, L_y=None):
         m_x_in, m_y_in = masses
     except (TypeError, ValueError):
         raise ValueError("dim=2 needs a pair of mass profiles (m_x, m_y)")
-    h_x, m_x = dirac_1d_factor(m_x_in, params, L_x)
-    h_y, m_y = dirac_1d_factor(m_y_in, params, L_y)
+    h_x, m_x = dirac_1d_factor(m_x_in, L_x)
+    h_y, m_y = dirac_1d_factor(m_y_in, L_y)
     return h_x, h_y, m_x, m_y
 
 
@@ -212,7 +211,7 @@ def _add_axis_factors(out, a_x, a_y, y_flips_sigma):
             out8[x, :, :, s, x, :, :, 1 - s if y_flips_sigma else s] += ay4
 
 
-def build_dirac(dim, masses, params, L_x, L_y=None):
+def build_dirac(dim, masses, L_x, L_y=None):
     """Lattice Dirac Hamiltonian in 1 or 2 dimensions.
 
     Parameters
@@ -221,7 +220,6 @@ def build_dirac(dim, masses, params, L_x, L_y=None):
     masses : mass profile (dim=1) or pair (m_x, m_y) of profiles (dim=2);
         each may be an array over coords, a callable, a scalar, or an
         AngleProfile
-    params : OracleParams
     L_x, L_y : odd axis lengths (L_y defaults to L_x)
 
     Returns a LatticeHamiltonian.  dim=2 assembles
@@ -232,15 +230,15 @@ def build_dirac(dim, masses, params, L_x, L_y=None):
     walk's (x, y, c) state layout.
     """
     if dim == 1:
-        H, m = dirac_1d_factor(masses, params, L_x)
-        return LatticeHamiltonian(H, (L_x,), [m], params)
+        H, m = dirac_1d_factor(masses, L_x)
+        return LatticeHamiltonian(H, (L_x,), [m])
     if dim != 2:
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    h_x, h_y, m_x, m_y = dirac_2d_factors(masses, params, L_x, L_y)
+    h_x, h_y, m_x, m_y = dirac_2d_factors(masses, L_x, L_y)
     n = len(m_x) * len(m_y) * 4
     H = np.zeros((n, n), dtype=complex)
     _add_axis_factors(H, h_x, h_y, y_flips_sigma=True)
-    return LatticeHamiltonian(H, (len(m_x), len(m_y)), [m_x, m_y], params)
+    return LatticeHamiltonian(H, (len(m_x), len(m_y)), [m_x, m_y])
 
 
 def square_decomposition_check(H2):
@@ -249,7 +247,7 @@ def square_decomposition_check(H2):
     Squaring the 2D Hamiltonian must produce
 
         H_Sx (x) tau^0 + sigma^0 (x) H_Sy,
-        H_Smu = eps^2 p^2 + m_mu^2 + i eps s^x [p, m_mu],
+        H_Smu = p^2 + m_mu^2 + i s^x [p, m_mu],
 
     with every sigma-tau cross term cancelling (the x factor anticommutes
     with sigma^x).  Returns the max-norm residual; the commutator term is
@@ -259,15 +257,14 @@ def square_decomposition_check(H2):
     if H2.dim != 2:
         raise ValueError("square_decomposition_check needs a dim=2 Hamiltonian")
     L_x, L_y = H2.dims
-    eps = H2.params.eps
     m_x, m_y = H2.masses
     p_x = momentum_matrix(L_x)
     p_y = momentum_matrix(L_y)
 
     def schroedinger_1d(p, m):
         comm = p @ np.diag(m) - np.diag(m) @ p
-        return (np.kron(eps ** 2 * (p @ p) + np.diag(m ** 2), SIGMA_0)
-                + 1j * eps * np.kron(comm, SIGMA_X))
+        return (np.kron(p @ p + np.diag(m ** 2), SIGMA_0)
+                + 1j * np.kron(comm, SIGMA_X))
 
     sq = H2.matrix @ H2.matrix
     _add_axis_factors(sq, -schroedinger_1d(p_x, m_x),
@@ -279,9 +276,9 @@ def hermite_state(n, params, L):
     """n-th harmonic oscillator eigenfunction sampled on the lattice.
 
     Generated by the ladder recurrence
-    psi_{n+1} proportional to (-sqrt(eps/beta) d/dx + sqrt(beta/eps) x) psi_n
+    psi_{n+1} proportional to (-sqrt(1/beta) d/dx + sqrt(beta) x) psi_n
     with the spectral derivative, starting from the Gaussian
-    psi_0 ~ exp(-beta x^2 / 2 eps); each level is renormalized on the
+    psi_0 ~ exp(-beta x^2 / 2); each level is renormalized on the
     lattice.  Errors out when the lattice cannot hold the tail.
     """
     if n < 0:
@@ -363,23 +360,20 @@ class CombinedEigenstate:
                 f"A={self.A:.6g}, s={self.s:.6g})")
 
 
-def combine_2d(E_x, E_y, s, sign=+1):
+def combine_2d(E_x, E_y, s):
     """Solve the 2D combination problem for given 1D energies.
 
-    sign selects the E = +sqrt(E_x^2+E_y^2) or the -sqrt branch; the
-    negative branch negates both projections (E_x = E cos 2phi,
-    E_y = E sin 2phi continue to hold).  Errors out when the combination
-    is non-normalizable (1 + s sin 2phi <= 0).
+    Returns the E = +sqrt(E_x^2 + E_y^2) branch, with E_x = E cos 2phi and
+    E_y = E sin 2phi.  Errors out when the combination is non-normalizable
+    (1 + s sin 2phi <= 0).
     """
     if E_x == 0.0 and E_y == 0.0:
         raise ValueError("(E_x, E_y) = (0, 0): the zero mode does not mix; "
                          "use the product of 1D zero modes directly")
     if not -1.0 <= s <= 1.0:
         raise ValueError(f"s must be in [-1, 1], got {s}")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    E = sign * float(np.hypot(E_x, E_y))
-    two_phi = np.arctan2(sign * E_y, sign * E_x)
+    E = float(np.hypot(E_x, E_y))
+    two_phi = np.arctan2(E_y, E_x)
     phi = 0.5 * two_phi
     denom = 1.0 + s * np.sin(two_phi)
     if denom <= 1e-12:
@@ -393,15 +387,15 @@ def combine_2d(E_x, E_y, s, sign=+1):
 def analytic_zero_mode_2d(params, lattice):
     """The oscillator ground state, a closed-form 2D zero mode, sampled on
     the walk lattice: spinor (-1,1) (x) (-1,1) times
-    exp(-beta (x^2+y^2) / 2 eps).
+    exp(-beta (x^2+y^2) / 2).
 
     Returns a normalized (L_x, L_y, 4) array; errors out when the tail at
     the lattice boundary exceeds 1e-8.
     """
     xs = lattice.coords_x.astype(float)
     ys = lattice.coords_y.astype(float)
-    fx = np.exp(-params.beta * xs ** 2 / (2.0 * params.eps))
-    fy = np.exp(-params.beta * ys ** 2 / (2.0 * params.eps))
+    fx = np.exp(-params.beta * xs ** 2 / 2.0)
+    fy = np.exp(-params.beta * ys ** 2 / 2.0)
     spinor = np.kron([-1.0, 1.0], [-1.0, 1.0])   # tau (x) sigma = (+,-,-,+)
     psi = fx[:, None, None] * fy[None, :, None] * spinor[None, None, :]
     psi = psi.astype(complex)
@@ -415,19 +409,19 @@ def analytic_zero_mode_2d(params, lattice):
     return psi
 
 
-def jr_scattering(k_x, m0, eps=1.0):
+def jr_scattering(k_x, m0):
     """Reflection/transmission data against a mass wall.
 
-    With tan 2phi = m0 / (eps k_x): B/A = -sin 2phi, C/A = -cos 2phi and
-    E_x = +sqrt((eps k_x)^2 + m0^2); flux conservation |B/A|^2 + |C/A|^2 = 1
+    With tan 2phi = m0 / k_x: B/A = -sin 2phi, C/A = -cos 2phi and
+    E_x = +sqrt(k_x^2 + m0^2); flux conservation |B/A|^2 + |C/A|^2 = 1
     holds identically.
     """
     if k_x <= 0:
         raise ValueError("k_x must be positive")
-    two_phi = np.arctan2(m0, eps * k_x)
+    two_phi = np.arctan2(m0, k_x)
     B_over_A = complex(-np.sin(two_phi))
     C_over_A = complex(-np.cos(two_phi))
-    E_x = float(np.hypot(eps * k_x, m0))
+    E_x = float(np.hypot(k_x, m0))
     return B_over_A, C_over_A, E_x
 
 
@@ -451,7 +445,7 @@ def _axis_step(kinetic, mass, dt):
 def trotter_error(mass, params, L, dt, t, dim=1, psi0=None):
     """Splitting error of the walk-style product formula at step size dt.
 
-    Scales the walk to step dt (shift distance eps*dt realized spectrally,
+    Scales the walk to step dt (shift distance dt realized spectrally,
     coin angles m*dt), applies t/dt product steps to psi0 and compares with
     the exact propagator exp(-i H t) of the same lattice Hamiltonian.
     Returns the 2-norm of the difference.
@@ -472,26 +466,24 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None):
         raise ValueError(f"t/dt = {steps:.6g} is not an integer; choose a "
                          "commensurate step")
     steps = int(round(steps))
-    eps = params.eps
     if dim == 1:
-        H = build_dirac(1, mass, params, L)
-        s_x = _axis_step(*_dirac_terms(H.masses[0], eps), dt)
+        H = build_dirac(1, mass, L)
+        s_x = _axis_step(*_dirac_terms(H.masses[0]), dt)
 
         def step(psi):
             return s_x @ psi
 
         if psi0 is None:
-            g = np.exp(-(coords(L) - 2.0) ** 2
-                       * params.beta / (2.0 * params.eps))
+            g = np.exp(-(coords(L) - 2.0) ** 2 * params.beta / 2.0)
             psi0 = np.kron(g, [1.0, 0.0]).astype(complex)
     elif dim == 2:
-        H = build_dirac(2, mass, params, L)
+        H = build_dirac(2, mass, L)
         L_x, L_y = H.dims
-        s_x = _axis_step(*_dirac_terms(H.masses[0], eps),
+        s_x = _axis_step(*_dirac_terms(H.masses[0]),
                          dt).reshape(L_x, 2, L_x, 2)
         # the y factor chains sigma^x onto both internal parts
         kin_y, mass_y = ((p, np.kron(g, SIGMA_X))
-                         for p, g in _dirac_terms(H.masses[1], eps))
+                         for p, g in _dirac_terms(H.masses[1]))
         s_y = _axis_step(kin_y, mass_y, dt)
 
         def step(psi):
@@ -502,9 +494,8 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None):
             return (psi.reshape(L_x, 4 * L_y) @ s_y.T).ravel()
 
         if psi0 is None:
-            gx = np.exp(-(coords(L_x) - 2.0) ** 2
-                        * params.beta / (2.0 * params.eps))
-            gy = np.exp(-coords(L_y) ** 2 * params.beta / (2.0 * params.eps))
+            gx = np.exp(-(coords(L_x) - 2.0) ** 2 * params.beta / 2.0)
+            gy = np.exp(-coords(L_y) ** 2 * params.beta / 2.0)
             psi0 = np.kron(np.kron(gx, gy), [1.0, 0.0, 0.0, 0.0]).astype(complex)
     else:
         raise ValueError(f"dim must be 1 or 2, got {dim}")

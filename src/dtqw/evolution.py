@@ -2,7 +2,7 @@
 
 The reference initial state is the analytic Gaussian zero mode of the
 harmonically trapped walk (spinor (-1,1) (x) (-1,1), width set by
-beta/eps), optionally power-refined toward the exact unit-eigenvalue
+beta), optionally power-refined toward the exact unit-eigenvalue
 eigenstate of U through the Hermitian surrogate (U + U^dag)/2.  The
 prepared state can then be displaced by whole sites and given a momentum
 kick before the run.
@@ -15,7 +15,8 @@ from .continuum import OracleParams, analytic_zero_mode_2d
 
 
 class DynamicsSpec:
-    """Everything run_dynamics needs.
+    """Everything run_dynamics needs to prepare a state and record its
+    position moments.
 
     Parameters
     ----------
@@ -24,18 +25,18 @@ class DynamicsSpec:
     stride : record every `stride` steps
     initial : 'gaussian' (default), (x, y, c) for a basis state, or an
         explicit (L_x, L_y, 4) array
-    beta_over_eps : Gaussian width parameter (default pi/20, the value
-        matching the linear coin slope b)
+    beta_over_eps : Gaussian width parameter beta (the velocity a/dt is
+        1; default pi/20, the value matching the linear coin slope b)
     shift : (dx, dy) whole-site displacement applied after preparation
     kick : (k_x, k_y) phase kick in radians/site
     refine_iters : power-refinement iterations toward the unit eigenstate
-    band_pass : optional (center, sigma_t[, passes]) quasi-energy window
+    band_pass : optional (center, sigma_t, passes) quasi-energy window
         applied after the kick; see band_filter
     """
 
     def __init__(self, op, T_max, stride=1, initial="gaussian",
                  beta_over_eps=np.pi / 20, shift=(0, 0), kick=(0.0, 0.0),
-                 refine_iters=0, band_pass=None, snapshot_times=()):
+                 refine_iters=0, band_pass=None):
         if T_max < 1 or stride < 1:
             raise ValueError("T_max and stride must be >= 1")
         self.op = op
@@ -48,10 +49,9 @@ class DynamicsSpec:
         self.refine_iters = int(refine_iters)
         if band_pass is not None:
             band_pass = tuple(float(v) for v in band_pass)
-            if len(band_pass) not in (2, 3):
-                raise ValueError("band_pass must be (center, sigma_t[, passes])")
+            if len(band_pass) != 3:
+                raise ValueError("band_pass must be (center, sigma_t, passes)")
         self.band_pass = band_pass
-        self.snapshot_times = tuple(int(t) for t in snapshot_times)
 
 
 def refine_unit_eigenstate(op, psi, iterations):
@@ -102,7 +102,7 @@ def prepare_initial_state(spec):
     """Build, refine, displace, kick, and optionally band-filter."""
     op = spec.op
     if isinstance(spec.initial, str) and spec.initial == "gaussian":
-        params = OracleParams(eps=1.0, beta=spec.beta_over_eps)
+        params = OracleParams(beta=spec.beta_over_eps)
         psi = analytic_zero_mode_2d(params, op.lattice)
     elif isinstance(spec.initial, (tuple, list)) and len(spec.initial) == 3:
         psi = lat.basis_state(op.lattice, *spec.initial)
@@ -117,9 +117,7 @@ def prepare_initial_state(spec):
     psi = lat.translate(psi, *spec.shift)
     psi = lat.apply_phase_kick(psi, spec.kick[0], spec.kick[1], op.lattice)
     if spec.band_pass is not None:
-        center, sigma_t = spec.band_pass[0], spec.band_pass[1]
-        passes = int(spec.band_pass[2]) if len(spec.band_pass) == 3 else 1
-        psi = band_filter(op, psi, center, sigma_t, passes=passes)
+        psi = band_filter(op, psi, *spec.band_pass)
     return psi
 
 
@@ -148,28 +146,17 @@ class ObservableSeries:
 def run_dynamics(spec):
     """Evolve and record moments every `stride` steps (T = 0 included).
 
-    Returns (series, snapshots) where snapshots maps the requested times to
-    probability maps.  Raises if the norm drifts by more than 1e-9 over
-    the whole run.
+    Returns the ObservableSeries.  Raises if the norm drifts by more than
+    1e-9 over the whole run.
     """
     op = spec.op
     psi = prepare_initial_state(spec)
-    records = []
-    snapshots = {}
-
-    def record(T, psi):
-        m = lat.position_moments(psi, op.lattice)
-        records.append((T, *m))
-        if T in spec.snapshot_times:
-            snapshots[T] = lat.probability_map(psi)
-
-    record(0, psi)
+    records = [(0, *lat.position_moments(psi, op.lattice))]
     for T in range(1, spec.T_max + 1):
         psi = op.apply(psi)
         if T % spec.stride == 0 or T == spec.T_max:
             drift = abs(np.linalg.norm(psi) - 1.0)
             if drift > 1e-9:
                 raise RuntimeError(f"norm drift {drift:.3g} at step {T}")
-            record(T, psi)
-    series = ObservableSeries(*zip(*records))
-    return series, snapshots
+            records.append((T, *lat.position_moments(psi, op.lattice)))
+    return ObservableSeries(*zip(*records))

@@ -76,10 +76,6 @@ def basis_state(lattice, x, y, c):
     return psi
 
 
-def norm(state):
-    return float(np.linalg.norm(state))
-
-
 def normalize(state):
     n = np.linalg.norm(state)
     if n == 0:

@@ -119,7 +119,7 @@ def dynamics_spec(cfg):
 
 
 def _run_dynamics(cfg):
-    series, _ = run_dynamics(dynamics_spec(cfg))
+    series = run_dynamics(dynamics_spec(cfg))
     return {
         "dynamics.csv": lambda p: write_csv(
             p, ["T", "mean_x", "mean_y", "std_x", "std_y"], series.rows()),
@@ -246,10 +246,10 @@ def _run_bands_sweep(cfg):
 def _oracle_report(L_big):
     import scipy.linalg
 
-    par = OracleParams(eps=1.0, beta=np.pi / 20)
+    par = OracleParams()
     rep = {"omega": par.omega}
 
-    H1 = build_dirac(1, lambda x: par.beta * x, par, L_big)
+    H1 = build_dirac(1, lambda x: par.beta * x, L_big)
     ev1 = np.linalg.eigvalsh(H1.matrix)
     ladder = {}
     for n in (1, 2, 3):
@@ -262,7 +262,7 @@ def _oracle_report(L_big):
 
     L2 = 25   # wide enough that the analytic zero mode's tail clears 1e-8
     H2 = build_dirac(2, (lambda x: par.beta * x, lambda y: par.beta * y),
-                     par, L2)
+                     L2)
     rep["squaring_residual"] = square_decomposition_check(H2)
     # only the window |E| < top is read below: the zero subspace and the
     # counts up to 1.03 sqrt(4 omega)
@@ -292,7 +292,7 @@ def _oracle_report(L_big):
     rep["jr_flux_residual"] = float(abs(abs(B) ** 2 + abs(C) ** 2 - 1.0))
 
     L3 = 41
-    Hx = build_dirac(1, lambda x: par.beta * x, par, L3)
+    Hx = build_dirac(1, lambda x: par.beta * x, L3)
     wx, Vx = np.linalg.eigh(Hx.matrix)
     ix = int(np.argmin(np.abs(wx - np.sqrt(par.omega))))
     iy = int(np.argmin(np.abs(wx - np.sqrt(2 * par.omega))))
@@ -315,7 +315,7 @@ def _run_oracle(cfg):
 
 
 def _run_trotter(cfg):
-    par = OracleParams(eps=1.0, beta=np.pi / 20)
+    par = OracleParams()
     L = cfg.get_int("L_x")
     mass = lambda x: par.beta * x   # noqa: E731
     tasks = [(1, dt) for dt in (0.5, 0.25, 0.125)] + \
@@ -350,9 +350,8 @@ def _run_symmetry(cfg):
     rep["phs_multiset_residual_noise"] = spectral_particle_hole_residual(
         spectrum_scan(noisy)[1])
 
-    par = OracleParams(eps=1.0, beta=np.pi / 20)
     wallm = lambda x: np.pi / 3 if abs(x) <= 2 else -np.pi / 3  # noqa: E731
-    H = build_dirac(2, (wallm, 0.0), par, 9)
+    H = build_dirac(2, (wallm, 0.0), 9)
     rep["diii_residuals_my0"] = {
         "time_reversal": check_hamiltonian_symmetry(H, time_reversal_op()),
         "particle_hole": check_hamiltonian_symmetry(H, particle_hole_op()),

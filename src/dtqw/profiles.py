@@ -62,11 +62,12 @@ def _fmt(x):
 
 
 class AngleProfile:
-    """Base class: a site-dependent coin angle with optional seeded noise."""
+    """Base class: a site-dependent coin angle with optional seeded noise
+    (see with_noise)."""
 
-    def __init__(self, noise_amplitude=0.0, noise_seed=0):
-        self.noise_amplitude = float(noise_amplitude)
-        self.noise_seed = int(noise_seed)
+    def __init__(self):
+        self.noise_amplitude = 0.0
+        self.noise_seed = 0
         self._tables = {}
 
     def base_value(self, x):
@@ -119,8 +120,8 @@ class AngleProfile:
 
 
 class Constant(AngleProfile):
-    def __init__(self, theta, **kw):
-        super().__init__(**kw)
+    def __init__(self, theta):
+        super().__init__()
         self.theta = float(theta)
 
     def base_value(self, x):
@@ -133,8 +134,8 @@ class Constant(AngleProfile):
 class LinearSaturated(AngleProfile):
     """theta(x) = b*x for |x| <= x_c, sign(x)*theta_sat beyond."""
 
-    def __init__(self, b, x_c, theta_sat, **kw):
-        super().__init__(**kw)
+    def __init__(self, b, x_c, theta_sat):
+        super().__init__()
         self.b = float(b)
         self.x_c = int(x_c)
         self.theta_sat = float(theta_sat)
@@ -159,8 +160,8 @@ class DomainWall(AngleProfile):
     flip therefore sits on the bonds just outside +-L_wall.
     """
 
-    def __init__(self, theta1, theta2, L_wall, **kw):
-        super().__init__(**kw)
+    def __init__(self, theta1, theta2, L_wall):
+        super().__init__()
         self.theta1 = float(theta1)
         self.theta2 = float(theta2)
         self.L_wall = int(L_wall)

@@ -59,26 +59,31 @@ def _block_terms(op):
     """The real dense pair (A, B) with U(k_y) = cos(k_y) A + i sin(k_y) B.
 
     A and B are the walk on a one-site y axis with the half-shift pair
-    (P, Q) = (1, 0) and (0, 1); U is linear in (P, Q).
+    (P, Q) = (1, 0) and (0, 1); U is linear in (P, Q).  Since
+    U^dag U = cos^2 A^T A + sin^2 B^T B + i cos sin (A^T B - B^T A),
+    every block is unitary when A^T A = B^T B = 1 and A^T B is symmetric;
+    raises UnitarityError if any of the three deviates by more than 1e-12.
     """
     _require_block_structure(op)
     tx = op.profile_x.table(op.lattice.half_x)
     ty = [op.profile_y.theta]
     one, zero = sparse.csr_matrix([[1.0]]), sparse.csr_matrix((1, 1))
-    return (_assemble(tx, ty, one, zero).toarray(),
-            _assemble(tx, ty, zero, one).toarray())
+    A = _assemble(tx, ty, one, zero).toarray()
+    B = _assemble(tx, ty, zero, one).toarray()
+    eye, AtB = np.eye(A.shape[0]), A.T @ B
+    dev = max(np.max(np.abs(A.T @ A - eye)), np.max(np.abs(B.T @ B - eye)),
+              np.max(np.abs(AtB - AtB.T)))
+    if dev > 1e-12:
+        raise UnitarityError(f"momentum block is not unitary "
+                             f"(max deviation {dev:.3g})")
+    return A, B
 
 
 def _combine(terms, k_y):
     # complex even at k_y = 0: a real block would take LAPACK's real
     # routines and move the printed k_y = 0 spectra
     A, B = terms
-    U = np.cos(k_y) * A + 1j * np.sin(k_y) * B
-    dev = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
-    if dev > 1e-12:
-        raise UnitarityError(f"momentum block is not unitary "
-                             f"(max deviation {dev:.3g})")
-    return U
+    return np.cos(k_y) * A + 1j * np.sin(k_y) * B
 
 
 def momentum_block(op, k_y):
@@ -277,9 +282,9 @@ def bulk_gap_edge(theta, k_y):
 def bulk_openings(theta_media, theta_y, k_y, n_kx=241):
     """Quasi-energy openings of the projected bulk bands at fixed k_y.
 
-    Samples the uniform bands of every medium in `theta_media` (a scalar
-    theta_x or an iterable, e.g. the two sides of a domain wall) over a
-    dense k_x line, then reports the cyclic gaps between consecutive
+    Samples the uniform bands of every medium in `theta_media` (an
+    iterable of theta_x, e.g. the two sides of a domain wall) over n_kx
+    points of k_x, then reports the cyclic gaps between consecutive
     covered energies that exceed 5*(2 pi / n_kx).  Bands move at most ~2
     per unit k_x, so that threshold cannot split a covered band into
     spurious openings.
@@ -287,8 +292,6 @@ def bulk_openings(theta_media, theta_y, k_y, n_kx=241):
     Returns a list of (lo, hi) with hi > lo; an opening across E = +-pi is
     reported with hi > pi.
     """
-    if np.isscalar(theta_media):
-        theta_media = (theta_media,)
     min_width = 5.0 * (2.0 * np.pi / n_kx)
     ks = np.linspace(-np.pi, np.pi, n_kx, endpoint=False)
     pts = np.sort(np.concatenate(

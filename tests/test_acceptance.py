@@ -13,7 +13,7 @@ import pytest
 
 from dtqw.continuum import OracleParams, trotter_error
 from dtqw.evolution import prepare_initial_state
-from dtqw.lattice import LatticeSpec, norm, position_moments, probability_map
+from dtqw.lattice import LatticeSpec, position_moments, probability_map
 from dtqw.operators import StepOperator2D
 from dtqw.presets import _oracle_report, base_config, dynamics_spec
 from dtqw.profiles import Constant, DomainWall, LinearSaturated
@@ -46,11 +46,11 @@ def fig1_run():
     spec = dynamics_spec(base_config("fig1"))
     op = spec.op
     psi = prepare_initial_state(spec)
-    drift_max = abs(norm(psi) - 1.0)
+    drift_max = abs(np.linalg.norm(psi) - 1.0)
     moments = [position_moments(psi, op.lattice)]
     for _ in range(1000):
         psi = op.apply(psi)
-        drift_max = max(drift_max, abs(norm(psi) - 1.0))
+        drift_max = max(drift_max, abs(np.linalg.norm(psi) - 1.0))
         moments.append(position_moments(psi, op.lattice))
     m = np.array(moments)
     return {"drift": drift_max, "mean_x": m[:, 0], "mean_y": m[:, 1],
@@ -161,7 +161,7 @@ def test_c07_symmetry_suite(wall_op, wall_scan, noisy_wall_op):
                        Constant(0.0)))
     from dtqw.continuum import build_dirac
     wallm = lambda x: np.pi / 3 if abs(x) <= 2 else -np.pi / 3  # noqa: E731
-    H = build_dirac(2, (wallm, 0.0), OracleParams(), 9)
+    H = build_dirac(2, (wallm, 0.0), 9)
     diii = max(check_hamiltonian_symmetry(H, time_reversal_op()),
                check_hamiltonian_symmetry(H, particle_hole_op()),
                check_hamiltonian_symmetry(H, chiral_op()))
@@ -272,7 +272,7 @@ def test_c10_continuum_oracle_battery():
 
 
 def test_c11_trotter_halving():
-    par = OracleParams(eps=1.0, beta=np.pi / 20)
+    par = OracleParams()
     prof = LinearSaturated(np.pi / 20, 5, np.pi / 4)
     e1d = [trotter_error(prof, par, 21, dt, t=4.0, dim=1)
            for dt in (0.5, 0.25, 0.125)]

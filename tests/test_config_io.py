@@ -32,8 +32,7 @@ class TestConfig:
 
     def test_flags_override_file(self, tmp_path):
         f = tmp_path / "a.ini"
-        f.write_text(ExperimentConfig(
-            {"L": "41", "T_max": "10"}).to_config_text())
+        f.write_text("[lattice]\nL = 41\n[run]\nT_max = 10\n")
         cfg = parse_config(["--T", "99"], file=str(f))
         assert cfg.get("T_max") == "99"
         assert cfg.get("L_x") == "41"
@@ -44,7 +43,11 @@ class TestConfig:
             "theta_x": "wall:pi/3:-pi/3:25+noise:0.25:11",
             "theta_y": "0", "emit": "csv,svg", "seed": "11"})
         f = tmp_path / "b.ini"
-        f.write_text(cfg.to_config_text())
+        f.write_text("[experiment]\npreset = fig2a\n"
+                     "[lattice]\nL = 101\n"
+                     "[coins]\ntheta_x = wall:pi/3:-pi/3:25+noise:0.25:11\n"
+                     "theta_y = 0\n"
+                     "[output]\nemit = svg,csv\nseed = 11\n")
         assert parse_config(file=str(f)) == cfg
 
     def test_meta_json_round_trip(self, tmp_path):

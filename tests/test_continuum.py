@@ -15,7 +15,7 @@ from dtqw.lattice import LD, RD, LatticeSpec
 from dtqw.operators import StepOperator2D
 from dtqw.profiles import Constant, LinearSaturated
 
-PAR = OracleParams(eps=1.0, beta=np.pi / 20)
+PAR = OracleParams()
 
 
 class TestMomentumMatrix:
@@ -37,7 +37,7 @@ class TestWalkFactorIdentity:
     def test_1d_walk_equals_exponential_product(self):
         # at theta_y = 0 the 2D step maps y-uniform (LD, RD) states to
         # y-uniform (LD, RD) states, and that map is exactly
-        # S_x C_x = e^{-iK} e^{-iM} with K = -eps p (x) sigma^z and
+        # S_x C_x = e^{-iK} e^{-iM} with K = -p (x) sigma^z and
         # M = diag(theta) (x) sigma^y
         L = 21
         prof = LinearSaturated(np.pi / 20, 5, np.pi / 4)
@@ -52,7 +52,7 @@ class TestWalkFactorIdentity:
             U[:, j] = out[:, 0, :2].reshape(-1)
         p = momentum_matrix(L)
         theta = prof.table(L // 2)
-        K = -PAR.eps * np.kron(p, SIGMA_Z)
+        K = -np.kron(p, SIGMA_Z)
         M = np.kron(np.diag(theta), SIGMA_Y)
         assert np.max(np.abs(U - expm(-1j * K) @ expm(-1j * M))) < 1e-12
 
@@ -64,7 +64,7 @@ class TestHermiteLadder:
         assert np.allclose(V.T @ V, np.eye(6), atol=1e-10)
 
     def test_oscillator_ladder(self):
-        H = build_dirac(1, lambda x: PAR.beta * x, PAR, 101)
+        H = build_dirac(1, lambda x: PAR.beta * x, 101)
         ev = np.linalg.eigvalsh(H.matrix)
         assert np.min(np.abs(ev)) < 1e-12
         for n in (1, 2, 3):
@@ -76,7 +76,7 @@ class TestHermiteLadder:
                                         (3, "-")])
     def test_analytic_eigenstates(self, n, sign):
         L = 101
-        H = build_dirac(1, lambda x: PAR.beta * x, PAR, L)
+        H = build_dirac(1, lambda x: PAR.beta * x, L)
         psi = dirac_oscillator_eigenstate(n, sign, PAR, L).reshape(-1)
         E = (1 if sign == "+" else -1) * np.sqrt(n * PAR.omega)
         resid = np.linalg.norm(H.matrix @ psi - E * psi)
@@ -89,7 +89,7 @@ class TestHermiteLadder:
 
     def test_zero_mode(self):
         L = 101
-        H = build_dirac(1, lambda x: PAR.beta * x, PAR, L)
+        H = build_dirac(1, lambda x: PAR.beta * x, L)
         z = dirac_oscillator_eigenstate(0, 0, PAR, L).reshape(-1)
         assert np.linalg.norm(H.matrix @ z) < 1e-6
 
@@ -97,21 +97,21 @@ class TestHermiteLadder:
 class TestSquaring:
     def test_oscillator_squares_to_schroedinger_pair(self):
         H2 = build_dirac(2, (lambda x: PAR.beta * x, lambda y: PAR.beta * y),
-                         PAR, 15)
+                         15)
         assert square_decomposition_check(H2) < 1e-10
 
     def test_zero_mass_squares_to_laplacian(self):
-        H2 = build_dirac(2, (0.0, 0.0), PAR, 9)
+        H2 = build_dirac(2, (0.0, 0.0), 9)
         assert square_decomposition_check(H2) < 1e-12
 
     def test_wall_masses(self):
         wall = lambda x: 0.5 if abs(x) <= 2 else -0.5   # noqa: E731
-        H2 = build_dirac(2, (wall, wall), PAR, 9)
+        H2 = build_dirac(2, (wall, wall), 9)
         assert square_decomposition_check(H2) < 1e-12
 
     def test_perturbation_detected(self):
         H2 = build_dirac(2, (lambda x: PAR.beta * x, lambda y: PAR.beta * y),
-                         PAR, 9)
+                         9)
         H2.matrix[10, 31] += 1e-3      # stays Hermitian
         H2.matrix[31, 10] += 1e-3
         assert square_decomposition_check(H2) > 1e-6
@@ -123,10 +123,10 @@ class TestLatticeHamiltonian:
         rng = np.random.default_rng(3)
         A = rng.normal(size=(900, 900)) + 1j * rng.normal(size=(900, 900))
         M = A + A.conj().T
-        LatticeHamiltonian(M.copy(), (225,), [], PAR)
+        LatticeHamiltonian(M.copy(), (225,), [])
         M[700, 650] += 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
-            LatticeHamiltonian(M, (225,), [], PAR)
+            LatticeHamiltonian(M, (225,), [])
 
 
 class TestFactoredRoutes:
@@ -137,8 +137,8 @@ class TestFactoredRoutes:
 
     def test_matrix_free_product_matches_dense(self):
         masses = (self.wall, lambda y: PAR.beta * y)
-        H = build_dirac(2, masses, PAR, 7, 9)
-        h_x, h_y, _, _ = dirac_2d_factors(masses, PAR, 7, 9)
+        H = build_dirac(2, masses, 7, 9)
+        h_x, h_y, _, _ = dirac_2d_factors(masses, 7, 9)
         rng = np.random.default_rng(5)
         psi = rng.normal(size=H.size) + 1j * rng.normal(size=H.size)
         assert np.max(np.abs(apply_dirac_2d(h_x, h_y, psi)
@@ -148,16 +148,16 @@ class TestFactoredRoutes:
     def test_factored_trotter_matches_dense_product(self, dt):
         L, t = 7, 2.0
         masses = (self.wall, lambda y: PAR.beta * y)
-        H = build_dirac(2, masses, PAR, L)
+        H = build_dirac(2, masses, L)
         m_x, m_y = H.masses
         p, eye = momentum_matrix(L), np.eye(L)
 
         def kron(*factors):
             return reduce(np.kron, factors)
 
-        K_x = -PAR.eps * kron(p, eye, SIGMA_0, SIGMA_Z)
+        K_x = -kron(p, eye, SIGMA_0, SIGMA_Z)
         M_x = kron(np.diag(m_x), eye, SIGMA_0, SIGMA_Y)
-        K_y = -PAR.eps * kron(eye, p, SIGMA_Z, SIGMA_X)
+        K_y = -kron(eye, p, SIGMA_Z, SIGMA_X)
         M_y = kron(eye, np.diag(m_y), SIGMA_Y, SIGMA_X)
         # the direct 2D assembly is the sum of the four terms
         assert np.max(np.abs(H.matrix - (K_x + M_x + K_y + M_y))) <= 1e-13
@@ -184,10 +184,6 @@ class TestCombine2D:
             assert c.E * np.cos(2 * c.phi) == pytest.approx(1.2)
             assert c.E * np.sin(2 * c.phi) == pytest.approx(-0.7)
 
-    def test_negative_branch(self):
-        c = combine_2d(1.0, 0.0, 0.2, sign=-1)
-        assert c.E == pytest.approx(-1.0)
-
     def test_double_zero_rejected(self):
         with pytest.raises(ValueError):
             combine_2d(0.0, 0.0, 0.0)
@@ -196,7 +192,7 @@ class TestCombine2D:
         # build Psi = (gamma + delta sigma^x) psi_x (x) psi_y from 1D
         # numerics and verify it solves the 2D problem
         L = 31
-        Hx = build_dirac(1, lambda x: PAR.beta * x, PAR, L)
+        Hx = build_dirac(1, lambda x: PAR.beta * x, L)
         w, V = np.linalg.eigh(Hx.matrix)
         ix = int(np.argmin(np.abs(w - np.sqrt(PAR.omega))))
         iy = int(np.argmin(np.abs(w - np.sqrt(2 * PAR.omega))))
@@ -208,12 +204,12 @@ class TestCombine2D:
         Psi = np.einsum("xs,yt->xyts", mix,
                         V[:, iy].reshape(L, 2)).reshape(-1)
         H2 = build_dirac(2, (lambda x: PAR.beta * x, lambda y: PAR.beta * y),
-                         PAR, L)
+                         L)
         assert np.linalg.norm(H2.matrix @ Psi - c.E * Psi) < 1e-6
 
     def test_analytic_zero_mode_solves_2d(self):
         H2 = build_dirac(2, (lambda x: PAR.beta * x, lambda y: PAR.beta * y),
-                         PAR, 25)
+                         25)
         gz = analytic_zero_mode_2d(PAR, LatticeSpec(25))
         assert np.linalg.norm(H2.matrix @ gz.reshape(-1)) < 1e-5
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dtqw.continuum import analytic_zero_mode_2d, OracleParams
-from dtqw.lattice import (LatticeSpec, apply_phase_kick, basis_state, norm,
+from dtqw.lattice import (LatticeSpec, apply_phase_kick, basis_state,
                           normalize, position_moments, probability_map,
                           translate)
 
@@ -28,7 +28,7 @@ class TestStates:
     def test_basis_state_is_normalized_delta(self):
         lat = LatticeSpec(9)
         psi = basis_state(lat, 2, -1, 3)
-        assert norm(psi) == pytest.approx(1.0)
+        assert np.linalg.norm(psi) == pytest.approx(1.0)
         P = probability_map(psi)
         assert P[lat.half_x + 2, lat.half_y - 1] == pytest.approx(1.0)
 
@@ -38,7 +38,7 @@ class TestStates:
         psi = analytic_zero_mode_2d(OracleParams(beta=beta), lat)
         mx, my, sx, sy = position_moments(psi, lat)
         assert abs(mx) < 1e-12 and abs(my) < 1e-12
-        # |psi|^2 ~ exp(-beta x^2 / eps): sigma = sqrt(1 / (2 beta))
+        # |psi|^2 ~ exp(-beta x^2): sigma = sqrt(1 / (2 beta))
         assert sx == pytest.approx(np.sqrt(1 / (2 * beta)), rel=0.02)
         assert sy == pytest.approx(sx)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dtqw.lattice import LatticeSpec, basis_state, norm
+from dtqw.lattice import LatticeSpec, basis_state
 from dtqw.operators import (StepOperator2D, _apply_shift_x, _apply_shift_y,
                             coin_matrix, walk_matrix_dense)
 from dtqw.profiles import Constant, DomainWall, LinearSaturated
@@ -10,7 +10,7 @@ from dtqw.profiles import Constant, DomainWall, LinearSaturated
 def _rand_state(lat, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     psi = rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
-    return psi / norm(psi)
+    return psi / np.linalg.norm(psi)
 
 
 class TestCoins:
@@ -45,7 +45,7 @@ class TestShift:
     def test_shift_moves_components_oppositely(self):
         lat = LatticeSpec(5)
         psi = basis_state(lat, 0, 0, 0) + basis_state(lat, 0, 0, 1)
-        psi /= norm(psi)
+        psi /= np.linalg.norm(psi)
         out = _apply_shift_x(psi)
         P = np.abs(out) ** 2
         # component 0 (left mover) at x=-1, component 1 (right mover) at x=+1
@@ -71,7 +71,7 @@ class TestStepOperator:
         lat = LatticeSpec(11)
         op = StepOperator2D(lat, profile, profile)
         psi = _rand_state(lat)
-        assert norm(op.apply(psi)) == pytest.approx(1.0, abs=1e-13)
+        assert np.linalg.norm(op.apply(psi)) == pytest.approx(1.0, abs=1e-13)
         assert np.allclose(op.apply_adjoint(op.apply(psi)), psi, atol=1e-13)
 
     def test_walk_matrix_is_real(self):

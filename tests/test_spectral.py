@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from dtqw.lattice import LatticeSpec, probability_map
@@ -85,6 +86,34 @@ class TestBlocks:
                             Constant(0.1).with_noise(0.05, 1))
         with pytest.raises(ValueError):
             momentum_block(op, 0.0)
+
+
+class TestBlockUnitarityGuard:
+    """Non-unitary walk terms (A, B), injected through _assemble, are
+    rejected once per walk, before any block is solved."""
+
+    @pytest.mark.parametrize("case", ["scaled", "rotated"])
+    def test_non_unitary_terms_rejected(self, monkeypatch, case):
+        assemble = dtqw.spectral._assemble
+        rng = np.random.Generator(np.random.PCG64(2))
+        R = np.linalg.qr(rng.normal(size=(36, 36)))[0]
+
+        def fake(tx, ty, P_y, Q_y):
+            if P_y.nnz:                      # A, at (P, Q) = (1, 0)
+                return assemble(tx, ty, P_y, Q_y)
+            if case == "scaled":
+                return assemble(tx, ty, P_y, Q_y) * (1 + 1e-6)
+            # B = A R: A^T A = B^T B = 1, but A^T B = R is not symmetric
+            return sparse.csr_matrix(assemble(tx, ty, Q_y, P_y) @ R)
+
+        monkeypatch.setattr(dtqw.spectral, "_assemble", fake)
+        op = StepOperator2D(LatticeSpec(9),
+                            DomainWall(np.pi / 3, -np.pi / 3, 3),
+                            Constant(np.pi / 3))
+        with pytest.raises(UnitarityError, match="not unitary"):
+            momentum_block(op, 0.4)
+        with pytest.raises(UnitarityError, match="not unitary"):
+            spectrum_scan(op)
 
 
 class TestKernel:

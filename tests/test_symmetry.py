@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dtqw.continuum import SIGMA_X, OracleParams, build_dirac
+from dtqw.continuum import SIGMA_X, build_dirac
 from dtqw.lattice import LatticeSpec
 from dtqw.operators import StepOperator2D
 from dtqw.profiles import Constant, DomainWall
@@ -53,9 +53,7 @@ def small_wall_op():
 
 @pytest.fixture(scope="module")
 def wall_hamiltonian():
-    par = OracleParams(eps=1.0, beta=np.pi / 20)
-    wall = lambda x: np.pi / 3 if abs(x) <= 2 else -np.pi / 3  # noqa: E731
-    return par, wall
+    return lambda x: np.pi / 3 if abs(x) <= 2 else -np.pi / 3
 
 
 class TestWalkSymmetries:
@@ -102,16 +100,16 @@ class TestWalkSymmetries:
 
 class TestContinuumSymmetries:
     def test_diii_relations_hold_at_zero_y_mass(self, wall_hamiltonian):
-        par, wall = wall_hamiltonian
-        H = build_dirac(2, (wall, 0.0), par, 9)
+        wall = wall_hamiltonian
+        H = build_dirac(2, (wall, 0.0), 9)
         assert check_hamiltonian_symmetry(H, time_reversal_op()) < 1e-12
         assert check_hamiltonian_symmetry(H, particle_hole_op()) < 1e-12
         assert check_hamiltonian_symmetry(H, chiral_op()) < 1e-12
 
     def test_y_mass_breaks_time_reversal_not_particle_hole(
             self, wall_hamiltonian):
-        par, wall = wall_hamiltonian
-        H = build_dirac(2, (wall, wall), par, 9)
+        wall = wall_hamiltonian
+        H = build_dirac(2, (wall, wall), 9)
         assert check_hamiltonian_symmetry(H, particle_hole_op()) < 1e-12
         assert check_hamiltonian_symmetry(H, time_reversal_op()) > 0.1
         assert check_hamiltonian_symmetry(H, chiral_op()) > 0.1
@@ -124,7 +122,7 @@ class TestContinuumSymmetries:
         assert np.allclose(X.matrix @ X.matrix.conj(), np.eye(4))
 
     def test_1d_chiral(self, wall_hamiltonian):
-        par, wall = wall_hamiltonian
-        H1 = build_dirac(1, wall, par, 21)
+        wall = wall_hamiltonian
+        H1 = build_dirac(1, wall, 21)
         gamma1 = SymmetryOp("Gamma1", SIGMA_X, "chiral")
         assert check_hamiltonian_symmetry(H1, gamma1) < 1e-13
