@@ -192,25 +192,6 @@ def apply_dirac_2d(h_x, h_y, psi):
     return out.reshape(np.shape(psi))
 
 
-def _add_axis_factors(out, a_x, a_y, y_flips_sigma):
-    """Add two per-axis factors into the C-contiguous (n, n) matrix out.
-
-    Layout (x, y, tau, sigma): a_x acts on (x, sigma) for every (y, tau);
-    a_y acts on (y, tau) for every x, with sigma^x on sigma when
-    y_flips_sigma, else sigma^0.
-    """
-    L_x, L_y = a_x.shape[0] // 2, a_y.shape[0] // 2
-    out8 = out.reshape((L_x, L_y, 2, 2) * 2)     # a view: writes reach out
-    ax4 = a_x.reshape(L_x, 2, L_x, 2)
-    ay4 = a_y.reshape(L_y, 2, L_y, 2)
-    for y in range(L_y):
-        for u in range(2):
-            out8[:, y, u, :, :, y, u, :] += ax4
-    for x in range(L_x):
-        for s in range(2):
-            out8[x, :, :, s, x, :, :, 1 - s if y_flips_sigma else s] += ay4
-
-
 def build_dirac(dim, masses, L_x, L_y=None):
     """Lattice Dirac Hamiltonian in 1 or 2 dimensions.
 
@@ -235,41 +216,105 @@ def build_dirac(dim, masses, L_x, L_y=None):
     if dim != 2:
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     h_x, h_y, m_x, m_y = dirac_2d_factors(masses, L_x, L_y)
-    n = len(m_x) * len(m_y) * 4
-    H = np.zeros((n, n), dtype=complex)
-    _add_axis_factors(H, h_x, h_y, y_flips_sigma=True)
-    return LatticeHamiltonian(H, (len(m_x), len(m_y)), [m_x, m_y])
+    L_x, L_y = len(m_x), len(m_y)
+    H = np.zeros((4 * L_x * L_y,) * 2, dtype=complex)
+    H8 = H.reshape((L_x, L_y, 2, 2) * 2)         # a view: writes reach H
+    hx4 = h_x.reshape(L_x, 2, L_x, 2)
+    hy4 = h_y.reshape(L_y, 2, L_y, 2)
+    for y in range(L_y):
+        for u in range(2):
+            H8[:, y, u, :, :, y, u, :] += hx4
+    for x in range(L_x):                         # sigma^x: s -> 1 - s
+        for s in range(2):
+            H8[x, :, :, s, x, :, :, 1 - s] += hy4
+    return LatticeHamiltonian(H, (L_x, L_y), [m_x, m_y])
 
 
-def square_decomposition_check(H2):
+def square_decomposition_check(h_x, h_y, m_x, m_y):
     """Residual of (H^(2))^2 against its Schroedinger direct-sum form.
 
-    Squaring the 2D Hamiltonian must produce
+    Takes the factors and masses that dirac_2d_factors returns.  Squaring
+    the 2D Hamiltonian must produce
 
         H_Sx (x) tau^0 + sigma^0 (x) H_Sy,
         H_Smu = p^2 + m_mu^2 + i s^x [p, m_mu],
 
-    with every sigma-tau cross term cancelling (the x factor anticommutes
-    with sigma^x).  Returns the max-norm residual; the commutator term is
-    kept as the exact lattice commutator, which for a discontinuous wall
-    mass concentrates at the wall sites.
-    """
-    if H2.dim != 2:
-        raise ValueError("square_decomposition_check needs a dim=2 Hamiltonian")
-    L_x, L_y = H2.dims
-    m_x, m_y = H2.masses
-    p_x = momentum_matrix(L_x)
-    p_y = momentum_matrix(L_y)
+    and the difference is, term by term,
 
-    def schroedinger_1d(p, m):
+        (H_x^2 - H_Sx) (x) 1 + 1 (x) (H_y^2 - H_Sy) + {H_x, sigma^x} (x) H_y,
+
+    so the sigma-tau cross term cancels exactly when the x factor
+    anticommutes with sigma^x.  Returns the largest max-norm entry of the
+    two 1D residuals and of that anticommutator, at O(L^3) cost.  The
+    commutator term is kept as the exact lattice commutator, which for a
+    discontinuous wall mass concentrates at the wall sites.
+    """
+    def schroedinger_1d(m):
+        p = momentum_matrix(len(m))
         comm = p @ np.diag(m) - np.diag(m) @ p
         return (np.kron(p @ p + np.diag(m ** 2), SIGMA_0)
                 + 1j * np.kron(comm, SIGMA_X))
 
-    sq = H2.matrix @ H2.matrix
-    _add_axis_factors(sq, -schroedinger_1d(p_x, m_x),
-                      -schroedinger_1d(p_y, m_y), y_flips_sigma=False)
-    return float(np.max(np.abs(sq)))
+    flip = np.kron(np.eye(len(m_x)), SIGMA_X)
+    return float(max(np.max(np.abs(h_x @ h_x - schroedinger_1d(m_x))),
+                     np.max(np.abs(h_y @ h_y - schroedinger_1d(m_y))),
+                     np.max(np.abs(h_x @ flip + flip @ h_x))))
+
+
+class SquaredDirac2D:
+    """H^2 of the 2D Dirac Hamiltonian, diagonalized through its factors.
+
+    H = H_x (x) tau^0 + sigma^x (x) H_y with {H_x, sigma^x} = 0 squares
+    to the Kronecker sum H^2 = H_x^2 (x) 1 + 1 (x) H_y^2, so the products
+    u_i (x) v_j of the factor eigenvectors diagonalize H^2 with
+    eigenvalues lam_ij = e_x,i^2 + e_y,j^2.  Any function of H^2 then
+    costs two (2L)^2 eigensolves and (2L)^3 products; no (4 L_x L_y)^2
+    matrix is formed.  Coefficient matrices C are indexed (i, j).
+    """
+
+    def __init__(self, h_x, h_y):
+        self.h_x, self.h_y = h_x, h_y
+        self.e_x, self.U = np.linalg.eigh(h_x)
+        self.e_y, self.V = np.linalg.eigh(h_y)
+        self.lam = self.e_x[:, None] ** 2 + self.e_y[None, :] ** 2
+
+    def energies(self):
+        """The 4 L_x L_y eigenvalues of H, ascending.
+
+        sigma^x maps the e_x eigenvector onto the -e_x one, and on each
+        such pair (times v_j) H is [[e_x, e_y], [e_y, -e_x]] with
+        eigenvalues +-sqrt(lam).  The upper half of the sorted e_x holds
+        one row per pair; unlike the sign of e_x, that choice does not
+        depend on the arbitrary signs of H_x's near-zero modes.
+        """
+        r = np.sqrt(self.lam[len(self.e_x) // 2:]).ravel()
+        return np.sort(np.concatenate([-r, r]))
+
+    def coefficients(self, psi):
+        """C_ij = <u_i (x) v_j | psi> for psi in the (x, y, tau, sigma)
+        layout."""
+        L_x, L_y = len(self.e_x) // 2, len(self.e_y) // 2
+        G = np.asarray(psi).reshape(L_x, L_y, 2, 2).transpose(0, 3, 1, 2)
+        return self.U.conj().T @ G.reshape(2 * L_x, 2 * L_y) @ self.V.conj()
+
+    def expand(self, C):
+        """sum_ij C_ij u_i (x) v_j, flat in the (x, y, tau, sigma) layout."""
+        L_x, L_y = len(self.e_x) // 2, len(self.e_y) // 2
+        G = (self.U @ C @ self.V.T).reshape(L_x, 2, L_y, 2)
+        return G.transpose(0, 2, 3, 1).ravel()
+
+    def propagate(self, psi0, t):
+        """exp(-i H t) psi0 = cos(t |H|) psi0 - i H sin(t |H|) / |H| psi0.
+
+        Both ratios are functions of H^2, taken in its eigenbasis; H itself
+        is applied by apply_dirac_2d.  sin(t r) / r is written as
+        t sinc(t r / pi), which is exact at r = 0.
+        """
+        C = self.coefficients(psi0)
+        r = np.sqrt(self.lam)
+        sin_part = self.expand(t * np.sinc(t * r / np.pi) * C)
+        return (self.expand(np.cos(t * r) * C)
+                - 1j * apply_dirac_2d(self.h_x, self.h_y, sin_part))
 
 
 def hermite_state(n, params, L):
@@ -456,34 +501,37 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None):
 
     Each factor acts along one axis, so the step is applied as a (2 L)^2
     x-factor on (x, sigma) and, in 2D, a (4 L)^2 y-factor on
-    (y, tau, sigma); the reference is the action of exp(-i H t) on psi0
-    (Al-Mohy & Higham 2011).
+    (y, tau, sigma).  The 1D reference is the action of exp(-i H t) on
+    psi0 (Al-Mohy & Higham 2011); the 2D one is exact in the eigenbases of
+    the two 1D factors (SquaredDirac2D.propagate).
     """
-    from scipy.sparse.linalg import expm_multiply
-
     steps = t / dt
     if abs(steps - round(steps)) > 1e-9:
         raise ValueError(f"t/dt = {steps:.6g} is not an integer; choose a "
                          "commensurate step")
     steps = int(round(steps))
     if dim == 1:
+        from scipy.sparse.linalg import expm_multiply
+
         H = build_dirac(1, mass, L)
         s_x = _axis_step(*_dirac_terms(H.masses[0]), dt)
 
         def step(psi):
             return s_x @ psi
 
+        def exact(psi):
+            return expm_multiply(-1j * t * H.matrix, psi)
+
         if psi0 is None:
             g = np.exp(-(coords(L) - 2.0) ** 2 * params.beta / 2.0)
             psi0 = np.kron(g, [1.0, 0.0]).astype(complex)
     elif dim == 2:
-        H = build_dirac(2, mass, L)
-        L_x, L_y = H.dims
-        s_x = _axis_step(*_dirac_terms(H.masses[0]),
-                         dt).reshape(L_x, 2, L_x, 2)
+        h_x, h_y, m_x, m_y = dirac_2d_factors(mass, L)
+        L_x, L_y = len(m_x), len(m_y)
+        s_x = _axis_step(*_dirac_terms(m_x), dt).reshape(L_x, 2, L_x, 2)
         # the y factor chains sigma^x onto both internal parts
         kin_y, mass_y = ((p, np.kron(g, SIGMA_X))
-                         for p, g in _dirac_terms(H.masses[1]))
+                         for p, g in _dirac_terms(m_y))
         s_y = _axis_step(kin_y, mass_y, dt)
 
         def step(psi):
@@ -492,6 +540,9 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None):
             psi = np.einsum("asbt,bmt->ams", s_x,
                             psi.reshape(L_x, 2 * L_y, 2))
             return (psi.reshape(L_x, 4 * L_y) @ s_y.T).ravel()
+
+        def exact(psi):
+            return SquaredDirac2D(h_x, h_y).propagate(psi, t)
 
         if psi0 is None:
             gx = np.exp(-(coords(L_x) - 2.0) ** 2 * params.beta / 2.0)
@@ -505,6 +556,4 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None):
     psi = psi0
     for _ in range(steps):
         psi = step(psi)
-    ref = expm_multiply(-1j * t * H.matrix, psi0)
-    return float(np.linalg.norm(psi - ref))
-
+    return float(np.linalg.norm(psi - exact(psi0)))

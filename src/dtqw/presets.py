@@ -13,10 +13,11 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig
-from .continuum import (OracleParams, apply_dirac_2d, build_dirac,
-                        combine_2d, dirac_oscillator_eigenstate,
-                        analytic_zero_mode_2d, jr_scattering,
-                        square_decomposition_check, trotter_error)
+from .continuum import (OracleParams, SquaredDirac2D, apply_dirac_2d,
+                        build_dirac, combine_2d, dirac_2d_factors,
+                        dirac_oscillator_eigenstate, analytic_zero_mode_2d,
+                        jr_scattering, square_decomposition_check,
+                        trotter_error)
 from .evolution import DynamicsSpec, run_dynamics
 from .io import svg_polyline, svg_scatter, write_csv, write_json
 from .lattice import LatticeSpec, probability_map
@@ -244,8 +245,6 @@ def _run_bands_sweep(cfg):
 
 
 def _oracle_report(L_big):
-    import scipy.linalg
-
     par = OracleParams()
     rep = {"omega": par.omega}
 
@@ -261,14 +260,13 @@ def _oracle_report(L_big):
     rep["zero_mode_min_abs_E"] = float(np.min(np.abs(ev1)))
 
     L2 = 25   # wide enough that the analytic zero mode's tail clears 1e-8
-    H2 = build_dirac(2, (lambda x: par.beta * x, lambda y: par.beta * y),
-                     L2)
-    rep["squaring_residual"] = square_decomposition_check(H2)
-    # only the window |E| < top is read below: the zero subspace and the
-    # counts up to 1.03 sqrt(4 omega)
-    top = 1.04 * np.sqrt(4 * par.omega)
-    w2, V2 = scipy.linalg.eigh(H2.matrix, subset_by_value=(-top, top))
-    counts = {"0": int(np.sum(np.abs(w2) < 0.25 * np.sqrt(par.omega)))}
+    h_x, h_y, m_x, m_y = dirac_2d_factors(
+        (lambda x: par.beta * x, lambda y: par.beta * y), L2)
+    rep["squaring_residual"] = square_decomposition_check(h_x, h_y, m_x, m_y)
+    sq = SquaredDirac2D(h_x, h_y)
+    w2 = sq.energies()
+    cut = 0.25 * np.sqrt(par.omega)
+    counts = {"0": int(np.sum(np.abs(w2) < cut))}
     for N in (1, 2, 3, 4):
         t = np.sqrt(N * par.omega)
         counts[str(N)] = {
@@ -282,11 +280,11 @@ def _oracle_report(L_big):
         np.linalg.norm(H1.matrix @ z.reshape(-1)))
     gz = analytic_zero_mode_2d(par, LatticeSpec(L2))
     rep["zero_mode_residual_2d"] = float(
-        np.linalg.norm(H2.matrix @ gz.reshape(-1)))
-    # overlap of the analytic zero mode with the numeric near-zero subspace
-    near0 = V2[:, np.abs(w2) < 0.25 * np.sqrt(par.omega)]
+        np.linalg.norm(apply_dirac_2d(h_x, h_y, gz)))
+    # overlap of the analytic zero mode with the numeric near-zero
+    # subspace: H's projector onto |E| < cut is H^2's onto lam < cut^2
     rep["zero_mode_subspace_overlap"] = float(
-        np.linalg.norm(near0.conj().T @ gz.reshape(-1)))
+        np.linalg.norm(sq.coefficients(gz)[sq.lam < cut ** 2]))
 
     B, C, _ = jr_scattering(1.3, 0.7)
     rep["jr_flux_residual"] = float(abs(abs(B) ** 2 + abs(C) ** 2 - 1.0))

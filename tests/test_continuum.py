@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from dtqw.continuum import (LatticeHamiltonian, OracleParams,
                             SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                            SquaredDirac2D,
                             analytic_zero_mode_2d, apply_dirac_2d,
                             build_dirac, combine_2d, dirac_2d_factors,
                             dirac_oscillator_eigenstate, hermite_state,
@@ -94,27 +95,57 @@ class TestHermiteLadder:
         assert np.linalg.norm(H.matrix @ z) < 1e-6
 
 
+def _schroedinger_1d(m):
+    """H_S = p^2 + m^2 + i s^x [p, m] on (x, spinor)."""
+    p = momentum_matrix(len(m))
+    return (np.kron(p @ p + np.diag(m ** 2), SIGMA_0)
+            + 1j * np.kron(p @ np.diag(m) - np.diag(m) @ p, SIGMA_X))
+
+
+def _dense_square_residual(H):
+    """max |H^2 - (H_Sx (x) tau^0 + sigma^0 (x) H_Sy)| with the full
+    matrix: the unflipped sum is np.kron on (x, sigma, y, tau), permuted
+    into the (x, y, tau, sigma) layout."""
+    L_x, L_y = H.dims
+    h_x2, h_y2 = map(_schroedinger_1d, H.masses)
+    s = (np.kron(h_x2, np.eye(2 * L_y)) + np.kron(np.eye(2 * L_x), h_y2))
+    perm = (0, 2, 3, 1, 4, 6, 7, 5)
+    s = s.reshape((L_x, 2, L_y, 2) * 2).transpose(perm).reshape(s.shape)
+    return float(np.max(np.abs(H.matrix @ H.matrix - s)))
+
+
 class TestSquaring:
+    """The factor-form check against the dense H.H product."""
+
+    @staticmethod
+    def both_routes(masses, L):
+        return (square_decomposition_check(*dirac_2d_factors(masses, L)),
+                _dense_square_residual(build_dirac(2, masses, L)))
+
     def test_oscillator_squares_to_schroedinger_pair(self):
-        H2 = build_dirac(2, (lambda x: PAR.beta * x, lambda y: PAR.beta * y),
-                         15)
-        assert square_decomposition_check(H2) < 1e-10
+        masses = (lambda x: PAR.beta * x, lambda y: PAR.beta * y)
+        assert max(self.both_routes(masses, 15)) < 1e-10
 
     def test_zero_mass_squares_to_laplacian(self):
-        H2 = build_dirac(2, (0.0, 0.0), 9)
-        assert square_decomposition_check(H2) < 1e-12
+        assert max(self.both_routes((0.0, 0.0), 9)) < 1e-12
 
     def test_wall_masses(self):
         wall = lambda x: 0.5 if abs(x) <= 2 else -0.5   # noqa: E731
-        H2 = build_dirac(2, (wall, wall), 9)
-        assert square_decomposition_check(H2) < 1e-12
+        assert max(self.both_routes((wall, wall), 9)) < 1e-12
 
     def test_perturbation_detected(self):
-        H2 = build_dirac(2, (lambda x: PAR.beta * x, lambda y: PAR.beta * y),
-                         9)
-        H2.matrix[10, 31] += 1e-3      # stays Hermitian
-        H2.matrix[31, 10] += 1e-3
-        assert square_decomposition_check(H2) > 1e-6
+        # eps sigma^x anticommutes with h_x, so it moves the 1D squares
+        # only by eps^2 = 1e-8, below the 1e-6 threshold, but it breaks
+        # {h_x, sigma^x} = 0 by 2 eps: only the cross term sees it
+        masses = (lambda x: PAR.beta * x, lambda y: PAR.beta * y)
+        L, eps = 9, 1e-4
+        h_x, h_y, m_x, m_y = dirac_2d_factors(masses, L)
+        bent = h_x + eps * np.kron(np.eye(L), SIGMA_X)   # stays Hermitian
+        assert np.max(np.abs(bent @ bent - h_x @ h_x)) < 1e-6
+        assert square_decomposition_check(bent, h_y, m_x, m_y) > 1e-6
+        H = build_dirac(2, masses, L)
+        H.matrix += eps * np.kron(np.eye(2 * L * L), SIGMA_X)
+        assert _dense_square_residual(H) > 1e-6
 
 
 class TestLatticeHamiltonian:
@@ -170,6 +201,87 @@ class TestFactoredRoutes:
         dense = np.linalg.norm(psi - expm(-1j * t * H.matrix) @ psi0)
         factored = trotter_error(masses, PAR, L, dt, t, dim=2, psi0=psi0)
         assert abs(factored - dense) <= 1e-12 * dense
+
+
+class TestKroneckerSquare:
+    """SquaredDirac2D's routes against the dense build_dirac(2) matrix on
+    non-square lattices.  The massless case has exact zero modes on both
+    axes (k = 0), so its lam = 0 levels take the sinc branch of the
+    propagator; the linear x mass leaves two near-zero e_x whose signs
+    LAPACK picks freely, which a sign(e_x) rule would misread."""
+
+    wall = staticmethod(lambda x: 0.5 if abs(x) <= 2 else -0.5)
+    cases = pytest.mark.parametrize("masses,L_x,L_y", [
+        ((wall, lambda y: PAR.beta * y), 7, 9),
+        ((0.0, 0.0), 7, 9),
+        ((lambda x: PAR.beta * x, wall), 9, 7)],
+        ids=["wall_x_linear_y", "massless", "linear_x_wall_y"])
+
+    @staticmethod
+    def routes(masses, L_x, L_y):
+        h_x, h_y, _, _ = dirac_2d_factors(masses, L_x, L_y)
+        return SquaredDirac2D(h_x, h_y), build_dirac(2, masses, L_x, L_y)
+
+    @cases
+    def test_spectrum_matches_dense(self, masses, L_x, L_y):
+        sq, H = self.routes(masses, L_x, L_y)
+        assert np.max(np.abs(sq.energies()
+                             - np.linalg.eigvalsh(H.matrix))) <= 1e-12
+
+    @cases
+    def test_low_projector_matches_dense(self, masses, L_x, L_y):
+        cut = 0.4
+        sq, H = self.routes(masses, L_x, L_y)
+        w, W = np.linalg.eigh(H.matrix)
+        # the cut sits inside a gap, so both subspaces are well defined
+        assert np.min(np.abs(np.abs(w) - cut)) > 0.1
+        near = W[:, np.abs(w) < cut]
+        C = np.zeros(sq.lam.shape)
+        B = []
+        for i, j in zip(*np.nonzero(sq.lam < cut ** 2)):
+            C[i, j] = 1.0
+            B.append(sq.expand(C))
+            C[i, j] = 0.0
+        B = np.stack(B, axis=1)
+        assert B.shape == near.shape
+        assert np.linalg.norm(B @ B.conj().T
+                              - near @ near.conj().T) <= 1e-12
+
+    @cases
+    def test_propagator_matches_expm_multiply(self, masses, L_x, L_y):
+        from scipy.sparse.linalg import expm_multiply
+
+        t = 2.0
+        sq, H = self.routes(masses, L_x, L_y)
+        if masses == (0.0, 0.0):
+            assert np.min(sq.lam) < 1e-28
+        rng = np.random.default_rng(11)
+        psi0 = rng.normal(size=H.size) + 1j * rng.normal(size=H.size)
+        psi0 /= np.linalg.norm(psi0)
+        assert np.linalg.norm(sq.propagate(psi0, t) - expm_multiply(
+            -1j * t * H.matrix, psi0)) <= 1e-13
+
+
+class TestNoDense2DMatrix:
+    def test_oracle_and_trotter_use_only_factors(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        from dtqw import continuum, presets
+
+        def one_d_only(dim, *args, **kw):
+            assert dim == 1, "a dense 2D Dirac matrix was built"
+            return build_dirac(dim, *args, **kw)
+
+        def refuse(*args, **kw):
+            raise AssertionError("expm_multiply ran on the 2D reference")
+
+        monkeypatch.setattr(continuum, "build_dirac", one_d_only)
+        monkeypatch.setattr(presets, "build_dirac", one_d_only)
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
+        rep = presets._oracle_report(41)
+        assert rep["degeneracy_counts_2d"]["0"] == 4
+        mass = lambda x: PAR.beta * x   # noqa: E731
+        assert trotter_error((mass, mass), PAR, 9, 0.5, 2.0, dim=2) > 0
 
 
 class TestCombine2D:

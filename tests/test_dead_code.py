@@ -49,51 +49,69 @@ def _root_exports():
             for a in n.names}
 
 
-def _references(path, tree, exports):
-    """(qualified name, line) for every reference a file makes: "m.f" for
-    top-level names, ".f" for methods by name."""
-    own = path.stem if path.parent == PACKAGE else None
-    names, modules = {}, {}            # local name -> "m.f" / module "m"
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                if a.name == "dtqw" or a.name.startswith("dtqw."):
-                    modules[a.asname or "dtqw"] = (
-                        a.name[len("dtqw."):] if a.asname else "")
-        elif isinstance(node, ast.ImportFrom):
-            src = _source_module(node)
-            if src is None:
-                continue
-            for a in node.names:
-                local = a.asname or a.name
-                if src == "" and a.name in MODULES:
-                    modules[local] = a.name
-                else:
-                    qual = f"{src or exports.get(a.name, '')}.{a.name}"
-                    names[local] = qual
-                    yield qual, node.lineno
+class _Scope:
+    """What the dtqw names of one file refer to, by the rules above."""
 
-    def module_of(expr):
+    def __init__(self, path, tree, exports):
+        self.own = path.stem if path.parent == PACKAGE else None
+        self.exports = exports
+        self.names, self.modules = {}, {}   # local name -> "m.f" / module "m"
+        self.imported = []                   # ("m.f", line) of each import
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name == "dtqw" or a.name.startswith("dtqw."):
+                        self.modules[a.asname or "dtqw"] = (
+                            a.name[len("dtqw."):] if a.asname else "")
+            elif isinstance(node, ast.ImportFrom):
+                src = _source_module(node)
+                if src is None:
+                    continue
+                for a in node.names:
+                    local = a.asname or a.name
+                    if src == "" and a.name in MODULES:
+                        self.modules[local] = a.name
+                    else:
+                        qual = f"{src or exports.get(a.name, '')}.{a.name}"
+                        self.names[local] = qual
+                        self.imported.append((qual, node.lineno))
+
+    def module_of(self, expr):
         if isinstance(expr, ast.Name):
-            return modules.get(expr.id)
-        if (isinstance(expr, ast.Attribute) and module_of(expr.value) == ""
+            return self.modules.get(expr.id)
+        if (isinstance(expr, ast.Attribute)
+                and self.module_of(expr.value) == ""
                 and expr.attr in MODULES):
             return expr.attr
         return None
 
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            if node.id in names:
-                yield names[node.id], node.lineno
-            elif own is not None:
-                yield f"{own}.{node.id}", node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield f".{node.attr}", node.lineno
-            m = module_of(node.value)
+    def qualify(self, expr):
+        """"m.f" for a Name or Attribute that refers to the top-level
+        name f of module m, else None."""
+        if isinstance(expr, ast.Name):
+            if expr.id in self.names:
+                return self.names[expr.id]
+            return None if self.own is None else f"{self.own}.{expr.id}"
+        if isinstance(expr, ast.Attribute):
+            m = self.module_of(expr.value)
             if m == "":                            # dtqw.f, a re-export
-                m = exports.get(node.attr, "")
-            if m is not None:
-                yield f"{m}.{node.attr}", node.lineno
+                m = self.exports.get(expr.attr, "")
+            return None if m is None else f"{m}.{expr.attr}"
+        return None
+
+
+def _references(path, tree, exports):
+    """(qualified name, line) for every reference a file makes: "m.f" for
+    top-level names, ".f" for methods by name."""
+    scope = _Scope(path, tree, exports)
+    yield from scope.imported
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            qual = scope.qualify(node)
+            if qual is not None:
+                yield qual, node.lineno
+            if isinstance(node, ast.Attribute):
+                yield f".{node.attr}", node.lineno
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and _DOTTED.fullmatch(node.value)):
             yield node.value, node.lineno

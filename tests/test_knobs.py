@@ -4,21 +4,28 @@ A parameter with a default that no call in src/, demos/ or bench/ sets
 to another value is an option with one value in use; it should be a
 constant.  A call sets a parameter by keyword, by position, or through a
 ``*`` or ``**`` argument; a literal equal to the default does not count.
-Functions and methods are matched by name (a method through any
-``x.name(...)`` call), constructors through their class name, so
-``super().__init__`` keeps nothing alive.  A test alone keeps no
-parameter alive, apart from the allow-list below.
+Top-level functions and constructors are matched by module, with the
+reference rules of test_dead_code, so a ``main(job)`` defined in bench/
+is not a call of ``cli.main``.  Methods are matched by name (through any
+``x.name(...)`` call), so ``super().__init__`` keeps nothing alive.  A
+test alone keeps no parameter alive, apart from the allow-list below.
 """
 
 import ast
 from pathlib import Path
 
+from test_dead_code import _root_exports, _Scope
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dtqw"
 CALLER_DIRS = (ROOT / "src", ROOT / "demos", ROOT / "bench")
-# inputs of independent cross-checks in the tests: a non-square lattice,
-# a random start state and a 2001-point k_x sampling
-ALLOWED = {"build_dirac.L_y", "trotter_error.psi0", "bulk_openings.n_kx"}
+ALLOWED = {
+    # inputs of independent cross-checks in the tests: a non-square
+    # lattice, a random start state and a 2001-point k_x sampling
+    "build_dirac.L_y", "trotter_error.psi0", "bulk_openings.n_kx",
+    # the CLI's test seam: the console script calls main() bare
+    "main.argv",
+}
 
 
 def _signature(fn, skip):
@@ -32,20 +39,23 @@ def _signature(fn, skip):
 
 
 def _definitions():
-    """(label, callee name, positional params, keyword-only params) for
-    every top-level function, constructor and non-dunder method."""
+    """(label, callee, positional params, keyword-only params) for every
+    top-level function, constructor and non-dunder method; the callee is
+    "m.f" for top-level names and ".f" for methods."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
-                yield (node.name, node.name, *_signature(node, 0))
+                yield (node.name, f"{path.stem}.{node.name}",
+                       *_signature(node, 0))
             elif isinstance(node, ast.ClassDef):
                 for fn in node.body:
                     if not isinstance(fn, ast.FunctionDef):
                         continue
                     if fn.name == "__init__":
-                        yield (node.name, node.name, *_signature(fn, 1))
+                        yield (node.name, f"{path.stem}.{node.name}",
+                               *_signature(fn, 1))
                     elif not fn.name.startswith("__"):
-                        yield (f"{node.name}.{fn.name}", fn.name,
+                        yield (f"{node.name}.{fn.name}", f".{fn.name}",
                                *_signature(fn, 1))
 
 
@@ -78,17 +88,23 @@ def _set_params(call, pos, kwonly):
 
 
 def _calls():
-    """name -> [ast.Call] for every call in src/, demos/ and bench/."""
+    """callee -> [ast.Call] for every call in src/, demos/ and bench/,
+    under "m.f" when the callee resolves to a top-level name of the
+    package and under ".name" by its plain name."""
+    exports = _root_exports()
     calls = {}
     for d in CALLER_DIRS:
         for path in sorted(d.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            scope = _Scope(path, tree, exports)
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Call):
                     f = node.func
                     name = (f.id if isinstance(f, ast.Name)
                             else f.attr if isinstance(f, ast.Attribute)
                             else None)
-                    calls.setdefault(name, []).append(node)
+                    for key in (scope.qualify(f), f".{name}"):
+                        calls.setdefault(key, []).append(node)
     return calls
 
 
@@ -97,9 +113,9 @@ def unset_parameters():
     allow-listed ones included."""
     calls = _calls()
     unset = set()
-    for label, name, pos, kwonly in _definitions():
+    for label, callee, pos, kwonly in _definitions():
         used = set()
-        for call in calls.get(name, ()):
+        for call in calls.get(callee, ()):
             used |= _set_params(call, pos, kwonly)
         unset |= {f"{label}.{p}" for p, d in pos + kwonly
                   if d is not None and p not in used}
