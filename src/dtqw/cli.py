@@ -10,6 +10,7 @@ import sys
 
 from . import __version__
 from .config import ConfigError, parse_config
+from .continuum import LatticeTooSmall
 from .presets import PRESETS, run_config
 
 
@@ -52,7 +53,8 @@ def main(argv=None):
             raise ConfigError(f"unknown command or preset {command!r}; "
                               f"available presets: {', '.join(PRESETS)}")
         meta = run_config(cfg)
-    except ConfigError as err:
+    except (ConfigError, LatticeTooSmall) as err:
+        # LatticeTooSmall: an analytic start state overflows L_x or L_y
         print(f"dtqw: config error: {err}", file=sys.stderr)
         return 2
     except (FloatingPointError, RuntimeError) as err:

@@ -32,6 +32,16 @@ def _canon_float(text):
     return repr(float(text))
 
 
+def _positive(canon):
+    """canon, refusing values that are not finite and > 0."""
+    def check(text):
+        v = canon(text)
+        if not 0 < float(v) < float("inf"):
+            raise ValueError("must be positive and finite")
+        return v
+    return check
+
+
 def _canon_int(text):
     return str(int(str(text), 10))
 
@@ -101,14 +111,15 @@ _KEYS = OrderedDict([
     ("stride", (_canon_pos_int, "integer >= 1")),
     ("initial", (_canon_initial,
                  "gaussian | basis:<x>:<y>:<c> | file:<path>")),
-    ("beta_over_eps", (_canon_angle, "angle (pi/20, 0.15707, ...)")),
+    ("beta_over_eps", (_positive(_canon_angle),
+                       "positive angle (pi/20, 0.15707, ...)")),
     ("shift_x", (_canon_int, "integer")),
     ("shift_y", (_canon_int, "integer")),
     ("kick_x", (_canon_angle, "angle (pi/N, decimal)")),
     ("kick_y", (_canon_angle, "angle (pi/N, decimal)")),
     ("refine_iters", (_canon_nonneg_int, "integer >= 0")),
     ("band_center", (_canon_angle, "angle (pi/N, decimal)")),
-    ("band_sigma", (_canon_float, "positive number")),
+    ("band_sigma", (_positive(_canon_float), "positive number")),
     ("band_passes", (_canon_pos_int, "integer >= 1")),
     ("k_points", (_canon_nonneg_int,
                   "integer >= 0 (0 = commensurate grid)")),

@@ -35,30 +35,12 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
+BETA = np.pi / 20   # linear mass slope, equal to the coin slope b
 
-class OracleParams:
-    """The oscillator scales of a linear mass m = beta*x.
 
-    beta  : mass slope, equal to the coin slope b (a = dt = 1)
-    omega : oscillator frequency 2*beta
-    """
-
-    def __init__(self, beta=np.pi / 20):
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        self.beta = float(beta)
-
-    @property
-    def omega(self):
-        return 2.0 * self.beta
-
-    @property
-    def length(self):
-        """Oscillator length sqrt(1/beta)."""
-        return np.sqrt(1.0 / self.beta)
-
-    def __repr__(self):
-        return f"OracleParams(beta={self.beta})"
+class LatticeTooSmall(ValueError):
+    """An analytic state's tail reaches the lattice boundary; the message
+    names the axis lengths (L_x, L_y) that are too small."""
 
 
 def _check_odd(L):
@@ -91,53 +73,15 @@ def momentum_matrix(L):
 def mass_array(mass, L):
     """Mass profile as an array over coords(L).
 
-    Accepts an ndarray of length L, a callable m(x), a scalar, or an
-    AngleProfile (theta = m*dt with dt = 1).
+    Accepts a callable m(x), a scalar, or an AngleProfile (theta = m*dt
+    with dt = 1).
     """
     L = _check_odd(L)
-    x = coords(L)
     if hasattr(mass, "table"):          # AngleProfile
         return np.asarray(mass.table(L // 2), dtype=float)
     if callable(mass):
-        return np.asarray([float(mass(xi)) for xi in x])
-    m = np.asarray(mass, dtype=float)
-    if m.ndim == 0:
-        return np.full(L, float(m))
-    if m.shape != (L,):
-        raise ValueError(f"mass array has shape {m.shape}, expected ({L},)")
-    return m
-
-
-_HERM_ROWS = 256   # row block of the Hermiticity check
-
-
-class LatticeHamiltonian:
-    """A dense Hermitian lattice Hamiltonian plus its construction data."""
-
-    def __init__(self, matrix, dims, masses):
-        self.matrix = matrix
-        self.dims = tuple(dims)          # axis lengths
-        self.masses = masses             # list of per-axis mass arrays
-        # over row blocks, so no full-size temporary is formed
-        n = matrix.shape[0]
-        herm = max(
-            (np.max(np.abs(matrix[i:i + _HERM_ROWS]
-                           - matrix[:, i:i + _HERM_ROWS].conj().T))
-             for i in range(0, n, _HERM_ROWS)), default=0.0)
-        if herm > 1e-12:
-            raise ValueError(f"assembled matrix is not Hermitian "
-                             f"(max deviation {herm:.3g})")
-
-    @property
-    def dim(self):
-        return len(self.dims)
-
-    @property
-    def size(self):
-        return self.matrix.shape[0]
-
-    def __repr__(self):
-        return f"LatticeHamiltonian(dim={self.dim}, dims={self.dims})"
+        return np.asarray([float(mass(xi)) for xi in coords(L)])
+    return np.full(L, float(mass))
 
 
 def _dirac_terms(m):
@@ -193,17 +137,16 @@ def apply_dirac_2d(h_x, h_y, psi):
 
 
 def build_dirac(dim, masses, L_x, L_y=None):
-    """Lattice Dirac Hamiltonian in 1 or 2 dimensions.
+    """Dense lattice Dirac Hamiltonian in 1 or 2 dimensions.
 
     Parameters
     ----------
     dim : 1 or 2
     masses : mass profile (dim=1) or pair (m_x, m_y) of profiles (dim=2);
-        each may be an array over coords, a callable, a scalar, or an
-        AngleProfile
+        each may be a callable, a scalar, or an AngleProfile
     L_x, L_y : odd axis lengths (L_y defaults to L_x)
 
-    Returns a LatticeHamiltonian.  dim=2 assembles
+    Returns the Hermitian matrix as an ndarray.  dim=2 assembles
 
         H = H_x (x) tau^0 + sigma^x (x) H_y
 
@@ -211,23 +154,27 @@ def build_dirac(dim, masses, L_x, L_y=None):
     walk's (x, y, c) state layout.
     """
     if dim == 1:
-        H, m = dirac_1d_factor(masses, L_x)
-        return LatticeHamiltonian(H, (L_x,), [m])
-    if dim != 2:
+        H = dirac_1d_factor(masses, L_x)[0]
+    elif dim == 2:
+        h_x, h_y, m_x, m_y = dirac_2d_factors(masses, L_x, L_y)
+        L_x, L_y = len(m_x), len(m_y)
+        H = np.zeros((4 * L_x * L_y,) * 2, dtype=complex)
+        H8 = H.reshape((L_x, L_y, 2, 2) * 2)     # a view: writes reach H
+        hx4 = h_x.reshape(L_x, 2, L_x, 2)
+        hy4 = h_y.reshape(L_y, 2, L_y, 2)
+        for y in range(L_y):
+            for u in range(2):
+                H8[:, y, u, :, :, y, u, :] += hx4
+        for x in range(L_x):                     # sigma^x: s -> 1 - s
+            for s in range(2):
+                H8[x, :, :, s, x, :, :, 1 - s] += hy4
+    else:
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    h_x, h_y, m_x, m_y = dirac_2d_factors(masses, L_x, L_y)
-    L_x, L_y = len(m_x), len(m_y)
-    H = np.zeros((4 * L_x * L_y,) * 2, dtype=complex)
-    H8 = H.reshape((L_x, L_y, 2, 2) * 2)         # a view: writes reach H
-    hx4 = h_x.reshape(L_x, 2, L_x, 2)
-    hy4 = h_y.reshape(L_y, 2, L_y, 2)
-    for y in range(L_y):
-        for u in range(2):
-            H8[:, y, u, :, :, y, u, :] += hx4
-    for x in range(L_x):                         # sigma^x: s -> 1 - s
-        for s in range(2):
-            H8[x, :, :, s, x, :, :, 1 - s] += hy4
-    return LatticeHamiltonian(H, (L_x, L_y), [m_x, m_y])
+    herm = np.max(np.abs(H - H.conj().T))
+    if herm > 1e-12:
+        raise ValueError(f"assembled matrix is not Hermitian "
+                         f"(max deviation {herm:.3g})")
+    return H
 
 
 def square_decomposition_check(h_x, h_y, m_x, m_y):
@@ -317,20 +264,23 @@ class SquaredDirac2D:
                 - 1j * apply_dirac_2d(self.h_x, self.h_y, sin_part))
 
 
-def hermite_state(n, params, L):
+def hermite_state(n, beta, L):
     """n-th harmonic oscillator eigenfunction sampled on the lattice.
 
     Generated by the ladder recurrence
     psi_{n+1} proportional to (-sqrt(1/beta) d/dx + sqrt(beta) x) psi_n
     with the spectral derivative, starting from the Gaussian
     psi_0 ~ exp(-beta x^2 / 2); each level is renormalized on the
-    lattice.  Errors out when the lattice cannot hold the tail.
+    lattice.  Raises LatticeTooSmall when the lattice cannot hold the
+    tail.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
     L = _check_odd(L)
     x = coords(L).astype(float)
-    lam = params.length
+    lam = np.sqrt(1.0 / beta)           # oscillator length
     psi = np.exp(-x ** 2 / (2.0 * lam ** 2))
     psi = psi / np.linalg.norm(psi)
     if n > 0:
@@ -341,13 +291,15 @@ def hermite_state(n, params, L):
             psi = psi / np.linalg.norm(psi)
     tail = float(np.abs(psi[0]) ** 2 + np.abs(psi[-1]) ** 2)
     if tail > 1e-6:
-        raise ValueError(f"lattice L={L} too small for oscillator level "
-                         f"n={n}: boundary probability {tail:.3g} > 1e-6")
+        raise LatticeTooSmall(f"L_x = {L} is too small for oscillator "
+                              f"level n={n}: boundary probability "
+                              f"{tail:.3g} > 1e-6")
     return psi
 
 
-def dirac_oscillator_eigenstate(n, sign, params, L):
-    """Analytic eigenstates of the 1D linear-mass (oscillator) Hamiltonian.
+def dirac_oscillator_eigenstate(n, sign, beta, L):
+    """Analytic eigenstates of the 1D linear-mass (oscillator) Hamiltonian
+    with mass slope beta and omega = 2*beta.
 
     sign '+'/'-' (n >= 1): energy +-sqrt(n*omega), spinor
         (1/sqrt2) (|n-1>, |n-1>)^T +- (i/sqrt2) (-|n>, |n>)^T
@@ -357,16 +309,16 @@ def dirac_oscillator_eigenstate(n, sign, params, L):
     """
     L = _check_odd(L)
     out = np.zeros((L, 2), dtype=complex)
-    if sign == 0 or sign == "0":
-        h0 = hermite_state(0, params, L)
+    if sign == 0:
+        h0 = hermite_state(0, beta, L)
         out[:, 0] = -h0
         out[:, 1] = h0
-    elif sign in (+1, -1, "+", "-"):
-        s = +1 if sign in (+1, "+") else -1
+    elif sign in ("+", "-"):
+        s = +1 if sign == "+" else -1
         if n < 1:
             raise ValueError("n must be >= 1 for the +- branches")
-        lo = hermite_state(n - 1, params, L)
-        hi = hermite_state(n, params, L)
+        lo = hermite_state(n - 1, beta, L)
+        hi = hermite_state(n, beta, L)
         out[:, 0] = lo - s * 1j * hi
         out[:, 1] = lo + s * 1j * hi
     else:
@@ -374,43 +326,18 @@ def dirac_oscillator_eigenstate(n, sign, params, L):
     return out / np.linalg.norm(out)
 
 
-class CombinedEigenstate:
-    """Mixing data for building a 2D eigenstate from 1D factors.
+def combine_2d(E_x, E_y, s):
+    """Mix two 1D eigenstates into a 2D eigenstate.
 
     The Ansatz  Psi = (gamma + delta s^x) (psi_x (x) psi_y)  with
     H psi_x = E_x psi_x, H psi_y = E_y psi_y and s = <psi_x|s^x|psi_x>
     is an exact eigenstate of H^(2) at energy E = +-sqrt(E_x^2 + E_y^2);
     (gamma, delta) = A (cos phi, sin phi) with tan 2phi = E_y / E_x and
     the normalization A^2 (1 + s sin 2phi) = 1.
-    """
 
-    def __init__(self, E_x, E_y, E, phi, A, s):
-        self.E_x = E_x
-        self.E_y = E_y
-        self.E = E
-        self.phi = phi
-        self.A = A
-        self.s = s
-
-    @property
-    def gamma(self):
-        return self.A * np.cos(self.phi)
-
-    @property
-    def delta(self):
-        return self.A * np.sin(self.phi)
-
-    def __repr__(self):
-        return (f"CombinedEigenstate(E={self.E:.6g}, phi={self.phi:.6g}, "
-                f"A={self.A:.6g}, s={self.s:.6g})")
-
-
-def combine_2d(E_x, E_y, s):
-    """Solve the 2D combination problem for given 1D energies.
-
-    Returns the E = +sqrt(E_x^2 + E_y^2) branch, with E_x = E cos 2phi and
-    E_y = E sin 2phi.  Errors out when the combination is non-normalizable
-    (1 + s sin 2phi <= 0).
+    Returns (E, gamma, delta) for the E = +sqrt(E_x^2 + E_y^2) branch,
+    with E_x = E cos 2phi and E_y = E sin 2phi.  Errors out when the
+    combination is non-normalizable (1 + s sin 2phi <= 0).
     """
     if E_x == 0.0 and E_y == 0.0:
         raise ValueError("(E_x, E_y) = (0, 0): the zero mode does not mix; "
@@ -419,28 +346,29 @@ def combine_2d(E_x, E_y, s):
         raise ValueError(f"s must be in [-1, 1], got {s}")
     E = float(np.hypot(E_x, E_y))
     two_phi = np.arctan2(E_y, E_x)
-    phi = 0.5 * two_phi
+    phi = float(0.5 * two_phi)
     denom = 1.0 + s * np.sin(two_phi)
     if denom <= 1e-12:
         raise ValueError(
             f"combination not normalizable: 1 + s*sin(2phi) = {denom:.3g} <= 0")
-    A = 1.0 / np.sqrt(denom)
-    return CombinedEigenstate(float(E_x), float(E_y), E, float(phi),
-                              float(A), float(s))
+    A = float(1.0 / np.sqrt(denom))
+    return E, A * np.cos(phi), A * np.sin(phi)
 
 
-def analytic_zero_mode_2d(params, lattice):
+def analytic_zero_mode_2d(beta, lattice):
     """The oscillator ground state, a closed-form 2D zero mode, sampled on
     the walk lattice: spinor (-1,1) (x) (-1,1) times
     exp(-beta (x^2+y^2) / 2).
 
-    Returns a normalized (L_x, L_y, 4) array; errors out when the tail at
-    the lattice boundary exceeds 1e-8.
+    Returns a normalized (L_x, L_y, 4) array; raises LatticeTooSmall when
+    the tail at the lattice boundary exceeds 1e-8.
     """
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
     xs = lattice.coords_x.astype(float)
     ys = lattice.coords_y.astype(float)
-    fx = np.exp(-params.beta * xs ** 2 / 2.0)
-    fy = np.exp(-params.beta * ys ** 2 / 2.0)
+    fx = np.exp(-beta * xs ** 2 / 2.0)
+    fy = np.exp(-beta * ys ** 2 / 2.0)
     spinor = np.kron([-1.0, 1.0], [-1.0, 1.0])   # tau (x) sigma = (+,-,-,+)
     psi = fx[:, None, None] * fy[None, :, None] * spinor[None, None, :]
     psi = psi.astype(complex)
@@ -449,8 +377,9 @@ def analytic_zero_mode_2d(params, lattice):
     tail = float(P[0, :].sum() + P[-1, :].sum()
                  + P[1:-1, 0].sum() + P[1:-1, -1].sum())
     if tail > 1e-8:
-        raise ValueError(f"zero-mode tail at the lattice boundary is "
-                         f"{tail:.3g} > 1e-8; enlarge the lattice")
+        raise LatticeTooSmall(f"L_x = {lattice.L_x}, L_y = {lattice.L_y} is "
+                              f"too small for the Gaussian zero mode: "
+                              f"boundary tail {tail:.3g} > 1e-8")
     return psi
 
 
@@ -487,13 +416,14 @@ def _axis_step(kinetic, mass, dt):
             @ _expm_factor(np.kron(*mass), dt))
 
 
-def trotter_error(mass, params, L, dt, t, dim=1, psi0=None):
+def trotter_error(mass, L, dt, t, dim=1, psi0=None):
     """Splitting error of the walk-style product formula at step size dt.
 
     Scales the walk to step dt (shift distance dt realized spectrally,
     coin angles m*dt), applies t/dt product steps to psi0 and compares with
     the exact propagator exp(-i H t) of the same lattice Hamiltonian.
-    Returns the 2-norm of the difference.
+    Returns the 2-norm of the difference.  psi0 defaults to a Gaussian of
+    width parameter BETA displaced two sites along x.
 
     dim=1 uses the two-factor product exp(-iK dt) exp(-iM dt); dim=2 the
     walk's four-factor order exp(-iK_y dt) exp(-iM_y dt) exp(-iK_x dt)
@@ -513,17 +443,17 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None):
     if dim == 1:
         from scipy.sparse.linalg import expm_multiply
 
-        H = build_dirac(1, mass, L)
-        s_x = _axis_step(*_dirac_terms(H.masses[0]), dt)
+        H, m = dirac_1d_factor(mass, L)
+        s_x = _axis_step(*_dirac_terms(m), dt)
 
         def step(psi):
             return s_x @ psi
 
         def exact(psi):
-            return expm_multiply(-1j * t * H.matrix, psi)
+            return expm_multiply(-1j * t * H, psi)
 
         if psi0 is None:
-            g = np.exp(-(coords(L) - 2.0) ** 2 * params.beta / 2.0)
+            g = np.exp(-(coords(L) - 2.0) ** 2 * BETA / 2.0)
             psi0 = np.kron(g, [1.0, 0.0]).astype(complex)
     elif dim == 2:
         h_x, h_y, m_x, m_y = dirac_2d_factors(mass, L)
@@ -545,8 +475,8 @@ def trotter_error(mass, params, L, dt, t, dim=1, psi0=None):
             return SquaredDirac2D(h_x, h_y).propagate(psi, t)
 
         if psi0 is None:
-            gx = np.exp(-(coords(L_x) - 2.0) ** 2 * params.beta / 2.0)
-            gy = np.exp(-coords(L_y) ** 2 * params.beta / 2.0)
+            gx = np.exp(-(coords(L_x) - 2.0) ** 2 * BETA / 2.0)
+            gy = np.exp(-coords(L_y) ** 2 * BETA / 2.0)
             psi0 = np.kron(np.kron(gx, gy), [1.0, 0.0, 0.0, 0.0]).astype(complex)
     else:
         raise ValueError(f"dim must be 1 or 2, got {dim}")

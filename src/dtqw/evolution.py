@@ -11,7 +11,7 @@ kick before the run.
 import numpy as np
 
 from . import lattice as lat
-from .continuum import OracleParams, analytic_zero_mode_2d
+from .continuum import BETA, analytic_zero_mode_2d
 
 
 class DynamicsSpec:
@@ -26,7 +26,7 @@ class DynamicsSpec:
     initial : 'gaussian' (default), (x, y, c) for a basis state, or an
         explicit (L_x, L_y, 4) array
     beta_over_eps : Gaussian width parameter beta (the velocity a/dt is
-        1; default pi/20, the value matching the linear coin slope b)
+        1; default BETA = pi/20, the value matching the linear coin slope b)
     shift : (dx, dy) whole-site displacement applied after preparation
     kick : (k_x, k_y) phase kick in radians/site
     refine_iters : power-refinement iterations toward the unit eigenstate
@@ -35,7 +35,7 @@ class DynamicsSpec:
     """
 
     def __init__(self, op, T_max, stride=1, initial="gaussian",
-                 beta_over_eps=np.pi / 20, shift=(0, 0), kick=(0.0, 0.0),
+                 beta_over_eps=BETA, shift=(0, 0), kick=(0.0, 0.0),
                  refine_iters=0, band_pass=None):
         if T_max < 1 or stride < 1:
             raise ValueError("T_max and stride must be >= 1")
@@ -102,8 +102,7 @@ def prepare_initial_state(spec):
     """Build, refine, displace, kick, and optionally band-filter."""
     op = spec.op
     if isinstance(spec.initial, str) and spec.initial == "gaussian":
-        params = OracleParams(beta=spec.beta_over_eps)
-        psi = analytic_zero_mode_2d(params, op.lattice)
+        psi = analytic_zero_mode_2d(spec.beta_over_eps, op.lattice)
     elif isinstance(spec.initial, (tuple, list)) and len(spec.initial) == 3:
         psi = lat.basis_state(op.lattice, *spec.initial)
     else:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig
-from .continuum import (OracleParams, SquaredDirac2D, apply_dirac_2d,
+from .continuum import (BETA, SquaredDirac2D, apply_dirac_2d,
                         build_dirac, combine_2d, dirac_2d_factors,
                         dirac_oscillator_eigenstate, analytic_zero_mode_2d,
                         jr_scattering, square_decomposition_check,
@@ -111,7 +111,7 @@ def dynamics_spec(cfg):
         T_max=cfg.get_int("T_max", 1000),
         stride=cfg.get_int("stride", 1),
         initial=cfg.initial_state_spec(),
-        beta_over_eps=cfg.get_float("beta_over_eps", np.pi / 20),
+        beta_over_eps=cfg.get_float("beta_over_eps", BETA),
         shift=(cfg.get_int("shift_x", 0), cfg.get_int("shift_y", 0)),
         kick=(cfg.get_float("kick_x", 0.0), cfg.get_float("kick_y", 0.0)),
         refine_iters=cfg.get_int("refine_iters", 0),
@@ -245,14 +245,14 @@ def _run_bands_sweep(cfg):
 
 
 def _oracle_report(L_big):
-    par = OracleParams()
-    rep = {"omega": par.omega}
+    omega = 2.0 * BETA
+    rep = {"omega": omega}
 
-    H1 = build_dirac(1, lambda x: par.beta * x, L_big)
-    ev1 = np.linalg.eigvalsh(H1.matrix)
+    H1 = build_dirac(1, lambda x: BETA * x, L_big)
+    ev1 = np.linalg.eigvalsh(H1)
     ladder = {}
     for n in (1, 2, 3):
-        t = np.sqrt(n * par.omega)
+        t = np.sqrt(n * omega)
         near = float(ev1[np.argmin(np.abs(ev1 - t))])
         ladder[str(n)] = {"target": t, "measured": near,
                           "rel_error": abs(near - t) / t}
@@ -261,24 +261,24 @@ def _oracle_report(L_big):
 
     L2 = 25   # wide enough that the analytic zero mode's tail clears 1e-8
     h_x, h_y, m_x, m_y = dirac_2d_factors(
-        (lambda x: par.beta * x, lambda y: par.beta * y), L2)
+        (lambda x: BETA * x, lambda y: BETA * y), L2)
     rep["squaring_residual"] = square_decomposition_check(h_x, h_y, m_x, m_y)
     sq = SquaredDirac2D(h_x, h_y)
     w2 = sq.energies()
-    cut = 0.25 * np.sqrt(par.omega)
+    cut = 0.25 * np.sqrt(omega)
     counts = {"0": int(np.sum(np.abs(w2) < cut))}
     for N in (1, 2, 3, 4):
-        t = np.sqrt(N * par.omega)
+        t = np.sqrt(N * omega)
         counts[str(N)] = {
             "plus": int(np.sum(np.abs(w2 - t) < 0.03 * t)),
             "minus": int(np.sum(np.abs(w2 + t) < 0.03 * t)),
         }
     rep["degeneracy_counts_2d"] = counts
 
-    z = dirac_oscillator_eigenstate(0, 0, par, L_big)
+    z = dirac_oscillator_eigenstate(0, 0, BETA, L_big)
     rep["zero_mode_residual_1d"] = float(
-        np.linalg.norm(H1.matrix @ z.reshape(-1)))
-    gz = analytic_zero_mode_2d(par, LatticeSpec(L2))
+        np.linalg.norm(H1 @ z.reshape(-1)))
+    gz = analytic_zero_mode_2d(BETA, LatticeSpec(L2))
     rep["zero_mode_residual_2d"] = float(
         np.linalg.norm(apply_dirac_2d(h_x, h_y, gz)))
     # overlap of the analytic zero mode with the numeric near-zero
@@ -290,19 +290,19 @@ def _oracle_report(L_big):
     rep["jr_flux_residual"] = float(abs(abs(B) ** 2 + abs(C) ** 2 - 1.0))
 
     L3 = 41
-    Hx = build_dirac(1, lambda x: par.beta * x, L3)
-    wx, Vx = np.linalg.eigh(Hx.matrix)
-    ix = int(np.argmin(np.abs(wx - np.sqrt(par.omega))))
-    iy = int(np.argmin(np.abs(wx - np.sqrt(2 * par.omega))))
+    Hx = build_dirac(1, lambda x: BETA * x, L3)
+    wx, Vx = np.linalg.eigh(Hx)
+    ix = int(np.argmin(np.abs(wx - np.sqrt(omega))))
+    iy = int(np.argmin(np.abs(wx - np.sqrt(2 * omega))))
     v = Vx[:, ix].reshape(L3, 2)
     flipped = v[:, ::-1]             # sigma^x on every site
     s = float(np.real(np.vdot(v, flipped)))
-    comb = combine_2d(wx[ix], wx[iy], s)
-    mix = comb.gamma * v + comb.delta * flipped
+    E, gamma, delta = combine_2d(wx[ix], wx[iy], s)
+    mix = gamma * v + delta * flipped
     Psi = np.einsum("xs,yt->xyts", mix, Vx[:, iy].reshape(L3, 2)).reshape(-1)
     # both axes carry the same linear mass, so Hx is each 1D factor
     rep["combine_2d_residual"] = float(np.linalg.norm(
-        apply_dirac_2d(Hx.matrix, Hx.matrix, Psi) - comb.E * Psi))
+        apply_dirac_2d(Hx, Hx, Psi) - E * Psi))
     return rep
 
 
@@ -313,13 +313,12 @@ def _run_oracle(cfg):
 
 
 def _run_trotter(cfg):
-    par = OracleParams()
     L = cfg.get_int("L_x")
-    mass = lambda x: par.beta * x   # noqa: E731
+    mass = lambda x: BETA * x   # noqa: E731
     tasks = [(1, dt) for dt in (0.5, 0.25, 0.125)] + \
             [(2, dt) for dt in (0.5, 0.25)]
     rows = [(dim, dt, trotter_error(mass if dim == 1 else (mass, mass),
-                                    par, L, dt, t=4.0, dim=dim))
+                                    L, dt, t=4.0, dim=dim))
             for dim, dt in tasks]
     ratios = {}
     for dim in (1, 2):

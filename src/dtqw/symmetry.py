@@ -62,22 +62,21 @@ def chiral_op():
 def check_hamiltonian_symmetry(H, op):
     """Max-norm residual of the defining relation of `op` on H.
 
-    H is a LatticeHamiltonian; the internal matrix part of `op` is extended
-    by the identity over the site factors.
+    H is a dense matrix such as build_dirac returns; the internal matrix
+    part of `op` is extended by the identity over the site factors.
     """
     n_int = op.matrix.shape[0]
-    n_sites, rem = divmod(H.size, n_int)
+    n_sites, rem = divmod(H.shape[0], n_int)
     if rem:
-        raise ValueError(f"H of size {H.size} is not compatible with a "
+        raise ValueError(f"H of size {H.shape[0]} is not compatible with a "
                          f"{n_int}-dimensional internal symmetry")
     W = np.kron(np.eye(n_sites), op.matrix)
-    M = H.matrix
     if op.kind == "time_reversal":
-        R = W @ M.conj() @ W.conj().T - M
+        R = W @ H.conj() @ W.conj().T - H
     elif op.kind == "particle_hole":
-        R = W @ M.conj() @ W.conj().T + M
+        R = W @ H.conj() @ W.conj().T + H
     else:
-        R = W @ M @ W.conj().T + M
+        R = W @ H @ W.conj().T + H
     return float(np.max(np.abs(R)))
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dtqw.continuum import OracleParams, trotter_error
+from dtqw.continuum import trotter_error
 from dtqw.evolution import prepare_initial_state
 from dtqw.lattice import LatticeSpec, position_moments, probability_map
 from dtqw.operators import StepOperator2D
@@ -272,11 +272,10 @@ def test_c10_continuum_oracle_battery():
 
 
 def test_c11_trotter_halving():
-    par = OracleParams()
     prof = LinearSaturated(np.pi / 20, 5, np.pi / 4)
-    e1d = [trotter_error(prof, par, 21, dt, t=4.0, dim=1)
+    e1d = [trotter_error(prof, 21, dt, t=4.0, dim=1)
            for dt in (0.5, 0.25, 0.125)]
-    e2d = [trotter_error((prof, prof), par, 21, dt, t=4.0, dim=2)
+    e2d = [trotter_error((prof, prof), 21, dt, t=4.0, dim=2)
            for dt in (0.5, 0.25)]
     ratios = [e1d[0] / e1d[1], e1d[1] / e1d[2], e2d[0] / e2d[1]]
     _report(11, "error halving ratios " +

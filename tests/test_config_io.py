@@ -7,7 +7,7 @@ import pytest
 from dtqw.config import ConfigError, ExperimentConfig, parse_config
 from dtqw.io import (format_number, read_csv, read_json, svg_polyline,
                      svg_scatter, write_csv, write_json)
-from dtqw.presets import run_preset
+from dtqw.presets import PRESETS, run_preset
 
 
 class TestConfig:
@@ -164,8 +164,18 @@ class TestPresetRuns:
         (["fig1", "--initial", "file:{tmp}/shape.npy"], "initial"),
         (["fig1", "--initial", "file:{tmp}/zero.npy"], "initial"),
         (["fig6", "--count", "100000"], "count"),
+        (["fig1", "--beta_over_eps", "0"], "beta_over_eps"),
+        (["fig1", "--beta_over_eps", "-pi/20"], "beta_over_eps"),
+        (["fig1", "--band_sigma", "0"], "band_sigma"),
+        (["fig1", "--band_sigma", "-2"], "band_sigma"),
+        (["fig1", "--beta_over_eps", "inf"], "beta_over_eps"),
+        (["fig1", "--band_sigma", "inf"], "band_sigma"),
+        (["fig1"], "L_x"),           # the Gaussian start overflows L = 9
+        (["oracleA"], "L_x"),        # so does the oscillator ground state
     ], ids=["site-past-edge", "negative-site", "missing-file", "wrong-shape",
-            "zero-state", "count-past-n"])
+            "zero-state", "count-past-n", "zero-beta", "negative-beta",
+            "zero-sigma", "negative-sigma", "infinite-beta", "infinite-sigma",
+            "gaussian-past-edge", "oscillator-past-edge"])
     def test_cli_value_the_pipeline_cannot_honour_exits_2(
             self, argv, key, tmp_path, capsys):
         from dtqw.cli import main
@@ -174,8 +184,19 @@ class TestPresetRuns:
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert main(argv + ["--L", "9", "--outdir", str(tmp_path / "c")]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {key} " in err
+        # the pipeline's own message starts with the key; a value refused
+        # at parse time is reported as "bad value ... for key '<key>';"
+        assert (f"config error: {key} " in err
+                or "config error: bad value" in err
+                and f"for key '{key}';" in err)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_every_preset_runs_or_refuses_at_toy_size(
+            self, name, tmp_path, capsys):
+        from dtqw.cli import main
+        assert main([name, "--L", "9", "--outdir", str(tmp_path)]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_initial_state_inside_the_lattice_is_accepted(self, tmp_path):
         cfg = ExperimentConfig({"L_x": "9", "L_y": "7",

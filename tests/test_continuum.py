@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dtqw.continuum import (LatticeHamiltonian, OracleParams,
-                            SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
+from dtqw import continuum
+from dtqw.continuum import (BETA, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             SquaredDirac2D,
                             analytic_zero_mode_2d, apply_dirac_2d,
                             build_dirac, combine_2d, dirac_2d_factors,
@@ -16,7 +16,7 @@ from dtqw.lattice import LD, RD, LatticeSpec
 from dtqw.operators import StepOperator2D
 from dtqw.profiles import Constant, LinearSaturated
 
-PAR = OracleParams()
+OMEGA = 2 * BETA
 
 
 class TestMomentumMatrix:
@@ -61,15 +61,15 @@ class TestWalkFactorIdentity:
 class TestHermiteLadder:
     def test_hermite_states_orthonormal(self):
         L = 101
-        V = np.stack([hermite_state(n, PAR, L) for n in range(6)], axis=1)
+        V = np.stack([hermite_state(n, BETA, L) for n in range(6)], axis=1)
         assert np.allclose(V.T @ V, np.eye(6), atol=1e-10)
 
     def test_oscillator_ladder(self):
-        H = build_dirac(1, lambda x: PAR.beta * x, 101)
-        ev = np.linalg.eigvalsh(H.matrix)
+        H = build_dirac(1, lambda x: BETA * x, 101)
+        ev = np.linalg.eigvalsh(H)
         assert np.min(np.abs(ev)) < 1e-12
         for n in (1, 2, 3):
-            target = np.sqrt(n * PAR.omega)
+            target = np.sqrt(n * OMEGA)
             nearest = ev[np.argmin(np.abs(ev - target))]
             assert nearest == pytest.approx(target, rel=1e-10)
 
@@ -77,22 +77,37 @@ class TestHermiteLadder:
                                         (3, "-")])
     def test_analytic_eigenstates(self, n, sign):
         L = 101
-        H = build_dirac(1, lambda x: PAR.beta * x, L)
-        psi = dirac_oscillator_eigenstate(n, sign, PAR, L).reshape(-1)
-        E = (1 if sign == "+" else -1) * np.sqrt(n * PAR.omega)
-        resid = np.linalg.norm(H.matrix @ psi - E * psi)
+        H = build_dirac(1, lambda x: BETA * x, L)
+        psi = dirac_oscillator_eigenstate(n, sign, BETA, L).reshape(-1)
+        E = (1 if sign == "+" else -1) * np.sqrt(n * OMEGA)
+        resid = np.linalg.norm(H @ psi - E * psi)
         assert resid < 0.02 * abs(E)
 
     def test_plus_minus_orthogonal(self):
-        plus = dirac_oscillator_eigenstate(2, "+", PAR, 101).reshape(-1)
-        minus = dirac_oscillator_eigenstate(2, "-", PAR, 101).reshape(-1)
+        plus = dirac_oscillator_eigenstate(2, "+", BETA, 101).reshape(-1)
+        minus = dirac_oscillator_eigenstate(2, "-", BETA, 101).reshape(-1)
         assert abs(np.vdot(plus, minus)) < 1e-12
 
     def test_zero_mode(self):
         L = 101
-        H = build_dirac(1, lambda x: PAR.beta * x, L)
-        z = dirac_oscillator_eigenstate(0, 0, PAR, L).reshape(-1)
-        assert np.linalg.norm(H.matrix @ z) < 1e-6
+        H = build_dirac(1, lambda x: BETA * x, L)
+        z = dirac_oscillator_eigenstate(0, 0, BETA, L).reshape(-1)
+        assert np.linalg.norm(H @ z) < 1e-6
+
+    @pytest.mark.parametrize("beta", [0.0, -BETA, float("nan")])
+    def test_non_positive_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            hermite_state(0, beta, 101)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            analytic_zero_mode_2d(beta, LatticeSpec(41))
+
+    def test_tail_checks_raise_lattice_too_small(self):
+        with pytest.raises(continuum.LatticeTooSmall, match="L_x = 19 "):
+            hermite_state(0, BETA, 19)
+        hermite_state(0, BETA, 21)
+        with pytest.raises(continuum.LatticeTooSmall, match="L_y = 21 "):
+            analytic_zero_mode_2d(BETA, LatticeSpec(21))
+        analytic_zero_mode_2d(BETA, LatticeSpec(23))
 
 
 def _schroedinger_1d(m):
@@ -102,16 +117,16 @@ def _schroedinger_1d(m):
             + 1j * np.kron(p @ np.diag(m) - np.diag(m) @ p, SIGMA_X))
 
 
-def _dense_square_residual(H):
+def _dense_square_residual(H, m_x, m_y):
     """max |H^2 - (H_Sx (x) tau^0 + sigma^0 (x) H_Sy)| with the full
     matrix: the unflipped sum is np.kron on (x, sigma, y, tau), permuted
     into the (x, y, tau, sigma) layout."""
-    L_x, L_y = H.dims
-    h_x2, h_y2 = map(_schroedinger_1d, H.masses)
+    L_x, L_y = len(m_x), len(m_y)
+    h_x2, h_y2 = _schroedinger_1d(m_x), _schroedinger_1d(m_y)
     s = (np.kron(h_x2, np.eye(2 * L_y)) + np.kron(np.eye(2 * L_x), h_y2))
     perm = (0, 2, 3, 1, 4, 6, 7, 5)
     s = s.reshape((L_x, 2, L_y, 2) * 2).transpose(perm).reshape(s.shape)
-    return float(np.max(np.abs(H.matrix @ H.matrix - s)))
+    return float(np.max(np.abs(H @ H - s)))
 
 
 class TestSquaring:
@@ -119,11 +134,12 @@ class TestSquaring:
 
     @staticmethod
     def both_routes(masses, L):
-        return (square_decomposition_check(*dirac_2d_factors(masses, L)),
-                _dense_square_residual(build_dirac(2, masses, L)))
+        _, _, m_x, m_y = factors = dirac_2d_factors(masses, L)
+        return (square_decomposition_check(*factors),
+                _dense_square_residual(build_dirac(2, masses, L), m_x, m_y))
 
     def test_oscillator_squares_to_schroedinger_pair(self):
-        masses = (lambda x: PAR.beta * x, lambda y: PAR.beta * y)
+        masses = (lambda x: BETA * x, lambda y: BETA * y)
         assert max(self.both_routes(masses, 15)) < 1e-10
 
     def test_zero_mass_squares_to_laplacian(self):
@@ -137,27 +153,30 @@ class TestSquaring:
         # eps sigma^x anticommutes with h_x, so it moves the 1D squares
         # only by eps^2 = 1e-8, below the 1e-6 threshold, but it breaks
         # {h_x, sigma^x} = 0 by 2 eps: only the cross term sees it
-        masses = (lambda x: PAR.beta * x, lambda y: PAR.beta * y)
+        masses = (lambda x: BETA * x, lambda y: BETA * y)
         L, eps = 9, 1e-4
         h_x, h_y, m_x, m_y = dirac_2d_factors(masses, L)
         bent = h_x + eps * np.kron(np.eye(L), SIGMA_X)   # stays Hermitian
         assert np.max(np.abs(bent @ bent - h_x @ h_x)) < 1e-6
         assert square_decomposition_check(bent, h_y, m_x, m_y) > 1e-6
         H = build_dirac(2, masses, L)
-        H.matrix += eps * np.kron(np.eye(2 * L * L), SIGMA_X)
-        assert _dense_square_residual(H) > 1e-6
+        H += eps * np.kron(np.eye(2 * L * L), SIGMA_X)
+        assert _dense_square_residual(H, m_x, m_y) > 1e-6
 
 
-class TestLatticeHamiltonian:
-    def test_rejects_asymmetry_past_first_row_block(self):
-        # both (700, 650) and its mirror sit beyond the first row block
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(900, 900)) + 1j * rng.normal(size=(900, 900))
-        M = A + A.conj().T
-        LatticeHamiltonian(M.copy(), (225,), [])
-        M[700, 650] += 1e-6
+class TestBuildDirac:
+    @pytest.mark.parametrize("dim,masses", [
+        (1, lambda x: BETA * x), (2, (lambda x: BETA * x, 0.0))],
+        ids=["1d", "2d"])
+    def test_rejects_a_bent_factor(self, dim, masses, monkeypatch):
+        H = build_dirac(dim, masses, 9)
+        assert isinstance(H, np.ndarray)
+        assert H.shape == (2 * dim * 9 ** dim,) * 2
+        bent = momentum_matrix(9)
+        bent[6, 2] += 1e-6
+        monkeypatch.setattr(continuum, "momentum_matrix", lambda L: bent)
         with pytest.raises(ValueError, match="not Hermitian"):
-            LatticeHamiltonian(M, (225,), [])
+            build_dirac(dim, masses, 9)
 
 
 class TestFactoredRoutes:
@@ -167,20 +186,21 @@ class TestFactoredRoutes:
     wall = staticmethod(lambda x: 0.5 if abs(x) <= 2 else -0.5)
 
     def test_matrix_free_product_matches_dense(self):
-        masses = (self.wall, lambda y: PAR.beta * y)
+        masses = (self.wall, lambda y: BETA * y)
         H = build_dirac(2, masses, 7, 9)
         h_x, h_y, _, _ = dirac_2d_factors(masses, 7, 9)
         rng = np.random.default_rng(5)
-        psi = rng.normal(size=H.size) + 1j * rng.normal(size=H.size)
+        n = H.shape[0]
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert np.max(np.abs(apply_dirac_2d(h_x, h_y, psi)
-                             - H.matrix @ psi)) <= 1e-12
+                             - H @ psi)) <= 1e-12
 
     @pytest.mark.parametrize("dt", [0.5, 0.25])
     def test_factored_trotter_matches_dense_product(self, dt):
         L, t = 7, 2.0
-        masses = (self.wall, lambda y: PAR.beta * y)
+        masses = (self.wall, lambda y: BETA * y)
         H = build_dirac(2, masses, L)
-        m_x, m_y = H.masses
+        _, _, m_x, m_y = dirac_2d_factors(masses, L)
         p, eye = momentum_matrix(L), np.eye(L)
 
         def kron(*factors):
@@ -191,15 +211,15 @@ class TestFactoredRoutes:
         K_y = -kron(eye, p, SIGMA_Z, SIGMA_X)
         M_y = kron(eye, np.diag(m_y), SIGMA_Y, SIGMA_X)
         # the direct 2D assembly is the sum of the four terms
-        assert np.max(np.abs(H.matrix - (K_x + M_x + K_y + M_y))) <= 1e-13
+        assert np.max(np.abs(H - (K_x + M_x + K_y + M_y))) <= 1e-13
         step = (expm(-1j * dt * K_y) @ expm(-1j * dt * M_y)
                 @ expm(-1j * dt * K_x) @ expm(-1j * dt * M_x))
         rng = np.random.default_rng(9)
-        psi0 = rng.normal(size=H.size) + 1j * rng.normal(size=H.size)
+        psi0 = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
         psi0 /= np.linalg.norm(psi0)
         psi = np.linalg.matrix_power(step, int(round(t / dt))) @ psi0
-        dense = np.linalg.norm(psi - expm(-1j * t * H.matrix) @ psi0)
-        factored = trotter_error(masses, PAR, L, dt, t, dim=2, psi0=psi0)
+        dense = np.linalg.norm(psi - expm(-1j * t * H) @ psi0)
+        factored = trotter_error(masses, L, dt, t, dim=2, psi0=psi0)
         assert abs(factored - dense) <= 1e-12 * dense
 
 
@@ -212,9 +232,9 @@ class TestKroneckerSquare:
 
     wall = staticmethod(lambda x: 0.5 if abs(x) <= 2 else -0.5)
     cases = pytest.mark.parametrize("masses,L_x,L_y", [
-        ((wall, lambda y: PAR.beta * y), 7, 9),
+        ((wall, lambda y: BETA * y), 7, 9),
         ((0.0, 0.0), 7, 9),
-        ((lambda x: PAR.beta * x, wall), 9, 7)],
+        ((lambda x: BETA * x, wall), 9, 7)],
         ids=["wall_x_linear_y", "massless", "linear_x_wall_y"])
 
     @staticmethod
@@ -226,13 +246,13 @@ class TestKroneckerSquare:
     def test_spectrum_matches_dense(self, masses, L_x, L_y):
         sq, H = self.routes(masses, L_x, L_y)
         assert np.max(np.abs(sq.energies()
-                             - np.linalg.eigvalsh(H.matrix))) <= 1e-12
+                             - np.linalg.eigvalsh(H))) <= 1e-12
 
     @cases
     def test_low_projector_matches_dense(self, masses, L_x, L_y):
         cut = 0.4
         sq, H = self.routes(masses, L_x, L_y)
-        w, W = np.linalg.eigh(H.matrix)
+        w, W = np.linalg.eigh(H)
         # the cut sits inside a gap, so both subspaces are well defined
         assert np.min(np.abs(np.abs(w) - cut)) > 0.1
         near = W[:, np.abs(w) < cut]
@@ -256,17 +276,17 @@ class TestKroneckerSquare:
         if masses == (0.0, 0.0):
             assert np.min(sq.lam) < 1e-28
         rng = np.random.default_rng(11)
-        psi0 = rng.normal(size=H.size) + 1j * rng.normal(size=H.size)
+        psi0 = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
         psi0 /= np.linalg.norm(psi0)
         assert np.linalg.norm(sq.propagate(psi0, t) - expm_multiply(
-            -1j * t * H.matrix, psi0)) <= 1e-13
+            -1j * t * H, psi0)) <= 1e-13
 
 
 class TestNoDense2DMatrix:
     def test_oracle_and_trotter_use_only_factors(self, monkeypatch):
         import scipy.sparse.linalg
 
-        from dtqw import continuum, presets
+        from dtqw import presets
 
         def one_d_only(dim, *args, **kw):
             assert dim == 1, "a dense 2D Dirac matrix was built"
@@ -280,50 +300,57 @@ class TestNoDense2DMatrix:
         monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
         rep = presets._oracle_report(41)
         assert rep["degeneracy_counts_2d"]["0"] == 4
-        mass = lambda x: PAR.beta * x   # noqa: E731
-        assert trotter_error((mass, mass), PAR, 9, 0.5, 2.0, dim=2) > 0
+        mass = lambda x: BETA * x   # noqa: E731
+        assert trotter_error((mass, mass), 9, 0.5, 2.0, dim=2) > 0
 
 
 class TestCombine2D:
     def test_three_four_five(self):
-        c = combine_2d(3.0, 4.0, 0.0)
-        assert c.E == pytest.approx(5.0)
-        assert c.gamma ** 2 + c.delta ** 2 == pytest.approx(1.0)
+        E, gamma, delta = combine_2d(3.0, 4.0, 0.0)
+        assert E == pytest.approx(5.0)
+        assert gamma ** 2 + delta ** 2 == pytest.approx(1.0)
 
     def test_projections_recover_inputs(self):
+        # (gamma, delta) = A (cos phi, sin phi) with A^2 (1 + s sin 2phi) = 1
         for s in (0.0, 0.5, -0.3):
-            c = combine_2d(1.2, -0.7, s)
-            assert c.E * np.cos(2 * c.phi) == pytest.approx(1.2)
-            assert c.E * np.sin(2 * c.phi) == pytest.approx(-0.7)
+            E, gamma, delta = combine_2d(1.2, -0.7, s)
+            A2 = gamma ** 2 + delta ** 2
+            cos2, sin2 = (gamma ** 2 - delta ** 2) / A2, 2 * gamma * delta / A2
+            assert E * cos2 == pytest.approx(1.2)
+            assert E * sin2 == pytest.approx(-0.7)
+            assert A2 * (1 + s * sin2) == pytest.approx(1.0)
 
     def test_double_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not mix"):
             combine_2d(0.0, 0.0, 0.0)
+
+    def test_non_normalizable_rejected(self):
+        # E_x = 0 puts 2phi at pi/2, so 1 + s sin 2phi = 0 at s = -1
+        with pytest.raises(ValueError, match="not normalizable"):
+            combine_2d(0.0, 1.0, -1.0)
 
     def test_constructed_2d_eigenstate(self):
         # build Psi = (gamma + delta sigma^x) psi_x (x) psi_y from 1D
         # numerics and verify it solves the 2D problem
         L = 31
-        Hx = build_dirac(1, lambda x: PAR.beta * x, L)
-        w, V = np.linalg.eigh(Hx.matrix)
-        ix = int(np.argmin(np.abs(w - np.sqrt(PAR.omega))))
-        iy = int(np.argmin(np.abs(w - np.sqrt(2 * PAR.omega))))
+        Hx = build_dirac(1, lambda x: BETA * x, L)
+        w, V = np.linalg.eigh(Hx)
+        ix = int(np.argmin(np.abs(w - np.sqrt(OMEGA))))
+        iy = int(np.argmin(np.abs(w - np.sqrt(2 * OMEGA))))
         sx = np.kron(np.eye(L), SIGMA_X)
         s = float(np.real(np.vdot(V[:, ix], sx @ V[:, ix])))
-        c = combine_2d(w[ix], w[iy], s)
-        mix = (c.gamma * V[:, ix].reshape(L, 2)
-               + c.delta * (sx @ V[:, ix]).reshape(L, 2))
+        E, gamma, delta = combine_2d(w[ix], w[iy], s)
+        mix = (gamma * V[:, ix].reshape(L, 2)
+               + delta * (sx @ V[:, ix]).reshape(L, 2))
         Psi = np.einsum("xs,yt->xyts", mix,
                         V[:, iy].reshape(L, 2)).reshape(-1)
-        H2 = build_dirac(2, (lambda x: PAR.beta * x, lambda y: PAR.beta * y),
-                         L)
-        assert np.linalg.norm(H2.matrix @ Psi - c.E * Psi) < 1e-6
+        H2 = build_dirac(2, (lambda x: BETA * x, lambda y: BETA * y), L)
+        assert np.linalg.norm(H2 @ Psi - E * Psi) < 1e-6
 
     def test_analytic_zero_mode_solves_2d(self):
-        H2 = build_dirac(2, (lambda x: PAR.beta * x, lambda y: PAR.beta * y),
-                         25)
-        gz = analytic_zero_mode_2d(PAR, LatticeSpec(25))
-        assert np.linalg.norm(H2.matrix @ gz.reshape(-1)) < 1e-5
+        H2 = build_dirac(2, (lambda x: BETA * x, lambda y: BETA * y), 25)
+        gz = analytic_zero_mode_2d(BETA, LatticeSpec(25))
+        assert np.linalg.norm(H2 @ gz.reshape(-1)) < 1e-5
 
 
 class TestJackiwRebbi:
@@ -336,6 +363,6 @@ class TestJackiwRebbi:
 class TestTrotter:
     def test_error_halves_with_dt_1d(self):
         prof = LinearSaturated(np.pi / 20, 5, np.pi / 4)
-        e1 = trotter_error(prof, PAR, 21, 0.5, t=4.0, dim=1)
-        e2 = trotter_error(prof, PAR, 21, 0.25, t=4.0, dim=1)
+        e1 = trotter_error(prof, 21, 0.5, t=4.0, dim=1)
+        e2 = trotter_error(prof, 21, 0.25, t=4.0, dim=1)
         assert e1 / e2 == pytest.approx(2.0, abs=0.3)

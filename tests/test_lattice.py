@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dtqw.continuum import analytic_zero_mode_2d, OracleParams
+from dtqw.continuum import BETA, analytic_zero_mode_2d
 from dtqw.lattice import (LatticeSpec, apply_phase_kick, basis_state,
                           normalize, position_moments, probability_map,
                           translate)
@@ -35,7 +35,7 @@ class TestStates:
     def test_gaussian_moments(self):
         lat = LatticeSpec(41)
         beta = np.pi / 20
-        psi = analytic_zero_mode_2d(OracleParams(beta=beta), lat)
+        psi = analytic_zero_mode_2d(beta, lat)
         mx, my, sx, sy = position_moments(psi, lat)
         assert abs(mx) < 1e-12 and abs(my) < 1e-12
         # |psi|^2 ~ exp(-beta x^2): sigma = sqrt(1 / (2 beta))
@@ -50,7 +50,7 @@ class TestStates:
 
     def test_phase_kick_preserves_probabilities(self):
         lat = LatticeSpec(25)
-        psi = analytic_zero_mode_2d(OracleParams(), lat)
+        psi = analytic_zero_mode_2d(BETA, lat)
         kicked = apply_phase_kick(psi, 0.3, -0.7, lat)
         assert np.allclose(probability_map(kicked), probability_map(psi))
         assert not np.allclose(kicked, psi)
