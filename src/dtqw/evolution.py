@@ -83,15 +83,17 @@ def band_filter(op, psi, center, sigma_t, passes=1):
     if sigma_t <= 0:
         raise ValueError("sigma_t must be positive")
     half_span = int(np.ceil(3 * sigma_t))
+    # for sigma_t << 1 the weights past t = 0 overflow to exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        weights = np.exp(-0.5 * (np.arange(1, half_span + 1) / sigma_t) ** 2)
     out = np.asarray(psi, dtype=complex)
     for _ in range(int(passes)):
         acc = out.copy()
         fwd = out.copy()
         bwd = out.copy()
-        for t in range(1, half_span + 1):
+        for t, w in enumerate(weights, start=1):
             fwd = op.apply(fwd)
             bwd = op.apply_adjoint(bwd)
-            w = np.exp(-0.5 * (t / sigma_t) ** 2)
             ph = np.exp(1j * center * t)
             acc += w * (ph * fwd + np.conj(ph) * bwd)
         out = lat.normalize(acc)

@@ -83,20 +83,15 @@ def normalize(state):
     return state / n
 
 
-def check_normalized(state):
-    n = np.linalg.norm(state)
-    if abs(n - 1.0) > NORM_TOL_INPUT:
-        raise ValueError(
-            f"state norm {n:.12g} deviates from 1 by more than "
-            f"{NORM_TOL_INPUT:g}; normalize before calling")
-
-
 def probability_map(state):
     """Site probability P(x, y) = sum_c |psi(x, y, c)|^2.
 
-    Sums to the squared norm of the state.
+    Sums to the squared norm of the state.  The four component planes are
+    added in order: the same bits as ``sum(axis=2)``, without the cost of
+    a reduction over a length-4 axis.
     """
-    return np.sum(np.abs(state) ** 2, axis=2)
+    sq = np.abs(state) ** 2
+    return sq[..., LD] + sq[..., RD] + sq[..., LU] + sq[..., RU]
 
 
 def position_moments(state, lattice):
@@ -112,8 +107,12 @@ def position_moments(state, lattice):
     -------
     (mean_x, mean_y, std_x, std_y) : tuple of floats, site units
     """
-    check_normalized(state)
     P = probability_map(state)
+    n = np.sqrt(P.sum())
+    if abs(n - 1.0) > NORM_TOL_INPUT:
+        raise ValueError(
+            f"state norm {n:.12g} deviates from 1 by more than "
+            f"{NORM_TOL_INPUT:g}; normalize before calling")
     px = P.sum(axis=1)          # marginal over y
     py = P.sum(axis=0)
     xs = lattice.coords_x

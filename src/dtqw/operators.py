@@ -30,11 +30,19 @@ the one description of the four factors from which `spectral` derives the
 sparse, momentum-block and Bloch forms of U.  The matrix-free kernel here
 and `walk_matrix_dense` (which probes that kernel) are written out
 independently, so the derived forms can be tested against them.
+
+The matrix-free kernel (`StepOperator2D.apply` / `apply_adjoint`) takes
+and returns states in the public (L_x, L_y, 4) layout of `lattice`.
+Inside, it works on the component-major (4, L_x, L_y) view, so each
+component is one (L_x, L_y) plane: the coins pair planes, and both shifts
+are slice copies with the periodic wrap done as a one-row or one-column
+copy.  Every factor writes into a workspace that the operator allocates
+once, and only the returned state is a new array.
 """
 
 import numpy as np
 
-from .lattice import LD, RD, LU, RU, allocate_state
+from .lattice import N_COMP, allocate_state
 
 # The walk factors in the fixed (LD, RD, LU, RU) order:
 # C_axis(theta) = cos(theta) 1 + sin(theta) COIN_GENERATORS[axis];
@@ -63,55 +71,24 @@ def coin_matrix(axis, theta):
     return np.cos(theta) * np.eye(4) + np.sin(theta) * COIN_GENERATORS[axis]
 
 
-def _apply_coin_x(state, c, s):
-    # c, s have shape (L_x, 1); state (L_x, L_y, 4)
-    out = np.empty_like(state)
-    out[:, :, LD] = c * state[:, :, LD] - s * state[:, :, RD]
-    out[:, :, RD] = s * state[:, :, LD] + c * state[:, :, RD]
-    out[:, :, LU] = c * state[:, :, LU] - s * state[:, :, RU]
-    out[:, :, RU] = s * state[:, :, LU] + c * state[:, :, RU]
-    return out
-
-
-def _apply_coin_y(state, c, s):
-    # c, s have shape (1, L_y)
-    out = np.empty_like(state)
-    out[:, :, LD] = c * state[:, :, LD] - s * state[:, :, RU]
-    out[:, :, RD] = c * state[:, :, RD] - s * state[:, :, LU]
-    out[:, :, LU] = s * state[:, :, RD] + c * state[:, :, LU]
-    out[:, :, RU] = s * state[:, :, LD] + c * state[:, :, RU]
-    return out
-
-
-def _apply_shift_x(state, sign=+1):
-    # sign=+1: the forward shift; sign=-1: its adjoint (directions swapped)
-    out = np.empty_like(state)
-    out[:, :, LD] = np.roll(state[:, :, LD], -sign, axis=0)
-    out[:, :, LU] = np.roll(state[:, :, LU], -sign, axis=0)
-    out[:, :, RD] = np.roll(state[:, :, RD], sign, axis=0)
-    out[:, :, RU] = np.roll(state[:, :, RU], sign, axis=0)
-    return out
-
-
-def _apply_shift_y(state, sign=+1):
-    up = np.roll(state, -1, axis=1)    # f(y+1)
-    down = np.roll(state, 1, axis=1)   # f(y-1)
-    P = 0.5 * (up + down)
-    Q = 0.5 * sign * (up - down)       # adjoint flips the sign of Q
-    out = np.empty_like(state)
-    out[:, :, LD] = P[:, :, LD] + Q[:, :, RD]
-    out[:, :, RD] = Q[:, :, LD] + P[:, :, RD]
-    out[:, :, LU] = P[:, :, LU] - Q[:, :, RU]
-    out[:, :, RU] = -Q[:, :, LU] + P[:, :, RU]
-    return out
+# the component pairs each coin rotates, as (first, second) slices of the
+# component axis: C_x on (LD, RD) and (LU, RU), C_y on (LD, RU) and (RD, LU)
+_COIN_PAIRS = {"C_x": (slice(0, 4, 2), slice(1, 4, 2)),
+               "C_y": (slice(0, 2), slice(3, 1, -1))}
+_FACTORS = ("C_x", "S_x", "C_y", "S_y")    # U applies them left to right
+_MOVERS = (slice(0, 4, 2), slice(1, 4, 2))  # (LD, LU) and (RD, RU)
 
 
 class StepOperator2D:
     """The one-step walk unitary U = S_y C_y S_x C_x for given angle profiles.
 
-    Coins are evaluated lazily per site from the profiles (matrix-free
-    application, O(N) per step).  The operator is immutable after
-    construction.
+    The coin angles are tabulated once per site from the profiles, and
+    `apply` / `apply_adjoint` act matrix-free, O(N) per step.  Both take
+    and return states in the public (L_x, L_y, 4) layout.  Internally the
+    kernel works component-major, on (4, L_x, L_y) planes held in a
+    workspace the constructor allocates once; each call returns a fresh
+    array.  Because calls share that workspace, one operator must not be
+    applied from two threads at once.
     """
 
     def __init__(self, lattice, profile_x, profile_y):
@@ -120,33 +97,68 @@ class StepOperator2D:
         self.profile_y = profile_y
         tx = profile_x.table(lattice.half_x)
         ty = profile_y.table(lattice.half_y)
-        self._cx = np.cos(tx)[:, None]
-        self._sx = np.sin(tx)[:, None]
-        self._cy = np.cos(ty)[None, :]
-        self._sy = np.sin(ty)[None, :]
+        # (cos, sin) of each coin, shaped to broadcast over (L_x, L_y)
+        self._coins = {"C_x": (np.cos(tx)[:, None], np.sin(tx)[:, None]),
+                       "C_y": (np.cos(ty)[None, :], np.sin(ty)[None, :])}
+        planes = (lattice.L_x, lattice.L_y)
+        self._work = np.empty((2, N_COMP) + planes, dtype=complex)
+        self._q = np.empty((N_COMP,) + planes, dtype=complex)
+        self._t = np.empty((2,) + planes, dtype=complex)
 
-    def _check(self, state):
+    def _step(self, state, sign):
+        """U (sign = +1) or U^T = U^dag (sign = -1) applied to `state`.
+
+        The adjoint runs the factors in reverse order, each transposed:
+        -s in the coins, the shift directions swapped, -Q in S_y.  Each
+        factor reads `src` and writes the next workspace plane set.
+        """
         if state.shape != self.lattice.shape:
             raise ValueError(f"state shape {state.shape} does not match "
                              f"lattice {self.lattice!r}")
+        t, q = self._t, self._q
+        src = state.transpose(2, 0, 1)      # a view; the input is not written
+        for i, factor in enumerate(_FACTORS[::sign]):
+            dst = self._work[i % 2]
+            if factor in _COIN_PAIRS:
+                # each pair (a, b) -> (c a - s b, s a + c b)
+                a, b = _COIN_PAIRS[factor]
+                c, s = self._coins[factor]
+                s = sign * s
+                np.multiply(c, src[a], out=dst[a])
+                np.multiply(s, src[b], out=t)
+                np.subtract(dst[a], t, out=dst[a])
+                np.multiply(s, src[a], out=dst[b])
+                np.multiply(c, src[b], out=t)
+                np.add(dst[b], t, out=dst[b])
+            elif factor == "S_x":
+                # `ahead` takes f(x + 1), `behind` f(x - 1): the L movers
+                # step toward -x, and the adjoint swaps the roles
+                ahead, behind = _MOVERS[::sign]
+                dst[ahead, :-1] = src[ahead, 1:]
+                dst[ahead, -1] = src[ahead, 0]
+                dst[behind, 1:] = src[behind, :-1]
+                dst[behind, 0] = src[behind, -1]
+            else:
+                # P = (f(y+1) + f(y-1))/2 into dst, Q = +-(f(y+1) - f(y-1))/2
+                for out, combine in ((dst, np.add), (q, np.subtract)):
+                    combine(src[..., 2:], src[..., :-2], out=out[..., 1:-1])
+                    combine(src[..., 1], src[..., -1], out=out[..., 0])
+                    combine(src[..., 0], src[..., -2], out=out[..., -1])
+                np.multiply(0.5, dst, out=dst)
+                np.multiply(0.5 * sign, q, out=q)
+                # (LD, RD) += Q (RD, LD);  (LU, RU) -= Q (RU, LU)
+                np.add(dst[0:2], q[1::-1], out=dst[0:2])
+                np.subtract(dst[2:4], q[3:1:-1], out=dst[2:4])
+            src = dst
+        return src.transpose(1, 2, 0).copy()
 
     def apply(self, state):
         """One walk step: S_y C_y S_x C_x |psi>."""
-        self._check(state)
-        psi = _apply_coin_x(state, self._cx, self._sx)
-        psi = _apply_shift_x(psi)
-        psi = _apply_coin_y(psi, self._cy, self._sy)
-        psi = _apply_shift_y(psi)
-        return psi
+        return self._step(state, +1)
 
     def apply_adjoint(self, state):
         """One inverse step: C_x^T S_x^T C_y^T S_y^T |psi>."""
-        self._check(state)
-        psi = _apply_shift_y(state, sign=-1)
-        psi = _apply_coin_y(psi, self._cy, -self._sy)
-        psi = _apply_shift_x(psi, sign=-1)
-        psi = _apply_coin_x(psi, self._cx, -self._sx)
-        return psi
+        return self._step(state, -1)
 
     def __repr__(self):
         return (f"StepOperator2D({self.lattice!r}, "

@@ -155,7 +155,10 @@ class TestPresetRuns:
         assert main(["bandsB1", "--outdir", str(tmp_path / "c")]) == 0
         assert main(["nosuch"]) == 2
         assert main(["run", "--theta-x", "pi/banana"]) == 2
-        capsys.readouterr()
+        # a tiny positive window runs: its weights past t = 0 vanish
+        assert main(["fig1", "--L", "23", "--T_max", "5", "--band_sigma",
+                     "1e-300", "--outdir", str(tmp_path / "s")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,key", [
         (["fig1", "--initial", "basis:99:0:0"], "initial"),

@@ -59,3 +59,20 @@ class TestStates:
         lat = LatticeSpec(5)
         with pytest.raises(ValueError):
             normalize(np.zeros(lat.shape, dtype=complex))
+
+
+class TestMoments:
+    def test_norm_check_from_the_probability_pass(self):
+        lat = LatticeSpec(25)
+        psi = analytic_zero_mode_2d(BETA, lat)
+        position_moments(psi * (1 + 5e-7), lat)
+        with pytest.raises(ValueError, match="deviates from 1"):
+            position_moments(psi * (1 + 2e-6), lat)
+
+    def test_probability_map_of_non_contiguous_state(self):
+        rng = np.random.Generator(np.random.PCG64(2))
+        wide = rng.normal(size=(7, 10, 4)) + 1j * rng.normal(size=(7, 10, 4))
+        for psi in (wide[:, ::2], np.asfortranarray(wide), wide[::-1]):
+            assert not psi.flags.c_contiguous
+            ref = np.sum(np.abs(psi) ** 2, axis=2)
+            assert probability_map(psi).tobytes() == ref.tobytes()

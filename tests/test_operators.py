@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from dtqw.lattice import LatticeSpec, basis_state
-from dtqw.operators import (StepOperator2D, _apply_shift_x, _apply_shift_y,
-                            coin_matrix, walk_matrix_dense)
+from dtqw.lattice import LD, RD, LatticeSpec, allocate_state, basis_state
+from dtqw.operators import StepOperator2D, coin_matrix, walk_matrix_dense
 from dtqw.profiles import Constant, DomainWall, LinearSaturated
 
 
@@ -42,22 +41,66 @@ class TestCoins:
 
 
 class TestShift:
+    # at theta = 0 both coins are exactly 1, so a step is S_y S_x
     def test_shift_moves_components_oppositely(self):
         lat = LatticeSpec(5)
-        psi = basis_state(lat, 0, 0, 0) + basis_state(lat, 0, 0, 1)
+        op = StepOperator2D(lat, Constant(0.0), Constant(0.0))
+        # a y-uniform column, on which S_y acts as the identity
+        psi = allocate_state(lat)
+        psi[lat.half_x, :, [LD, RD]] = 1.0
         psi /= np.linalg.norm(psi)
-        out = _apply_shift_x(psi)
-        P = np.abs(out) ** 2
+        P = np.abs(op.apply(psi)) ** 2
         # component 0 (left mover) at x=-1, component 1 (right mover) at x=+1
-        assert P[lat.half_x - 1, lat.half_y, 0] == pytest.approx(0.5)
-        assert P[lat.half_x + 1, lat.half_y, 1] == pytest.approx(0.5)
+        assert P[lat.half_x - 1, :, 0].sum() == pytest.approx(0.5)
+        assert P[lat.half_x + 1, :, 1].sum() == pytest.approx(0.5)
 
     def test_adjoint_inverts(self):
-        lat = LatticeSpec(7)
+        # L = 3 makes every wrap slice and the interior of S_y one site wide
+        for shape in ((7, 7), (3, 5), (5, 3)):
+            lat = LatticeSpec(*shape)
+            op = StepOperator2D(lat, Constant(0.0), Constant(0.0))
+            psi = _rand_state(lat)
+            assert np.allclose(op.apply_adjoint(op.apply(psi)), psi,
+                               atol=1e-15)
+            assert np.allclose(op.apply(op.apply_adjoint(psi)), psi,
+                               atol=1e-15)
+
+
+class TestWorkspace:
+    """The kernel runs in a workspace the operator owns; what it hands out
+    must not alias that workspace, the input or another call's result."""
+
+    def _op(self, lat):
+        return StepOperator2D(lat, LinearSaturated(0.3, 2, 0.9),
+                              DomainWall(np.pi / 3, -np.pi / 5, 1))
+
+    def test_results_are_fresh_and_input_untouched(self):
+        lat = LatticeSpec(5, 7)
+        op = self._op(lat)
         psi = _rand_state(lat)
-        for shift in (_apply_shift_x, _apply_shift_y):
-            back = shift(shift(psi), sign=-1)
-            assert np.allclose(back, psi, atol=1e-15)
+        before = psi.copy()
+        fwd = op.apply(psi)
+        kept = fwd.copy()
+        bwd = op.apply_adjoint(psi)
+        later = op.apply(fwd)
+        assert np.array_equal(psi, before)
+        assert np.array_equal(fwd, kept)     # not overwritten by later calls
+        arrays = [psi, fwd, bwd, later]
+        for i, a in enumerate(arrays):
+            assert a.flags.c_contiguous
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_non_contiguous_input_matches_contiguous(self):
+        lat = LatticeSpec(7, 5)
+        op = self._op(lat)
+        wide = _rand_state(LatticeSpec(7, 11), seed=4)[:, 1::2]
+        for psi in (wide, np.asfortranarray(_rand_state(lat, seed=5))):
+            assert psi.shape == lat.shape and not psi.flags.c_contiguous
+            dense = np.ascontiguousarray(psi)
+            assert (op.apply(psi).tobytes() == op.apply(dense).tobytes())
+            assert (op.apply_adjoint(psi).tobytes()
+                    == op.apply_adjoint(dense).tobytes())
 
 
 class TestStepOperator:
@@ -73,6 +116,12 @@ class TestStepOperator:
         psi = _rand_state(lat)
         assert np.linalg.norm(op.apply(psi)) == pytest.approx(1.0, abs=1e-13)
         assert np.allclose(op.apply_adjoint(op.apply(psi)), psi, atol=1e-13)
+
+    def test_wrong_shape_rejected(self):
+        op = StepOperator2D(LatticeSpec(5, 7), Constant(0.3), Constant(0.2))
+        for step in (op.apply, op.apply_adjoint):
+            with pytest.raises(ValueError, match="does not match"):
+                step(_rand_state(LatticeSpec(7, 5)))
 
     def test_walk_matrix_is_real(self):
         # real coins and permutation shifts make the whole step real,

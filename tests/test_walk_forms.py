@@ -81,3 +81,15 @@ def test_uniform_blocks_equal_bloch_bands(L_x, theta_x, theta_y, k_y):
     bands = bulk_bands(theta_x, theta_y, commensurate_grid(L_x), k_y)
     assert bands.shape == (L_x, 4)
     assert _phase_multiset_distance(block, bands.ravel()) < 1e-12
+
+
+@PROPERTY
+@given(odd_L, odd_L, profiles(), profiles(), st.integers(0, 2 ** 16))
+def test_apply_adjoint_is_the_sparse_transpose(L_x, L_y, px, py, seed):
+    # U is real, so U^dag = U^T: checks the adjoint on its own, not only
+    # through apply_adjoint(apply(psi)) = psi
+    lat = LatticeSpec(L_x, L_y)
+    op = StepOperator2D(lat, px, py)
+    psi = _rand_state(lat, seed)
+    assert np.allclose(walk_matrix_sparse(op).T @ psi.reshape(-1),
+                       op.apply_adjoint(psi).reshape(-1), rtol=0, atol=1e-13)
