@@ -18,13 +18,13 @@ LW = 6
 wall = DomainWall(np.pi / 3, -np.pi / 3, LW)
 op = StepOperator2D(LatticeSpec(25), wall, wall)
 
-pairs = near_unity_states(op, 8)
+E, states, resid = near_unity_states(op, 8)
 corners = [(sx * LW, sy * LW) for sx in (1, -1) for sy in (1, -1)]
 
 print(f"{'E':>13}  {'residual':>9}  {'corner weight':>13}")
-for p in pairs:
-    w = corner_weight(probability_map(p.state), LW)
-    print(f"{p.energy:+13.3e}  {p.residual:9.1e}  {w:13.3f}")
+for e, s, r in zip(E, states, resid):
+    w = corner_weight(probability_map(s), LW)
+    print(f"{e:+13.3e}  {r:9.1e}  {w:13.3f}")
 
 print(f"\nwall crossings at {corners}; weight measured within "
       f"Manhattan radius 5 of any crossing")

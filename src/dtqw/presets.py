@@ -175,12 +175,12 @@ def _run_corner(cfg):
     if count > op.lattice.size:
         raise ConfigError(f"count {count} exceeds the {op.lattice.size} "
                           f"states of {op.lattice!r}")
-    pairs = near_unity_states(op, count)
-    rows = [(p.energy, p.residual, corner_weight(probability_map(p.state), Lw))
-            for p in pairs]
+    E, states, resid = near_unity_states(op, count)
+    rows = [(e, r, corner_weight(probability_map(s), Lw))
+            for e, s, r in zip(E, states, resid)]
 
     def site_map(p):
-        P = probability_map(pairs[0].state)
+        P = probability_map(states[0])
         xs, ys = op.lattice.coords_x, op.lattice.coords_y
         write_csv(p, ["x", "y", "P"], [
             (int(x), int(y), float(P[i, j]))
@@ -191,8 +191,8 @@ def _run_corner(cfg):
             p, ["E", "residual", "corner_weight_r5"], rows),
         "map.csv": site_map,
         "states.svg": lambda p: svg_scatter(
-            p, range(len(pairs)), [r[0] for r in rows], "index", "E"),
-    }, {"count_small_E": int(sum(abs(r[0]) < 0.05 for r in rows))}
+            p, range(count), E, "index", "E"),
+    }, {"count_small_E": int(np.sum(np.abs(E) < 0.05))}
 
 
 _SECTION_LINES = (0.0, np.pi / 2, np.pi)

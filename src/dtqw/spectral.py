@@ -13,16 +13,17 @@ Every eigenphase solve goes through the Hermitian surrogate
 W = (U + U^dag)/2, which commutes with U and has eigenvalues cos(E).
 The split-step walk carries an antiunitary symmetry that squares to -1
 (Kitagawa, Rudner, Berg and Demler, Phys. Rev. A 82, 033429, 2010), so the
-eigenvalues of W come in degenerate pairs; U restricted to each cluster
-of W eigenvectors (cut at W steps above 1e-5) resolves the E signs.
-Spectra, block eigenvectors and the corner-state search share that one
-resolution.  The search feeds it the top of the 2D lattice's W, real
-symmetric since the walk matrix is real, whose largest eigenvalues cos(E)
-mark the quasi-energies nearest zero; a Chebyshev-filtered block
-iteration finds them, and each degenerate group of the states is rotated
-to a canonical basis that does not depend on the solver.  The numerical
-guards raise RuntimeError subclasses: UnitarityError, and ConvergenceError
-when the block iteration runs out of passes.
+eigenvalues of W come in degenerate pairs; U restricted to W eigenvectors
+cut at a W gap above 1e-5 resolves the E signs.  Spectra and block
+eigenvectors resolve U in each cluster between such gaps; the corner-state
+search resolves it once over the top of the 2D lattice's W (real
+symmetric, since the walk matrix is real), whose largest eigenvalues
+cos(E) mark the quasi-energies nearest zero.  A Chebyshev-filtered block
+iteration finds that span, and each degenerate group of the states is
+rotated to a canonical basis that does not depend on the solver.  The
+guards raise RuntimeError subclasses: UnitarityError (one eigenpair
+residual tolerance on both paths), and ConvergenceError when the block
+iteration runs out of passes.
 """
 
 import numpy as np
@@ -124,23 +125,34 @@ _CLUSTER_GAP = 1e-5
 _RESIDUAL_TOL = 1e-9
 
 
-def _resolve(U, w, V):
-    """Eigenpairs of U on the span of W eigenpairs (w sorted either way).
+def _check_residuals(resid):
+    """Raise UnitarityError if any eigenpair residual ||U x - e^{-iE} x||
+    exceeds _RESIDUAL_TOL (U not unitary enough)."""
+    worst = float(np.max(resid))
+    if worst > _RESIDUAL_TOL:
+        raise UnitarityError(f"eigenpair residual {worst:.3g} exceeds "
+                             f"{_RESIDUAL_TOL:g}; matrix is not unitary "
+                             "enough")
 
-    Cuts w into clusters wherever it steps by more than _CLUSTER_GAP and
-    diagonalizes V_c^dag U V_c inside each cluster, batched over clusters
-    of equal size; W commutes with U, so each cluster spans a U-invariant
-    subspace.  Returns (E, X, resid) in the order of w: quasi-energies,
-    unit eigenvectors as columns and residuals ||U x - e^{-iE} x||.
-    Raises UnitarityError if a residual exceeds _RESIDUAL_TOL or an
-    eigenvalue modulus drifts from 1 (U not unitary enough).
+
+def block_eigensystem(U):
+    """(E, unit vectors as columns) of one unitary matrix, sorted by E.
+
+    eigh of W = (U + U^dag)/2, cut into clusters wherever its eigenvalues
+    step by more than _CLUSTER_GAP; W commutes with U, so each cluster
+    spans a U-invariant subspace, and V_c^dag U V_c is diagonalized inside
+    each, batched over clusters of equal size.  Exact for any unitary
+    matrix.  Raises UnitarityError on an eigenpair residual above 1e-9 or
+    an eigenvalue modulus that drifts from 1.
     """
+    U = np.asarray(U)
+    w, V = np.linalg.eigh((U + U.conj().T) * 0.5)
     n = len(w)
-    starts = np.flatnonzero(abs(np.diff(w, prepend=-np.inf)) > _CLUSTER_GAP)
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > _CLUSTER_GAP)
     sizes = np.diff(starts, append=n)
     UV = U @ V
     lam = np.empty(n, dtype=complex)
-    X = np.empty((V.shape[0], n), dtype=complex)
+    X = np.empty((n, n), dtype=complex)
     resid = np.empty(n)
     for m in np.unique(sizes):
         idx = starts[sizes == m][:, None] + np.arange(m)   # (clusters, m)
@@ -153,23 +165,8 @@ def _resolve(U, w, V):
                                     axis=1) / norm
         X[:, idx] = np.moveaxis(Xc / norm[:, None, :], 0, 1)
         lam[idx] = mu
-    worst = float(np.max(resid))
-    if worst > _RESIDUAL_TOL:
-        raise UnitarityError(f"eigenpair residual {worst:.3g} exceeds "
-                             f"{_RESIDUAL_TOL:g}; matrix is not unitary "
-                             "enough")
-    return _quasi_energy(lam), X, resid
-
-
-def block_eigensystem(U):
-    """(E, unit vectors as columns) of one unitary matrix, sorted by E.
-
-    eigh of W = (U + U^dag)/2, then _resolve; exact for any unitary
-    matrix.  Raises UnitarityError on an eigenpair residual above 1e-9 or
-    an eigenvalue modulus that drifts from 1.
-    """
-    U = np.asarray(U)
-    E, X, _ = _resolve(U, *np.linalg.eigh((U + U.conj().T) * 0.5))
+    _check_residuals(resid)
+    E = _quasi_energy(lam)
     order = np.argsort(E)
     return E[order], X[:, order]
 
@@ -398,17 +395,6 @@ def walk_matrix_sparse(op):
                      (up + down) * 0.5, (up - down) * 0.5)
 
 
-class Eigenpair:
-    def __init__(self, energy, state, residual):
-        self.energy = float(energy)
-        self.state = state
-        self.residual = float(residual)
-
-    def __repr__(self):
-        return (f"Eigenpair(E={self.energy:+.6e}, "
-                f"residual={self.residual:.2e})")
-
-
 # Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago and
 # Chelikowsky, J. Comput. Phys. 219, 172, 2006) on a block of `count` +
 # _BLOCK_PAD columns, grown by _BLOCK_GROWTH when no W gap wider than
@@ -471,8 +457,8 @@ def _rayleigh_ritz(W, X, Y):
 
 
 def _top_of_w(W, count):
-    """The top W eigenpairs (w descending, V) down to the first W gap
-    wider than _CLUSTER_GAP at or past `count`.
+    """The span V (orthonormal columns) of the top W eigenvectors, down
+    to the first W gap wider than _CLUSTER_GAP at or past `count`.
 
     Each pass runs a Rayleigh-Ritz step on the block, which starts from a
     fixed seed; it stops once the cut falls inside the block and every
@@ -502,7 +488,7 @@ def _top_of_w(W, count):
             Y = np.empty_like(X)
             last = (0, 0.0)
         elif worst < _W_RESIDUAL_TOL:
-            return w[:j], X[:, :j]
+            return X[:, :j]
         else:
             _chebyshev_filter(W, X, Y, w, j)
     raise ConvergenceError(
@@ -510,14 +496,22 @@ def _top_of_w(W, count):
         f"{_MAX_PASSES} passes", best_residual=worst)
 
 
+def _span_eigenpairs(U, V):
+    """(E, unit eigenvectors as columns) of U on a U-invariant span V with
+    orthonormal columns, from one eig of V^T U V."""
+    lam, C = np.linalg.eig(V.T @ (U @ V))
+    return _quasi_energy(lam), V @ C
+
+
 def _canonical_pairs(U, E, X, lattice, count):
-    """The `count` eigenpairs (E, X) of U nearest E = 0 as Eigenpairs.
+    """(E, states, residuals) of the `count` eigenpairs (E, X) nearest E = 0.
 
     _canonical_basis rotates each degenerate group to diagonalize
     d = x + y/sqrt(2) + [c = 0]: position separates the four wall
     crossings, the coin term the two states at each.  Rows run by |E|
     group, the negative group of a +-E pair first, then by <d>; each
-    residual ||U psi - e^{-iE} psi|| uses its row's E.
+    residual ||U psi - e^{-iE} psi|| uses its row's E, and raises
+    UnitarityError above _RESIDUAL_TOL.
     """
     x, y = np.meshgrid(lattice.coords_x, lattice.coords_y, indexing="ij")
     d = (x[..., None] + y[..., None] / np.sqrt(2.0)
@@ -527,9 +521,11 @@ def _canonical_pairs(U, E, X, lattice, count):
     E_group = np.bincount(g, E) / np.bincount(g)
     # a +-E pair ties on |E| up to roundoff: the tolerance decides it
     key = np.abs(E_group) - _RESIDUAL_TOL * (E_group < 0)
-    return [Eigenpair(E[i], X.T[i].reshape(lattice.shape), np.linalg.norm(
-        U @ X[:, i] - np.exp(-1j * E[i]) * X[:, i]))
-        for i in np.argsort(key[g], kind="stable")[:count]]
+    rows = np.argsort(key[g], kind="stable")[:count]
+    E, X = E[rows], X[:, rows]
+    resid = np.linalg.norm(U @ X - X * np.exp(-1j * E), axis=0)
+    _check_residuals(resid)
+    return E, X.T.reshape((count,) + lattice.shape), resid
 
 
 def near_unity_states(op, count):
@@ -538,22 +534,22 @@ def near_unity_states(op, count):
     Works on the Hermitian surrogate W = (U + U^T)/2 (real symmetric since
     the walk matrix is real): its largest eigenvalues are cos(E) for the E
     nearest zero.  A Chebyshev-filtered block iteration (_top_of_w) finds
-    them, down to the next W gap wider than 1e-5 (the cluster gap of
-    _resolve); _resolve gives signed E and unit eigenvectors, and
-    _canonical_pairs a basis of each degenerate group that does not depend
-    on the solver.  Raises ConvergenceError when the iteration runs out of
-    passes and UnitarityError on an eigenpair residual above 1e-9.
+    their span, down to the next W gap wider than 1e-5, which makes it
+    U-invariant; _span_eigenpairs resolves U on it, and _canonical_pairs
+    gives a basis of each degenerate group that does not depend on the
+    solver.  Raises ConvergenceError when the iteration runs out of passes
+    and UnitarityError on an eigenpair residual above 1e-9.
 
-    Returns a list of Eigenpair ordered by |E| group (the negative group
-    of a +-E pair first), then by <x + y/sqrt(2) + [c = 0]>; states are
-    shaped (L_x, L_y, 4).
+    Returns (E, states, residuals), shaped (count,), (count, L_x, L_y, 4)
+    and (count,), ordered by |E| group (the negative group of a +-E pair
+    first), then by <x + y/sqrt(2) + [c = 0]>.
     """
     lattice = op.lattice
     n = lattice.size
     if count < 1 or count > n:
         raise ValueError(f"count must be in 1..{n}")
     U = walk_matrix_sparse(op)
-    E, X, _ = _resolve(U, *_top_of_w((U + U.T) * 0.5, count))
+    E, X = _span_eigenpairs(U, _top_of_w((U + U.T) * 0.5, count))
     return _canonical_pairs(U, E, X, lattice, count)
 
 

@@ -180,17 +180,15 @@ def test_c08_corner_states_both_scales():
         wall = DomainWall(np.pi / 3, -np.pi / 3, lw)
         op = StepOperator2D(LatticeSpec(L), wall, wall)
         t0 = time.perf_counter()
-        pairs = near_unity_states(op, 8)
+        E, states, _ = near_unity_states(op, 8)
         dt = time.perf_counter() - t0
-        small = [p for p in pairs if abs(p.energy) < 0.05]
+        small = int(np.sum(np.abs(E) < 0.05))
         # weight of the multiplet as a whole (equal-weight mixture)
-        w = corner_weight(np.mean(
-            [probability_map(p.state) for p in pairs[:8]], axis=0), lw)
-        par.append((L, len(small), w, dt, budget))
+        w = corner_weight(np.mean(probability_map(states), axis=0), lw)
+        par.append((L, small, w, dt, budget))
     ctrl_op = StepOperator2D(LatticeSpec(41), Constant(np.pi / 3),
                              Constant(np.pi / 3))
-    ctrl = near_unity_states(ctrl_op, 8)
-    n_ctrl = sum(abs(p.energy) < 0.05 for p in ctrl)
+    n_ctrl = int(np.sum(np.abs(near_unity_states(ctrl_op, 8)[0]) < 0.05))
     _report(8, "; ".join(
         f"L={L}: {n} small |E|, corner weight {w:.3f}, {dt:.0f}s"
         for L, n, w, dt, _ in par) + f"; control small-E count {n_ctrl}")

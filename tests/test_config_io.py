@@ -250,6 +250,19 @@ class TestPresetRuns:
         assert "numerical failure: eigenpair residual" in err
         assert "Traceback" not in err
 
+    def test_cli_tripped_corner_guard_exits_3(self, tmp_path, monkeypatch,
+                                              capsys):
+        import dtqw.spectral
+        from dtqw.cli import main
+
+        monkeypatch.setattr(dtqw.spectral, "_RESIDUAL_TOL", 1e-30)
+        assert main(["fig6", "--L", "11", "--theta-x", "wall:pi/3:-pi/3:3",
+                     "--theta-y", "wall:pi/3:-pi/3:3",
+                     "--outdir", str(tmp_path / "g")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: eigenpair residual" in err
+        assert "Traceback" not in err
+
     def test_dynamics_meta_records_outputs(self, tmp_path):
         out = str(tmp_path / "dyn")
         run_preset("fig1", {"T_max": "20", "L": "41"}, outdir=out)

@@ -10,43 +10,42 @@ L, LW = 25, 6
 
 
 @pytest.fixture(scope="module")
-def corner_pairs():
+def corner_states():
     wall = DomainWall(np.pi / 3, -np.pi / 3, LW)
     op = StepOperator2D(LatticeSpec(L), wall, wall)
     return op, near_unity_states(op, 8)
 
 
 class TestCornerStates:
-    def test_eight_near_zero_modes(self, corner_pairs):
-        _, pairs = corner_pairs
-        assert len(pairs) >= 8
-        assert all(abs(p.energy) < 1e-3 for p in pairs[:8])
-        assert all(p.residual < 1e-9 for p in pairs[:8])
+    def test_eight_near_zero_modes(self, corner_states):
+        _, (E, states, resid) = corner_states
+        assert len(E) == len(states) == len(resid) == 8
+        assert np.all(np.abs(E) < 1e-3)
+        assert np.all(resid < 1e-9)
 
-    def test_energies_come_in_conjugate_pairs(self, corner_pairs):
-        _, pairs = corner_pairs
-        E = np.sort([p.energy for p in pairs[:8]])
+    def test_energies_come_in_conjugate_pairs(self, corner_states):
+        _, (E, _, _) = corner_states
+        E = np.sort(E)
         assert np.allclose(E, -E[::-1], atol=1e-12)
 
-    def test_weight_concentrates_at_wall_corners(self, corner_pairs):
-        _, pairs = corner_pairs
-        for p in pairs[:8]:
-            assert corner_weight(probability_map(p.state), LW) > 0.9
+    def test_weight_concentrates_at_wall_corners(self, corner_states):
+        _, (_, states, _) = corner_states
+        for psi in states:
+            assert corner_weight(probability_map(psi), LW) > 0.9
 
-    def test_single_corner_occupancy_not_enforced(self, corner_pairs):
+    def test_single_corner_occupancy_not_enforced(self, corner_states):
         # eigenvectors of the degenerate multiplet may spread over several
         # corners; only the union weight is meaningful.  Record the IPR to
         # show the states are localized, not lattice-filling.
-        _, pairs = corner_pairs
-        for p in pairs[:8]:
-            P = probability_map(p.state)
+        _, (_, states, _) = corner_states
+        for P in probability_map(states):
             assert np.sum((P / P.sum()) ** 2) > 0.01
 
     def test_trivial_control_has_no_small_energies(self):
         op = StepOperator2D(LatticeSpec(L), Constant(np.pi / 3),
                             Constant(np.pi / 3))
-        pairs = near_unity_states(op, 8)
-        assert all(abs(p.energy) > 0.05 for p in pairs)
+        E, _, _ = near_unity_states(op, 8)
+        assert np.all(np.abs(E) > 0.05)
 
 
 
