@@ -113,6 +113,13 @@ def position_moments(state, lattice):
         raise ValueError(
             f"state norm {n:.12g} deviates from 1 by more than "
             f"{NORM_TOL_INPUT:g}; normalize before calling")
+    return map_moments(P, lattice)
+
+
+def map_moments(P, lattice):
+    """position_moments of a site-probability map P (shape (L_x, L_y),
+    summing to 1), without the norm check: for callers that check the
+    norm of the same |psi|^2 pass themselves."""
     px = P.sum(axis=1)          # marginal over y
     py = P.sum(axis=0)
     xs = lattice.coords_x

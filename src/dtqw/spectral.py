@@ -20,7 +20,12 @@ search resolves it once over the top of the 2D lattice's W (real
 symmetric, since the walk matrix is real), whose largest eigenvalues
 cos(E) mark the quasi-energies nearest zero.  A Chebyshev-filtered block
 iteration finds that span, and each degenerate group of the states is
-rotated to a canonical basis that does not depend on the solver.  The
+rotated to a canonical basis that does not depend on the solver.
+
+The uniform walk's bands have two routes: bulk_bands takes the
+eigenphases of the 4x4 Bloch unitary, and _band_cosines gives their
+cosines in closed form (derived there).  bulk_openings samples the
+closed form, and bulk_bands is its independent check.  The
 guards raise RuntimeError subclasses: UnitarityError (one eigenpair
 residual tolerance on both paths), and ConvergenceError when the block
 iteration runs out of passes.
@@ -135,46 +140,65 @@ def _check_residuals(resid):
                              "enough")
 
 
-def block_eigensystem(U):
-    """(E, unit vectors as columns) of one unitary matrix, sorted by E.
+def _resolve_clusters(U, vectors):
+    """(E, X) of one unitary matrix, sorted by E; X holds the unit
+    eigenvectors as rows when `vectors` is true, else it is None.
 
     eigh of W = (U + U^dag)/2, cut into clusters wherever its eigenvalues
     step by more than _CLUSTER_GAP; W commutes with U, so each cluster
     spans a U-invariant subspace, and V_c^dag U V_c is diagonalized inside
-    each, batched over clusters of equal size.  Exact for any unitary
-    matrix.  Raises UnitarityError on an eigenpair residual above 1e-9 or
-    an eigenvalue modulus that drifts from 1.
+    each, batched over clusters of equal size.  The clusters are gathered
+    as rows, (clusters, m, n), so the residual norms run over the
+    contiguous axis.  Every eigenpair residual is checked, with or without
+    `vectors`; only the eigenvector matrix is skipped without it.
     """
     U = np.asarray(U)
     w, V = np.linalg.eigh((U + U.conj().T) * 0.5)
     n = len(w)
     starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > _CLUSTER_GAP)
     sizes = np.diff(starts, append=n)
-    UV = U @ V
+    Vt, UVt = V.T, (U @ V).T
     lam = np.empty(n, dtype=complex)
-    X = np.empty((n, n), dtype=complex)
     resid = np.empty(n)
+    X = np.empty((n, n), dtype=complex) if vectors else None
     for m in np.unique(sizes):
         idx = starts[sizes == m][:, None] + np.arange(m)   # (clusters, m)
-        Vc = np.moveaxis(V[:, idx], 1, 0)                  # (clusters, n, m)
-        UVc = np.moveaxis(UV[:, idx], 1, 0)
-        mu, C = np.linalg.eig(Vc.conj().swapaxes(1, 2) @ UVc)
-        Xc = Vc @ C
-        norm = np.linalg.norm(Xc, axis=1)
-        resid[idx] = np.linalg.norm(UVc @ C - Xc * mu[:, None, :],
-                                    axis=1) / norm
-        X[:, idx] = np.moveaxis(Xc / norm[:, None, :], 0, 1)
+        Vc, UVc = Vt[idx], UVt[idx]                        # (clusters, m, n)
+        mu, C = np.linalg.eig(Vc.conj() @ UVc.swapaxes(1, 2))
+        Ct = C.swapaxes(1, 2)
+        Xc = Ct @ Vc                                       # eigenvectors, rows
+        resid[idx] = (np.linalg.norm(Ct @ UVc - Xc * mu[..., None], axis=2)
+                      / np.linalg.norm(Xc, axis=2))
+        if vectors:
+            # the returned vectors are formed as V_c C and normalized down
+            # the columns: the operand and summation order that fixes the
+            # bits of the zero-mode profiles
+            Xc = Vc.swapaxes(1, 2) @ C
+            X[idx] = (Xc / np.linalg.norm(Xc, axis=1)[:, None, :]
+                      ).swapaxes(1, 2)
         lam[idx] = mu
     _check_residuals(resid)
     E = _quasi_energy(lam)
     order = np.argsort(E)
-    return E[order], X[:, order]
+    return E[order], None if X is None else X[order]
+
+
+def block_eigensystem(U):
+    """(E, unit vectors as columns) of one unitary matrix, sorted by E.
+
+    Exact for any unitary matrix (see _resolve_clusters).  Raises
+    UnitarityError on an eigenpair residual above 1e-9 or an eigenvalue
+    modulus that drifts from 1.
+    """
+    E, X = _resolve_clusters(U, vectors=True)
+    return E, X.T
 
 
 def quasi_energies(U):
     """Quasi-energies E in (-pi, pi] of one unitary matrix, sorted
-    ascending: the E of block_eigensystem."""
-    return block_eigensystem(U)[0]
+    ascending: the E of block_eigensystem, bit for bit, with the same
+    guards, but without building the eigenvector matrix."""
+    return _resolve_clusters(U, vectors=False)[0]
 
 
 def commensurate_grid(L_y):
@@ -276,6 +300,47 @@ def bulk_gap_edge(theta, k_y):
     return np.arccos(np.clip(R, -1.0, 1.0))
 
 
+def _band_cosines(theta_x, theta_y, k_x, k_y):
+    """cos E of the uniform walk's bands at (k_x, k_y) in closed form.
+
+    Returns (c_1, c_2), c_1 <= c_2, broadcast over the arguments; the four
+    quasi-energies of bulk_bands are +-arccos(c_1) and +-arccos(c_2).
+
+    Derivation.  Every factor of the 4x4 Bloch unitary
+    U = S_y(k_y) C_y S_x(k_x) C_x has determinant 1, and expanding the
+    trace over the factor table gives the real
+    t = tr U = 4 cos k_x cos k_y cos theta_x cos theta_y.  For a unitary
+    matrix the characteristic coefficients obey e_3 = det U conj(e_1) and
+    e_2 = det U conj(e_2), so det(lam - U) = lam^4 - t lam^3 + e_2 lam^2
+    - t lam + 1 with e_2 real: a real palindromic polynomial, whose roots
+    pair as lam and 1/lam = conj(lam).  The spectrum is therefore
+    exp(+-i E_1), exp(+-i E_2), and det(lam - U) = (lam^2 - 2 c_1 lam + 1)
+    (lam^2 - 2 c_2 lam + 1) with c_j = cos E_j.  Matching coefficients,
+    c_1 + c_2 = t/2 and, from tr U^2 = 4(c_1^2 + c_2^2) - 4,
+    (c_1 - c_2)^2 = (tr U^2 + 4)/2 - t^2/4 = D with
+
+        D = 4 [a b (c + d - 3 c d) + c d (a + b)],
+        a = sin^2 k_x, b = sin^2 k_y, c = sin^2 theta_x, d = sin^2 theta_y,
+
+    once tr U^2 is expanded over the factor table as well.  Hence
+    c_{1,2} = cos k_x cos k_y cos theta_x cos theta_y -+ sqrt(D)/2.  D is
+    a square, so it is clipped at 0 against roundoff.
+
+    Precision.  c_j carries roundoff dc of a few eps, which arccos turns
+    into dE ~ dc / |sin E|: roundoff-sized for |E| and pi - |E| well away
+    from 0, past 1e-12 only when one of them is below about 1e-3, and
+    saturating at sqrt(2 dc) ~ 1e-8 as it goes to 0.  The opening edges
+    of the preset grids stay at least 0.25 from E = 0 and +-pi, where
+    they match bulk_bands, the eigvals route and this form's test oracle,
+    to 1e-15.
+    """
+    a, b, c, d = (np.sin(v) ** 2 for v in (k_x, k_y, theta_x, theta_y))
+    D = 4.0 * (a * b * (c + d - 3.0 * c * d) + c * d * (a + b))
+    mid = np.cos(k_x) * np.cos(k_y) * np.cos(theta_x) * np.cos(theta_y)
+    half = 0.5 * np.sqrt(np.maximum(D, 0.0))
+    return mid - half, mid + half
+
+
 def bulk_openings(theta_media, theta_y, k_y, n_kx=241):
     """Quasi-energy openings of the projected bulk bands at fixed k_y.
 
@@ -284,15 +349,19 @@ def bulk_openings(theta_media, theta_y, k_y, n_kx=241):
     points of k_x, then reports the cyclic gaps between consecutive
     covered energies that exceed 5*(2 pi / n_kx).  Bands move at most ~2
     per unit k_x, so that threshold cannot split a covered band into
-    spurious openings.
+    spurious openings.  The bands come from the closed form of
+    _band_cosines (E = +-arccos c_j, E = -pi read as +pi), not from
+    one eigensolve per point; the edges agree with bulk_bands to roundoff
+    away from E = 0 and +-pi (see there).
 
     Returns a list of (lo, hi) with hi > lo; an opening across E = +-pi is
     reported with hi > pi.
     """
     min_width = 5.0 * (2.0 * np.pi / n_kx)
     ks = np.linspace(-np.pi, np.pi, n_kx, endpoint=False)
-    pts = np.sort(np.concatenate(
-        [bulk_bands(tx, theta_y, ks, k_y).ravel() for tx in theta_media]))
+    E = np.arccos(np.clip([_band_cosines(tx, theta_y, ks, k_y)
+                           for tx in theta_media], -1.0, 1.0)).ravel()
+    pts = np.sort(_wrap_pi(np.concatenate((E, -E))))
     gaps = np.diff(pts)
     out = [(float(pts[i]), float(pts[i + 1]))
            for i in np.nonzero(gaps > min_width)[0]]

@@ -32,6 +32,22 @@ class TestRunDynamics:
         series = run_dynamics(spec)
         assert len(series.T) == 6
 
+    @pytest.mark.parametrize("scale, raises", [(1 + 2e-9, True),
+                                               (1 + 5e-10, False)])
+    def test_norm_drift_bound(self, monkeypatch, scale, raises):
+        # a step that grows the norm by `scale`: one recorded step past
+        # the 1e-9 drift bound raises, one inside it records its moments
+        op = _trap_op(21)
+        step = op.apply
+        monkeypatch.setattr(op, "apply", lambda psi: step(psi) * scale)
+        spec = DynamicsSpec(op, T_max=1, initial=(0, 0, 2))
+        if raises:
+            with pytest.raises(RuntimeError, match="norm drift 2e-09 at "
+                                                   "step 1"):
+                run_dynamics(spec)
+        else:
+            assert len(run_dynamics(spec).T) == 2
+
     @pytest.mark.parametrize("bad", [0, -3])
     def test_bad_T_rejected(self, bad):
         with pytest.raises(ValueError):

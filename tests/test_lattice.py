@@ -3,8 +3,8 @@ import pytest
 
 from dtqw.continuum import BETA, analytic_zero_mode_2d
 from dtqw.lattice import (LatticeSpec, apply_phase_kick, basis_state,
-                          normalize, position_moments, probability_map,
-                          translate)
+                          map_moments, normalize, position_moments,
+                          probability_map, translate)
 
 
 class TestLatticeSpec:
@@ -68,6 +68,14 @@ class TestMoments:
         position_moments(psi * (1 + 5e-7), lat)
         with pytest.raises(ValueError, match="deviates from 1"):
             position_moments(psi * (1 + 2e-6), lat)
+
+    def test_map_moments_are_the_moments_of_the_state(self):
+        lat = LatticeSpec(25, 21)
+        rng = np.random.Generator(np.random.PCG64(4))
+        psi = normalize(rng.normal(size=lat.shape)
+                        + 1j * rng.normal(size=lat.shape))
+        assert (map_moments(probability_map(psi), lat)
+                == position_moments(psi, lat))
 
     def test_probability_map_of_non_contiguous_state(self):
         rng = np.random.Generator(np.random.PCG64(2))

@@ -8,13 +8,13 @@ from dtqw.operators import StepOperator2D, walk_matrix_dense
 from dtqw.profiles import Constant, DomainWall
 import dtqw.spectral
 from dtqw.presets import run_preset
-from dtqw.spectral import (ConvergenceError, UnitarityError, _canonical_basis,
-                           _canonical_pairs, _quasi_energy, _span_eigenpairs,
-                           block_eigensystem, bulk_bands, bulk_gap_edge,
-                           bulk_openings, commensurate_grid, momentum_block,
-                           near_unity_states, quasi_energies, spectrum_scan,
-                           states_in_openings, walk_matrix_sparse,
-                           zero_mode_profiles)
+from dtqw.spectral import (ConvergenceError, UnitarityError, _band_cosines,
+                           _canonical_basis, _canonical_pairs, _quasi_energy,
+                           _span_eigenpairs, block_eigensystem, bulk_bands,
+                           bulk_gap_edge, bulk_openings, commensurate_grid,
+                           momentum_block, near_unity_states, quasi_energies,
+                           spectrum_scan, states_in_openings,
+                           walk_matrix_sparse, zero_mode_profiles)
 from dtqw.symmetry import _phase_multiset_distance
 
 
@@ -134,6 +134,9 @@ class TestKernel:
         E = quasi_energies(U)
         assert E.shape == (84,) and np.all(np.diff(E) >= 0.0)
         assert _phase_multiset_distance(E, _eigvals_route(U)) <= 1e-13
+        # one cluster loop: the spectrum-only path gives the bits of the
+        # eigenvector path
+        assert np.array_equal(E, block_eigensystem(U)[0])
 
     def test_degenerate_minus_one_matches_eigvals(self):
         Q = _haar_unitary(7, 3)
@@ -148,14 +151,15 @@ class TestKernel:
                             DomainWall(np.pi / 3, -np.pi / 3, 3),
                             Constant(np.pi / 3))
         U = momentum_block(op, 0.4)
-        with pytest.raises(UnitarityError, match="modulus drifts"):
-            quasi_energies(1.001 * U)
         # a non-normal perturbation: W's eigenvectors no longer span
         # U-invariant subspaces
         N = np.zeros_like(U)
         N[0, -1] = 1e-6
-        with pytest.raises(UnitarityError, match="eigenpair residual"):
-            quasi_energies(U + N)
+        for solve in (quasi_energies, block_eigensystem):
+            with pytest.raises(UnitarityError, match="modulus drifts"):
+                solve(1.001 * U)
+            with pytest.raises(UnitarityError, match="eigenpair residual"):
+                solve(U + N)
 
 
 class TestZeroModeProfiles:
@@ -246,6 +250,33 @@ class TestBulkBands:
             assert grid.shape == (9, 9, 4)
             assert np.array_equal(grid, scalar)
 
+    def test_closed_form_matches_eigvals(self):
+        # 100 random coin pairs at 20 random momenta each
+        rng = np.random.Generator(np.random.PCG64(11))
+        worst = 0.0
+        for tx, ty in rng.uniform(-np.pi, np.pi, size=(100, 2)):
+            kx, ky = rng.uniform(-np.pi, np.pi, size=(2, 20))
+            cos_E = np.sort(np.cos(bulk_bands(tx, ty, kx, ky)), axis=1)
+            c_1, c_2 = _band_cosines(tx, ty, kx, ky)
+            worst = max(worst, np.max(np.abs(
+                cos_E - np.column_stack((c_1, c_1, c_2, c_2)))))
+        assert worst <= 1e-13
+
+    def test_criterion_09_gap_at_half_pi(self):
+        # the gap c09 asserts to be closed: 2 arccos(sqrt(15)/4) on both
+        # routes, so its failure is the walk's and not a solver's
+        def spacing(E):
+            E = np.sort(E)
+            return min(np.min(np.diff(E)), 2 * np.pi - (E[-1] - E[0]))
+
+        t = np.pi / 3
+        E_closed = np.arccos(_band_cosines(t, t, np.pi / 2, np.pi / 2))
+        gap = 2 * np.arccos(np.sqrt(15) / 4)
+        assert gap == pytest.approx(0.50536, abs=1e-5)
+        for E in (bulk_bands(t, t, np.pi / 2, np.pi / 2),
+                  np.concatenate((E_closed, -E_closed))):
+            assert abs(spacing(E) - gap) <= 1e-12
+
     def test_gap_edge_formula(self):
         # brute-force the k_x minimum of |E| and compare
         theta, ky = np.pi / 3, 0.35
@@ -263,6 +294,30 @@ class TestOpenings:
         zero_open = [o for o in ops if o[0] < 0.0 < o[1]]
         pi_open = [o for o in ops if o[0] < np.pi < o[1]]
         assert len(zero_open) == 1 and len(pi_open) == 1
+
+    @pytest.mark.parametrize("theta_y", [np.pi / 50, np.pi / 6,
+                                         np.pi / 4, np.pi / 3])
+    @pytest.mark.parametrize("L", [61, 101])
+    def test_closed_form_openings_match_eigvals(self, theta_y, L):
+        # the preset grids: an opening list built from bulk_bands on the
+        # same 241 k_x points, with the same threshold and wrap
+        n_kx = 241
+        ks = np.linspace(-np.pi, np.pi, n_kx, endpoint=False)
+        k_y = commensurate_grid(L)
+        media = (np.pi / 3, -np.pi / 3)
+        bands = np.concatenate(                      # (n_kx, L, 4) each
+            [bulk_bands(tx, theta_y, ks[:, None], k_y[None, :])
+             for tx in media])
+        min_width = 5.0 * (2.0 * np.pi / n_kx)
+        for j, ky in enumerate(k_y):
+            pts = np.sort(bands[:, j].ravel())
+            ref = [(pts[i], pts[i + 1])
+                   for i in np.flatnonzero(np.diff(pts) > min_width)]
+            if 2.0 * np.pi - (pts[-1] - pts[0]) > min_width:
+                ref.append((pts[-1], pts[0] + 2.0 * np.pi))
+            ops = bulk_openings(media, theta_y, ky)
+            assert len(ops) == len(ref) >= 1
+            assert np.max(np.abs(np.subtract(ops, ref))) <= 1e-12
 
     def test_states_in_openings_wraps(self):
         openings = [(-0.5, 0.5), (2.9, 3.5)]   # second straddles +pi
@@ -535,6 +590,28 @@ class TestSpectrumScan:
         monkeypatch.setattr(dtqw.spectral, "quasi_energies", counting)
         spectrum_scan(op)
         assert len(calls) == (op.lattice.L_y + 1) // 2
+
+    def test_enclosed_pass_never_calls_bulk_bands(self, tmp_path,
+                                                  monkeypatch):
+        # a fig7c pass on a noisy wall: one eigensolve per +-k_y pair, and
+        # the openings at every k_y from the closed form alone
+        calls = []
+        kernel = dtqw.spectral.quasi_energies
+
+        def counting(U):
+            calls.append(U.shape)
+            return kernel(U)
+
+        def no_bulk_bands(*args):
+            raise AssertionError("bulk_bands called")
+
+        monkeypatch.setattr(dtqw.spectral, "quasi_energies", counting)
+        monkeypatch.setattr(dtqw.spectral, "bulk_bands", no_bulk_bands)
+        run_preset("fig7c", {"L": "11",
+                             "theta_x": "wall:pi/3:-pi/3:3+noise:0.25:1"},
+                   outdir=str(tmp_path / "fig7c"))
+        assert len(calls) == 6
+        assert (tmp_path / "fig7c" / "enclosed.csv").exists()
 
     def test_explicit_grid_keeps_its_order(self, op):
         k, E = spectrum_scan(op, k_grid=[0.3, -1.1])
