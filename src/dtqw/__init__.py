@@ -10,7 +10,7 @@ Dirac/Schrodinger references the lattice results are checked against.
 __version__ = "0.1.0"
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .evolution import DynamicsSpec, band_filter, run_dynamics
+from .evolution import band_filter, prepare_initial_state, run_dynamics
 from .lattice import LatticeSpec
 from .operators import StepOperator2D
 from .profiles import (Constant, DomainWall, LinearSaturated, parse_angle,
@@ -21,7 +21,7 @@ from .spectral import (bulk_bands, commensurate_grid, near_unity_states,
 __all__ = [
     "__version__",
     "ConfigError", "ExperimentConfig", "parse_config",
-    "DynamicsSpec", "band_filter", "run_dynamics",
+    "band_filter", "prepare_initial_state", "run_dynamics",
     "LatticeSpec",
     "StepOperator2D",
     "Constant", "DomainWall", "LinearSaturated",

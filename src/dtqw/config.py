@@ -11,8 +11,11 @@ import configparser
 import json
 from collections import OrderedDict
 
+import numpy as np
+
+from .continuum import BETA, analytic_zero_mode_2d
 from .profiles import Constant, parse_angle, parse_profile
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, basis_state, normalize
 from .operators import StepOperator2D
 
 
@@ -214,21 +217,21 @@ class ExperimentConfig:
             raise ConfigError("band_center given without band_sigma")
         return (center, sigma, self.get_int("band_passes", 1))
 
-    def initial_state_spec(self):
-        """'gaussian', an (x, y, c) basis site on this config's lattice,
-        or the complex (L_x, L_y, 4) array that a file: value names."""
+    def initial_state(self):
+        """The normalized start array: the Gaussian zero mode of width
+        beta_over_eps, a basis site, or the array a file: value names."""
         text = self.get("initial", "gaussian")
-        if text == "gaussian":
-            return "gaussian"
         lat = self.lattice()
+        if text == "gaussian":
+            return analytic_zero_mode_2d(
+                self.get_float("beta_over_eps", BETA), lat)
         if text.startswith("basis:"):
             x, y, c = (int(p) for p in text.split(":")[1:])
             if abs(x) > lat.half_x or abs(y) > lat.half_y:
                 raise ConfigError(
                     f"initial site ({x}, {y}) lies outside {lat!r}; need "
                     f"|x| <= {lat.half_x} and |y| <= {lat.half_y}")
-            return (x, y, c)
-        import numpy as np
+            return basis_state(lat, x, y, c)
         path = text[len("file:"):]
         try:
             psi = np.asarray(np.load(path), dtype=complex)
@@ -239,7 +242,7 @@ class ExperimentConfig:
             raise ConfigError(f"initial file {path!r} holds shape "
                               f"{psi.shape}; expected a nonzero array of "
                               f"shape {lat.shape}")
-        return psi
+        return normalize(psi)
 
     def emit_set(self):
         return set(self.get("emit", "csv,json,svg").split(","))

@@ -1,57 +1,18 @@
 """Time-stepping driver: initial states and observable time series.
 
 The reference initial state is the analytic Gaussian zero mode of the
-harmonically trapped walk (spinor (-1,1) (x) (-1,1), width set by
-beta), optionally power-refined toward the exact unit-eigenvalue
-eigenstate of U through the Hermitian surrogate (U + U^dag)/2.  The
-prepared state can then be displaced by whole sites and given a momentum
-kick before the run.
+harmonically trapped walk (continuum.analytic_zero_mode_2d: spinor
+(-1,1) (x) (-1,1), width set by beta).  prepare_initial_state takes any
+normalized start array, optionally power-refines it toward the exact
+unit-eigenvalue eigenstate of U through the Hermitian surrogate
+(U + U^dag)/2, displaces it by whole sites, gives it a momentum kick and
+band-filters it.  run_dynamics evolves the prepared state and returns its
+position moments as one (T, mean_x, mean_y, std_x, std_y) row per record.
 """
 
 import numpy as np
 
 from . import lattice as lat
-from .continuum import BETA, analytic_zero_mode_2d
-
-
-class DynamicsSpec:
-    """Everything run_dynamics needs to prepare a state and record its
-    position moments.
-
-    Parameters
-    ----------
-    op : StepOperator2D
-    T_max : number of steps
-    stride : record every `stride` steps
-    initial : 'gaussian' (default), (x, y, c) for a basis state, or an
-        explicit (L_x, L_y, 4) array
-    beta_over_eps : Gaussian width parameter beta (the velocity a/dt is
-        1; default BETA = pi/20, the value matching the linear coin slope b)
-    shift : (dx, dy) whole-site displacement applied after preparation
-    kick : (k_x, k_y) phase kick in radians/site
-    refine_iters : power-refinement iterations toward the unit eigenstate
-    band_pass : optional (center, sigma_t, passes) quasi-energy window
-        applied after the kick; see band_filter
-    """
-
-    def __init__(self, op, T_max, stride=1, initial="gaussian",
-                 beta_over_eps=BETA, shift=(0, 0), kick=(0.0, 0.0),
-                 refine_iters=0, band_pass=None):
-        if T_max < 1 or stride < 1:
-            raise ValueError("T_max and stride must be >= 1")
-        self.op = op
-        self.T_max = int(T_max)
-        self.stride = int(stride)
-        self.initial = initial
-        self.beta_over_eps = float(beta_over_eps)
-        self.shift = (int(shift[0]), int(shift[1]))
-        self.kick = (float(kick[0]), float(kick[1]))
-        self.refine_iters = int(refine_iters)
-        if band_pass is not None:
-            band_pass = tuple(float(v) for v in band_pass)
-            if len(band_pass) != 3:
-                raise ValueError("band_pass must be (center, sigma_t, passes)")
-        self.band_pass = band_pass
 
 
 def refine_unit_eigenstate(op, psi, iterations):
@@ -100,66 +61,46 @@ def band_filter(op, psi, center, sigma_t, passes=1):
     return out
 
 
-def prepare_initial_state(spec):
-    """Build, refine, displace, kick, and optionally band-filter."""
-    op = spec.op
-    if isinstance(spec.initial, str) and spec.initial == "gaussian":
-        psi = analytic_zero_mode_2d(spec.beta_over_eps, op.lattice)
-    elif isinstance(spec.initial, (tuple, list)) and len(spec.initial) == 3:
-        psi = lat.basis_state(op.lattice, *spec.initial)
-    else:
-        psi = np.asarray(spec.initial, dtype=complex)
-        if psi.shape != op.lattice.shape:
-            raise ValueError(f"initial state shape {psi.shape} does not "
-                             f"match lattice {op.lattice!r}")
-        psi = lat.normalize(psi)
-    if spec.refine_iters > 0:
-        psi, _ = refine_unit_eigenstate(op, psi, spec.refine_iters)
-    psi = lat.translate(psi, *spec.shift)
-    psi = lat.apply_phase_kick(psi, spec.kick[0], spec.kick[1], op.lattice)
-    if spec.band_pass is not None:
-        psi = band_filter(op, psi, *spec.band_pass)
+def prepare_initial_state(op, psi, refine_iters=0, shift=(0, 0),
+                          kick=(0.0, 0.0), band_pass=None):
+    """Refine, displace, kick, and optionally band-filter a start state.
+
+    psi is the normalized (L_x, L_y, 4) start, such as the Gaussian zero
+    mode analytic_zero_mode_2d(beta, op.lattice).  refine_iters power
+    iterations pull it toward the unit eigenstate; shift = (dx, dy) moves
+    it by whole sites; kick = (k_x, k_y) multiplies in a phase of that
+    many radians per site; band_pass = (center, sigma_t, passes), when
+    given, applies band_filter last.
+    """
+    if band_pass is not None and len(band_pass) != 3:
+        raise ValueError("band_pass must be (center, sigma_t, passes)")
+    if refine_iters > 0:
+        psi, _ = refine_unit_eigenstate(op, psi, refine_iters)
+    psi = lat.translate(psi, *shift)
+    psi = lat.apply_phase_kick(psi, kick[0], kick[1], op.lattice)
+    if band_pass is not None:
+        psi = band_filter(op, psi, *band_pass)
     return psi
 
 
-class ObservableSeries:
-    """(T, mean_x, mean_y, std_x, std_y) records of one evolution run."""
+def run_dynamics(op, psi, T_max, stride=1):
+    """Evolve psi for T_max steps and record its position moments every
+    `stride` steps, T = 0 and T = T_max included.
 
-    def __init__(self, T, mean_x, mean_y, std_x, std_y):
-        self.T = np.asarray(T, dtype=int)
-        self.mean_x = np.asarray(mean_x)
-        self.mean_y = np.asarray(mean_y)
-        self.std_x = np.asarray(std_x)
-        self.std_y = np.asarray(std_y)
-
-    def rows(self):
-        for i in range(len(self.T)):
-            yield (int(self.T[i]), self.mean_x[i], self.mean_y[i],
-                   self.std_x[i], self.std_y[i])
-
-    def window(self, t_lo, t_hi):
-        """Sub-series with t_lo <= T <= t_hi."""
-        m = (self.T >= t_lo) & (self.T <= t_hi)
-        return ObservableSeries(self.T[m], self.mean_x[m], self.mean_y[m],
-                                self.std_x[m], self.std_y[m])
-
-
-def run_dynamics(spec):
-    """Evolve and record moments every `stride` steps (T = 0 included).
-
-    Returns the ObservableSeries.  Raises if the norm drifts by more than
-    1e-9 over the whole run; the check reads the norm off the |psi|^2 map
-    of each recorded step, the one its moments come from.
+    Returns a float array with one row (T, mean_x, mean_y, std_x, std_y)
+    per record.  Raises if the norm drifts by more than 1e-9 over the
+    whole run; the check reads the norm off the |psi|^2 map of each
+    recorded step, the one its moments come from.
     """
-    op = spec.op
-    psi = prepare_initial_state(spec)
+    if T_max < 1 or stride < 1:
+        raise ValueError("T_max and stride must be >= 1")
     records = [(0, *lat.position_moments(psi, op.lattice))]
-    for T in range(1, spec.T_max + 1):
+    for T in range(1, T_max + 1):
         psi = op.apply(psi)
-        if T % spec.stride == 0 or T == spec.T_max:
+        if T % stride == 0 or T == T_max:
             P = lat.probability_map(psi)
             drift = abs(np.sqrt(P.sum()) - 1.0)
             if drift > 1e-9:
                 raise RuntimeError(f"norm drift {drift:.3g} at step {T}")
             records.append((T, *lat.map_moments(P, op.lattice)))
-    return ObservableSeries(*zip(*records))
+    return np.array(records, dtype=float)

@@ -18,16 +18,15 @@ from .continuum import (BETA, SquaredDirac2D, apply_dirac_2d,
                         dirac_oscillator_eigenstate, analytic_zero_mode_2d,
                         jr_scattering, square_decomposition_check,
                         trotter_error)
-from .evolution import DynamicsSpec, run_dynamics
+from .evolution import prepare_initial_state, run_dynamics
 from .io import svg_polyline, svg_scatter, write_csv, write_json
 from .lattice import LatticeSpec, probability_map
 from .operators import StepOperator2D
 from .profiles import Constant, DomainWall, parse_angle
 from .spectral import (bulk_bands, corner_weight, enclosed_states,
                        near_unity_states, spectrum_scan, zero_mode_profiles)
-from .symmetry import (check_hamiltonian_symmetry, check_sublattice_shift,
-                       check_walk_particle_hole, chiral_op, particle_hole_op,
-                       spectral_particle_hole_residual, time_reversal_op)
+from .symmetry import (check_sublattice_shift, check_walk_particle_hole,
+                       diii_residuals, spectral_particle_hole_residual)
 
 
 _FIG1 = {
@@ -104,28 +103,25 @@ def base_config(name):
 # that one file alone needs stays inside that file's writer.
 # --------------------------------------------------------------------------
 
-def dynamics_spec(cfg):
-    """Marshal a config into the DynamicsSpec the dynamics presets run."""
-    return DynamicsSpec(
-        cfg.step_operator(),
-        T_max=cfg.get_int("T_max", 1000),
-        stride=cfg.get_int("stride", 1),
-        initial=cfg.initial_state_spec(),
-        beta_over_eps=cfg.get_float("beta_over_eps", BETA),
-        shift=(cfg.get_int("shift_x", 0), cfg.get_int("shift_y", 0)),
-        kick=(cfg.get_float("kick_x", 0.0), cfg.get_float("kick_y", 0.0)),
-        refine_iters=cfg.get_int("refine_iters", 0),
-        band_pass=cfg.band_pass(),
-    )
+def _prepared_start(cfg):
+    """(op, psi): the walk of a dynamics config and its prepared start."""
+    op = cfg.step_operator()
+    psi = prepare_initial_state(
+        op, cfg.initial_state(), cfg.get_int("refine_iters", 0),
+        (cfg.get_int("shift_x", 0), cfg.get_int("shift_y", 0)),
+        (cfg.get_float("kick_x", 0.0), cfg.get_float("kick_y", 0.0)),
+        cfg.band_pass())
+    return op, psi
 
 
 def _run_dynamics(cfg):
-    series = run_dynamics(dynamics_spec(cfg))
+    table = run_dynamics(*_prepared_start(cfg), cfg.get_int("T_max", 1000),
+                         cfg.get_int("stride", 1))
     return {
         "dynamics.csv": lambda p: write_csv(
-            p, ["T", "mean_x", "mean_y", "std_x", "std_y"], series.rows()),
+            p, ["T", "mean_x", "mean_y", "std_x", "std_y"], table),
         "orbit.svg": lambda p: svg_polyline(
-            p, series.mean_x, series.mean_y, "mean_x", "mean_y"),
+            p, table[:, 1], table[:, 2], "mean_x", "mean_y"),
     }, {}
 
 
@@ -216,13 +212,13 @@ def _run_bands(cfg):
     n = cfg.get_int("k_points")
     ks = np.linspace(-np.pi, np.pi, n)
     header = ["k_x", "k_y", "E_1", "E_2", "E_3", "E_4"]
+    # cheap (3 k_x lines), and both sections.csv and bands.svg draw on it
+    sections = _band_rows(tx, ty, _SECTION_LINES, ks)
     return {
         "bands.csv": lambda p: write_csv(p, header,
                                          _band_rows(tx, ty, ks, ks)),
-        "sections.csv": lambda p: write_csv(
-            p, header, _band_rows(tx, ty, _SECTION_LINES, ks)),
-        "bands.svg": lambda p: _svg_sections(
-            p, _band_rows(tx, ty, _SECTION_LINES, ks)),
+        "sections.csv": lambda p: write_csv(p, header, sections),
+        "bands.svg": lambda p: _svg_sections(p, sections),
     }, {}
 
 
@@ -349,11 +345,7 @@ def _run_symmetry(cfg):
 
     wallm = lambda x: np.pi / 3 if abs(x) <= 2 else -np.pi / 3  # noqa: E731
     H = build_dirac(2, (wallm, 0.0), 9)
-    rep["diii_residuals_my0"] = {
-        "time_reversal": check_hamiltonian_symmetry(H, time_reversal_op()),
-        "particle_hole": check_hamiltonian_symmetry(H, particle_hole_op()),
-        "chiral": check_hamiltonian_symmetry(H, chiral_op()),
-    }
+    rep["diii_residuals_my0"] = diii_residuals(H)
     return {"report.json": lambda p: write_json(p, rep)}, {}
 
 

@@ -235,18 +235,20 @@ def spectrum_scan(op, k_grid=None):
 def _canonical_basis(E, V, x):
     """A basis of the eigenstates (E, V) that does not depend on LAPACK.
 
-    Sorts the states by E and groups them wherever E steps by more than
-    _RESIDUAL_TOL; each group is orthonormalized and rotated to the basis
-    that diagonalizes the position x (one value per vector component), so
+    Sorts the states by E, orthonormalizes them with one QR in that order
+    (so states of different groups come out orthogonal to rounding, not
+    only to eps / (E spacing)), and groups them wherever E steps by more
+    than _RESIDUAL_TOL; each group is rotated to the basis that
+    diagonalizes the position x (one value per vector component), so
     degenerate states localized at different walls separate.  Returns
     (E, V) ordered by group, then by <x>.
     """
     order = np.argsort(E, kind="stable")
-    E, V = E[order], V[:, order]
+    E, V = E[order], np.linalg.qr(V[:, order])[0]
     groups = np.split(np.arange(len(E)),
                       np.flatnonzero(np.diff(E) > _RESIDUAL_TOL) + 1)
     for g in groups:
-        Q = np.linalg.qr(V[:, g])[0]
+        Q = V[:, g]
         V[:, g] = Q @ np.linalg.eigh(Q.conj().T @ (x[:, None] * Q))[1]
     return E, V
 

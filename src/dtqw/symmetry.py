@@ -1,12 +1,14 @@
 """Executable symmetry checks for the Hamiltonians and the walk unitary.
 
 The 2D Dirac Hamiltonian with m_y = 0 carries the antiunitary pair
-Theta = (sigma^x (x) tau^y) K (time reversal, squares to -1) and
-Xi = 1 K (particle-hole, squares to +1), whose product is the chiral
-involution Pi = sigma^x (x) tau^y; a nonzero m_y breaks Theta and Pi but
-leaves Xi intact.  The walk unitary is real in position space (all four
-factors are real), which is the operator form of the particle-hole
-symmetry: quasi-energy spectra are symmetric under E -> -E.
+Theta = (sigma^x (x) tau^y) K (time reversal, squares to -1; its matrix
+part is the constant THETA) and Xi = K (particle-hole, squares to +1),
+whose product is the chiral involution Pi = sigma^x (x) tau^y: the DIII
+class.  diii_residuals measures the three relations on a dense H; a
+nonzero m_y breaks Theta and Pi but leaves Xi intact.  The walk unitary
+is real in position space (all four factors are real), which is the
+operator form of the particle-hole symmetry: quasi-energy spectra are
+symmetric under E -> -E.
 
 The S_y half-shift structure also gives an exact sublattice relation: the
 block at k_y + pi is minus the block at k_y, so the spectrum at k_y + pi
@@ -20,64 +22,31 @@ from .continuum import SIGMA_X, SIGMA_Y
 from .operators import walk_matrix_dense
 
 
-class SymmetryOp:
-    """A (possibly antiunitary) internal-space symmetry candidate.
+# Theta = (sigma^x (x) tau^y) K, whose matrix part is kron(tau^y, sigma^x)
+# in the c = 2*tau + sigma basis; Theta^2 = THETA THETA* = -1
+THETA = np.kron(SIGMA_Y, SIGMA_X)
 
-    kind: 'time_reversal' (antiunitary, defining relation W H* W^dag = +H),
-    'particle_hole' (antiunitary, W H* W^dag = -H), or 'chiral' (unitary,
-    W H W^dag = -H).
+
+def diii_residuals(H):
+    """Max-norm residuals of the three DIII relations on H.
+
+    H is a dense 4-component matrix such as build_dirac(2, ...) returns;
+    THETA is extended by the identity over the site factors to W.  Returns
+    {"time_reversal": |W H* W^dag - H|, "particle_hole": |H* + H|,
+    "chiral": |W H W^dag + H|}, the relations of Theta = W K, Xi = K and
+    Pi = W.
     """
-
-    def __init__(self, name, matrix, kind):
-        if kind not in ("time_reversal", "particle_hole", "chiral"):
-            raise ValueError(f"unknown symmetry kind {kind!r}")
-        self.name = name
-        self.matrix = np.asarray(matrix, dtype=complex)
-        self.kind = kind
-        dev = np.max(np.abs(self.matrix @ self.matrix.conj().T
-                            - np.eye(self.matrix.shape[0])))
-        if dev > 1e-12:
-            raise ValueError(f"matrix part of {name} is not unitary")
-
-    def __repr__(self):
-        return f"SymmetryOp({self.name!r}, kind={self.kind!r})"
-
-
-def time_reversal_op():
-    """Theta = (sigma^x (x) tau^y) K; squares to -1."""
-    # sigma^x (x) tau^y is kron(tau^y, sigma^x) in the c = 2*tau + sigma basis
-    return SymmetryOp("Theta", np.kron(SIGMA_Y, SIGMA_X), "time_reversal")
-
-
-def particle_hole_op():
-    """Xi = 1 K (plain complex conjugation); squares to +1."""
-    return SymmetryOp("Xi", np.eye(4), "particle_hole")
-
-
-def chiral_op():
-    """Pi = sigma^x (x) tau^y = Theta * Xi."""
-    return SymmetryOp("Pi", np.kron(SIGMA_Y, SIGMA_X), "chiral")
-
-
-def check_hamiltonian_symmetry(H, op):
-    """Max-norm residual of the defining relation of `op` on H.
-
-    H is a dense matrix such as build_dirac returns; the internal matrix
-    part of `op` is extended by the identity over the site factors.
-    """
-    n_int = op.matrix.shape[0]
-    n_sites, rem = divmod(H.shape[0], n_int)
+    n_sites, rem = divmod(H.shape[0], 4)
     if rem:
-        raise ValueError(f"H of size {H.shape[0]} is not compatible with a "
-                         f"{n_int}-dimensional internal symmetry")
-    W = np.kron(np.eye(n_sites), op.matrix)
-    if op.kind == "time_reversal":
-        R = W @ H.conj() @ W.conj().T - H
-    elif op.kind == "particle_hole":
-        R = W @ H.conj() @ W.conj().T + H
-    else:
-        R = W @ H @ W.conj().T + H
-    return float(np.max(np.abs(R)))
+        raise ValueError(f"H of size {H.shape[0]} is not compatible with "
+                         f"the 4-dimensional internal space")
+    W = np.kron(np.eye(n_sites), THETA)
+    return {
+        "time_reversal": float(np.max(np.abs(W @ H.conj() @ W.conj().T
+                                             - H))),
+        "particle_hole": float(np.max(np.abs(H.conj() + H))),
+        "chiral": float(np.max(np.abs(W @ H @ W.conj().T + H))),
+    }
 
 
 def check_walk_particle_hole(op):

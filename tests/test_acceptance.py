@@ -12,18 +12,15 @@ import numpy as np
 import pytest
 
 from dtqw.continuum import trotter_error
-from dtqw.evolution import prepare_initial_state
 from dtqw.lattice import LatticeSpec, position_moments, probability_map
 from dtqw.operators import StepOperator2D
-from dtqw.presets import _oracle_report, base_config, dynamics_spec
+from dtqw.presets import _oracle_report, _prepared_start, base_config
 from dtqw.profiles import Constant, DomainWall, LinearSaturated
 from dtqw.spectral import (bulk_bands, corner_weight, enclosed_states,
                            fit_edge_branch, momentum_block, near_unity_states,
                            quasi_energies, spectrum_scan, zero_mode_profiles)
-from dtqw.symmetry import (check_hamiltonian_symmetry, check_sublattice_shift,
-                           check_walk_particle_hole, chiral_op,
-                           particle_hole_op, spectral_particle_hole_residual,
-                           time_reversal_op)
+from dtqw.symmetry import (check_sublattice_shift, check_walk_particle_hole,
+                           diii_residuals, spectral_particle_hole_residual)
 
 
 REPORT_LINES = []
@@ -43,9 +40,7 @@ def _report(num, detail):
 def fig1_run():
     """Prepared fig1 state evolved 1000 steps, tracking norm and moments."""
     t0 = time.perf_counter()
-    spec = dynamics_spec(base_config("fig1"))
-    op = spec.op
-    psi = prepare_initial_state(spec)
+    op, psi = _prepared_start(base_config("fig1"))
     drift_max = abs(np.linalg.norm(psi) - 1.0)
     moments = [position_moments(psi, op.lattice)]
     for _ in range(1000):
@@ -162,9 +157,7 @@ def test_c07_symmetry_suite(wall_op, wall_scan, noisy_wall_op):
     from dtqw.continuum import build_dirac
     wallm = lambda x: np.pi / 3 if abs(x) <= 2 else -np.pi / 3  # noqa: E731
     H = build_dirac(2, (wallm, 0.0), 9)
-    diii = max(check_hamiltonian_symmetry(H, time_reversal_op()),
-               check_hamiltonian_symmetry(H, particle_hole_op()),
-               check_hamiltonian_symmetry(H, chiral_op()))
+    diii = max(diii_residuals(H).values())
     _report(7, f"PHS clean {phs_clean:.2e} noisy {phs_noise:.2e}, "
                f"k->k+pi {shift:.2e}, reality {reality:.2e}, "
                f"DIII {diii:.2e}")

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from dtqw.config import ConfigError, ExperimentConfig, parse_config
+from dtqw.continuum import analytic_zero_mode_2d
 from dtqw.io import (format_number, read_csv, read_json, svg_polyline,
                      svg_scatter, write_csv, write_json)
+from dtqw.lattice import LatticeSpec
 from dtqw.presets import PRESETS, run_preset
+from dtqw.profiles import parse_angle
 
 
 class TestConfig:
@@ -204,11 +207,33 @@ class TestPresetRuns:
     def test_initial_state_inside_the_lattice_is_accepted(self, tmp_path):
         cfg = ExperimentConfig({"L_x": "9", "L_y": "7",
                                 "initial": "basis:-4:3:2"})
-        assert cfg.initial_state_spec() == (-4, 3, 2)
+        unit = np.zeros((9, 7, 4), dtype=complex)
+        unit[0, 6, 2] = 1.0                 # (x, y) = (-4, 3), component 2
+        assert np.array_equal(cfg.initial_state(), unit)
         psi = np.ones((9, 7, 4))
         np.save(tmp_path / "psi.npy", psi)
         cfg.set("initial", f"file:{tmp_path / 'psi.npy'}")
-        assert np.array_equal(cfg.initial_state_spec(), psi)
+        start = cfg.initial_state()
+        assert np.array_equal(start, psi / np.linalg.norm(psi))
+        assert np.linalg.norm(start) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("beta", [None, "pi/10"])
+    def test_gaussian_start_is_the_analytic_zero_mode(self, beta):
+        cfg = ExperimentConfig({"L_x": "25", "L_y": "27"})
+        if beta is not None:
+            cfg.set("beta_over_eps", beta)
+        ref = analytic_zero_mode_2d(parse_angle(beta or "pi/20"),
+                                    LatticeSpec(25, 27))
+        assert np.array_equal(cfg.initial_state(), ref)
+
+    def test_dynamics_csv_writes_T_as_integers(self, tmp_path):
+        out = str(tmp_path / "dyn")
+        run_preset("fig1", {"T_max": "20", "stride": "5", "L": "33",
+                            "refine_iters": "2"}, outdir=out)
+        with open(os.path.join(out, "dynamics.csv")) as fh:
+            lines = fh.read().splitlines()
+        assert [ln.split(",")[0] for ln in lines] == ["T", "0", "5", "10",
+                                                     "15", "20"]
 
     @pytest.mark.parametrize("argv,key", [
         (["fig2a", "--theta-y", "linear:pi/20:2:pi/4"], "theta_y"),

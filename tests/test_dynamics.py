@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dtqw.evolution import (DynamicsSpec, band_filter, prepare_initial_state,
+from dtqw.continuum import BETA, analytic_zero_mode_2d
+from dtqw.evolution import (band_filter, prepare_initial_state,
                             refine_unit_eigenstate, run_dynamics)
-from dtqw.lattice import LatticeSpec
+from dtqw.lattice import LatticeSpec, basis_state
 from dtqw.operators import StepOperator2D
 from dtqw.profiles import Constant, LinearSaturated
 
@@ -13,24 +14,23 @@ def _trap_op(L=41):
     return StepOperator2D(LatticeSpec(L), prof, prof)
 
 
+def _gaussian(op):
+    return analytic_zero_mode_2d(BETA, op.lattice)
+
+
 class TestRunDynamics:
     def test_norm_conserved_and_series_shape(self):
-        spec = DynamicsSpec(_trap_op(), T_max=60, stride=2,
-                            shift=(2, 0), kick=(0.0, np.pi / 10))
-        series = run_dynamics(spec)
-        assert series.T[0] == 0 and series.T[-1] == 60
-        assert len(series.T) == 31
-
-    def test_window(self):
-        spec = DynamicsSpec(_trap_op(), T_max=40)
-        series = run_dynamics(spec)
-        win = series.window(10, 30)
-        assert win.T[0] == 10 and win.T[-1] == 30
+        op = _trap_op()
+        psi = prepare_initial_state(op, _gaussian(op), shift=(2, 0),
+                                    kick=(0.0, np.pi / 10))
+        table = run_dynamics(op, psi, T_max=60, stride=2)
+        assert table[0, 0] == 0 and table[-1, 0] == 60
+        assert table.shape == (31, 5)
 
     def test_basis_initial_state(self):
-        spec = DynamicsSpec(_trap_op(21), T_max=5, initial=(0, 0, 2))
-        series = run_dynamics(spec)
-        assert len(series.T) == 6
+        op = _trap_op(21)
+        table = run_dynamics(op, basis_state(op.lattice, 0, 0, 2), T_max=5)
+        assert len(table) == 6
 
     @pytest.mark.parametrize("scale, raises", [(1 + 2e-9, True),
                                                (1 + 5e-10, False)])
@@ -40,34 +40,37 @@ class TestRunDynamics:
         op = _trap_op(21)
         step = op.apply
         monkeypatch.setattr(op, "apply", lambda psi: step(psi) * scale)
-        spec = DynamicsSpec(op, T_max=1, initial=(0, 0, 2))
+        psi = basis_state(op.lattice, 0, 0, 2)
         if raises:
             with pytest.raises(RuntimeError, match="norm drift 2e-09 at "
                                                    "step 1"):
-                run_dynamics(spec)
+                run_dynamics(op, psi, T_max=1)
         else:
-            assert len(run_dynamics(spec).T) == 2
+            assert len(run_dynamics(op, psi, T_max=1)) == 2
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_bad_T_rejected(self, bad):
+        op = _trap_op(21)
         with pytest.raises(ValueError):
-            DynamicsSpec(_trap_op(21), T_max=bad)
+            run_dynamics(op, basis_state(op.lattice, 0, 0, 2), T_max=bad)
 
     def test_band_pass_needs_passes(self):
+        op = _trap_op(21)
         with pytest.raises(ValueError, match="passes"):
-            DynamicsSpec(_trap_op(21), T_max=1, band_pass=(0.25, 8.0))
+            prepare_initial_state(op, basis_state(op.lattice, 0, 0, 2),
+                                  band_pass=(0.25, 8.0))
 
 
 class TestPreparation:
     def test_refinement_drops_unit_residual(self):
         op = _trap_op()
-        spec0 = DynamicsSpec(op, T_max=1, refine_iters=0)
-        spec30 = DynamicsSpec(op, T_max=1, refine_iters=30)
-        psi0 = prepare_initial_state(spec0)
+        psi0 = prepare_initial_state(op, _gaussian(op), refine_iters=0)
         psi30, residuals = refine_unit_eigenstate(op, psi0, 30)
         assert residuals[-1] < residuals[0] * 0.2
         assert np.linalg.norm(psi30) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(prepare_initial_state(spec30) - psi30) < 1e-12
+        assert np.linalg.norm(prepare_initial_state(op, _gaussian(op),
+                                                    refine_iters=30)
+                              - psi30) < 1e-12
 
     def test_pi_kick_in_y_is_spectrally_inert(self):
         # e^{i pi y} commutes with the step up to the sublattice structure:
@@ -75,10 +78,10 @@ class TestPreparation:
         op = _trap_op()
         r_max = {}
         for ky in (np.pi, 0.0):
-            spec = DynamicsSpec(op, T_max=60, refine_iters=30,
-                                kick=(0.0, ky))
-            series = run_dynamics(spec)
-            r_max[ky] = np.max(np.hypot(series.mean_x, series.mean_y))
+            psi = prepare_initial_state(op, _gaussian(op), refine_iters=30,
+                                        kick=(0.0, ky))
+            _, mean_x, mean_y, _, _ = run_dynamics(op, psi, T_max=60).T
+            r_max[ky] = np.max(np.hypot(mean_x, mean_y))
         assert r_max[np.pi] == pytest.approx(r_max[0.0], abs=1e-4)
 
     def test_plain_kick_alone_moves_nothing(self):
@@ -86,20 +89,22 @@ class TestPreparation:
         # packet does not displace it at all -- both means stay pinned at
         # machine zero.  Launching an orbit additionally needs the spatial
         # shift and the quasi-energy band filter (the fig1 recipe).
-        spec = DynamicsSpec(_trap_op(), T_max=80, refine_iters=30,
-                            kick=(0.0, np.pi / 10))
-        series = run_dynamics(spec)
-        assert np.max(np.abs(series.mean_y)) < 1e-10
-        assert np.max(np.abs(series.mean_x)) < 1e-10
+        op = _trap_op()
+        psi = prepare_initial_state(op, _gaussian(op), refine_iters=30,
+                                    kick=(0.0, np.pi / 10))
+        _, mean_x, mean_y, _, _ = run_dynamics(op, psi, T_max=80).T
+        assert np.max(np.abs(mean_y)) < 1e-10
+        assert np.max(np.abs(mean_x)) < 1e-10
 
     def test_shift_plus_filter_launches_orbit(self):
         # desk-scale fig1 recipe: displaced, kicked, band-filtered packet
         # acquires a nonzero orbit radius
-        spec = DynamicsSpec(_trap_op(), T_max=80, refine_iters=30,
-                            shift=(2, 0), kick=(0.0, np.pi / 10),
-                            band_pass=(0.2565, 8.0, 2))
-        series = run_dynamics(spec)
-        r = np.hypot(series.mean_x, series.mean_y)
+        op = _trap_op()
+        psi = prepare_initial_state(op, _gaussian(op), refine_iters=30,
+                                    shift=(2, 0), kick=(0.0, np.pi / 10),
+                                    band_pass=(0.2565, 8.0, 2))
+        _, mean_x, mean_y, _, _ = run_dynamics(op, psi, T_max=80).T
+        r = np.hypot(mean_x, mean_y)
         assert np.max(r) > 0.3
 
 

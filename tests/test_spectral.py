@@ -447,11 +447,14 @@ class TestCornerBasis:
     # tolerances follow each case's conditioning: states of different E
     # groups come from one eig over the kept W span, fixed only to about
     # eps / (E spacing) on any route.  At L = 41 the octet splits into
-    # pairs 1.9e-7 apart (maps 1.6e-9 and overlaps 8.3e-9 measured); the
-    # noisy L = 17 octet has levels >= 1e-3 apart (1.8e-13 and 1.3e-12).
-    # The noisy L = 15 octet spans two W clusters 1.2e-5 apart, so only a
-    # resolution over the whole span meets 1e-12 (6.6e-13 and 8.9e-13;
-    # one eig per cluster gives maps 1.4e-12 apart)
+    # pairs 1.9e-7 apart (maps 1.7e-9 measured); the noisy L = 17 octet
+    # has levels >= 1e-3 apart (1.8e-13).  The noisy L = 15 octet spans
+    # two W clusters 1.2e-5 apart, so only a resolution over the whole
+    # span meets 1e-12 (9.5e-13; one eig per cluster gives maps 1.4e-12
+    # apart).  The overlaps need no such allowance: _canonical_basis
+    # orthonormalizes the whole E-sorted span with one QR, which leaves
+    # them at rounding (6.7e-16 at most; one QR per group left 8.3e-9 at
+    # L = 41)
     @pytest.mark.parametrize("L, L_wall, seed, tol",
                              [(41, 10, None, 1e-8), (17, 4, 3, 1e-11),
                               (15, 4, 1, 1e-12)])
@@ -464,6 +467,7 @@ class TestCornerBasis:
                              - probability_map(states_ref))) <= tol
         X = states.reshape(8, -1).T
         assert np.allclose(X.conj().T @ X, np.eye(8), rtol=0, atol=tol)
+        assert np.max(np.abs(X.conj().T @ X - np.eye(8))) <= 1e-13
         assert np.max(resid) <= 1e-12
         # |E| groups, the negative one of a +-E pair first
         assert np.all(np.diff(np.abs(E)) >= -1e-12)
