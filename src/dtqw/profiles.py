@@ -68,7 +68,6 @@ class AngleProfile:
     def __init__(self):
         self.noise_amplitude = 0.0
         self.noise_seed = 0
-        self._tables = {}
 
     def base_value(self, x):
         raise NotImplementedError
@@ -79,7 +78,6 @@ class AngleProfile:
         p = copy.copy(self)
         p.noise_amplitude = float(W)
         p.noise_seed = int(seed)
-        p._tables = {}
         return p
 
     def table(self, half_width):
@@ -88,17 +86,13 @@ class AngleProfile:
         The noise draw covers the whole axis in this order, which pins down
         the realization for a given (W, seed, half_width).
         """
-        half_width = int(half_width)
-        if half_width not in self._tables:
-            x = np.arange(-half_width, half_width + 1)
-            theta = np.asarray(self.base_value(x), dtype=float)
-            if self.noise_amplitude > 0.0:
-                rng = np.random.Generator(np.random.PCG64(self.noise_seed))
-                theta = theta + rng.uniform(-self.noise_amplitude,
-                                            self.noise_amplitude, size=x.size)
-            theta.setflags(write=False)
-            self._tables[half_width] = theta
-        return self._tables[half_width]
+        x = np.arange(-int(half_width), int(half_width) + 1)
+        theta = np.asarray(self.base_value(x), dtype=float)
+        if self.noise_amplitude > 0.0:
+            rng = np.random.Generator(np.random.PCG64(self.noise_seed))
+            theta = theta + rng.uniform(-self.noise_amplitude,
+                                        self.noise_amplitude, size=x.size)
+        return theta
 
     # --- grammar -------------------------------------------------------
 

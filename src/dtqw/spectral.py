@@ -24,11 +24,10 @@ rotated to a canonical basis that does not depend on the solver.
 
 The uniform walk's bands have two routes: bulk_bands takes the
 eigenphases of the 4x4 Bloch unitary, and _band_cosines gives their
-cosines in closed form (derived there).  bulk_openings samples the
-closed form, and bulk_bands is its independent check.  The
-guards raise RuntimeError subclasses: UnitarityError (one eigenpair
-residual tolerance on both paths), and ConvergenceError when the block
-iteration runs out of passes.
+cosines in closed form (derived there), whose exact ranges over k_x
+give bulk_openings.  The guards raise RuntimeError subclasses:
+UnitarityError (one eigenpair residual tolerance on both paths), and
+ConvergenceError when the block iteration runs out of passes.
 """
 
 import numpy as np
@@ -111,7 +110,7 @@ def _wrap_pi(E):
 
 
 def _quasi_energy(lam):
-    """E = -arg(lam) in (-pi, pi] for eigenvalues lam = exp(-iE).
+    """E = 0.0 - arg(lam) in (-pi, pi], +0.0 at lam = 1, for lam = exp(-iE).
 
     Raises if any |lam| drifts from 1 by more than 1e-10: the matrix (or
     subspace) they came from was not unitary enough for eigenphases.
@@ -120,7 +119,7 @@ def _quasi_energy(lam):
     if drift > 1e-10:
         raise UnitarityError(f"eigenvalue modulus drifts from 1 by "
                              f"{drift:.3g}; matrix is not unitary enough")
-    return _wrap_pi(-np.angle(lam))
+    return _wrap_pi(0.0 - np.angle(lam))
 
 
 # W eigenvalues closer than this are one cluster; the cut keeps each
@@ -228,7 +227,7 @@ def spectrum_scan(op, k_grid=None):
             E[i] = quasi_energies(_combine(terms, k_y))
             solved.setdefault(k_y, i)
         else:
-            E[i] = np.sort(_wrap_pi(-E[j]))
+            E[i] = np.sort(_wrap_pi(0.0 - E[j]))
     return k, E
 
 
@@ -290,18 +289,6 @@ def bulk_bands(theta_x, theta_y, k_x, k_y):
         s_y @ coin_matrix("y", theta_y) @ s_x @ coin_matrix("x", theta_x))))
 
 
-def bulk_gap_edge(theta, k_y):
-    """|E| of the bulk band edge at fixed k_y for theta_y = 0 walks.
-
-    The uniform dispersion is cos E = cos(theta) cos(k_x) cos(k_y)
-    + sin(theta) sin(k_x) sin(k_y); maximizing over k_x gives the band
-    closest to zero.  The edge is the same for +-theta, so it applies on
-    both sides of a domain wall.  k_y may be an array.
-    """
-    R = np.hypot(np.cos(theta) * np.cos(k_y), np.sin(theta) * np.sin(k_y))
-    return np.arccos(np.clip(R, -1.0, 1.0))
-
-
 def _band_cosines(theta_x, theta_y, k_x, k_y):
     """cos E of the uniform walk's bands at (k_x, k_y) in closed form.
 
@@ -329,12 +316,10 @@ def _band_cosines(theta_x, theta_y, k_x, k_y):
     a square, so it is clipped at 0 against roundoff.
 
     Precision.  c_j carries roundoff dc of a few eps, which arccos turns
-    into dE ~ dc / |sin E|: roundoff-sized for |E| and pi - |E| well away
-    from 0, past 1e-12 only when one of them is below about 1e-3, and
-    saturating at sqrt(2 dc) ~ 1e-8 as it goes to 0.  The opening edges
-    of the preset grids stay at least 0.25 from E = 0 and +-pi, where
-    they match bulk_bands, the eigvals route and this form's test oracle,
-    to 1e-15.
+    into dE ~ dc / |sin E|: past 1e-12 only within about 1e-3 of E = 0 or
+    +-pi, and up to sqrt(2 dc) ~ 1e-8 there.  The opening edges of the
+    preset grids stay at least 0.25 away from both, where they match
+    bulk_bands, the eigvals route, to roundoff.
     """
     a, b, c, d = (np.sin(v) ** 2 for v in (k_x, k_y, theta_x, theta_y))
     D = 4.0 * (a * b * (c + d - 3.0 * c * d) + c * d * (a + b))
@@ -343,33 +328,48 @@ def _band_cosines(theta_x, theta_y, k_x, k_y):
     return mid - half, mid + half
 
 
-def bulk_openings(theta_media, theta_y, k_y, n_kx=241):
+def _band_ranges(theta_x, theta_y, k_y):
+    """The exact cos E range of each band of _band_cosines over all k_x.
+
+    Returns (lo, hi), each shaped (2,) + the arguments' broadcast shape:
+    band j covers [lo[j], hi[j]].  With u = cos k_x and b, c, d as there,
+    the bands are c_-+ = alpha u -+ sqrt(beta (1 - u^2) + gamma), where
+    alpha = cos k_y cos theta_x cos theta_y, beta = b (c + d - 3 c d) + c d
+    >= 0 and gamma = b c d.  c_+ is concave in u and c_- convex, so their
+    extrema lie at u = +-1 or at the stationary points
+    u^2 = alpha^2 (beta + gamma) / (beta (beta + alpha^2)), clamped to 1;
+    with beta = 0 the bands are linear in u and only u = +-1 count.
+    """
+    b, c, d = (np.sin(v) ** 2 for v in (k_y, theta_x, theta_y))
+    alpha2 = (np.cos(k_y) * np.cos(theta_x) * np.cos(theta_y)) ** 2
+    beta = b * (c + d - 3.0 * c * d) + c * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u2 = alpha2 * (beta + b * c * d) / (beta * (beta + alpha2))
+    u = np.sqrt(np.where(beta > 0.0, np.minimum(u2, 1.0), 1.0))
+    k_x = np.arccos(np.stack(np.broadcast_arrays(1.0, -1.0, u, -u)))
+    bands = np.array(_band_cosines(theta_x, theta_y, k_x, k_y))
+    return bands.min(axis=1), bands.max(axis=1)
+
+
+def bulk_openings(theta_media, theta_y, k_y):
     """Quasi-energy openings of the projected bulk bands at fixed k_y.
 
-    Samples the uniform bands of every medium in `theta_media` (an
-    iterable of theta_x, e.g. the two sides of a domain wall) over n_kx
-    points of k_x, then reports the cyclic gaps between consecutive
-    covered energies that exceed 5*(2 pi / n_kx).  Bands move at most ~2
-    per unit k_x, so that threshold cannot split a covered band into
-    spurious openings.  The bands come from the closed form of
-    _band_cosines (E = +-arccos c_j, E = -pi read as +pi), not from
-    one eigensolve per point; the edges agree with bulk_bands to roundoff
-    away from E = 0 and +-pi (see there).
-
-    Returns a list of (lo, hi) with hi > lo; an opening across E = +-pi is
-    reported with hi > pi.
+    The bands of every medium in `theta_media` (an iterable of theta_x,
+    e.g. the two sides of a domain wall) cover E = +-arccos of their exact
+    cos E ranges (_band_ranges); the openings are the rest of the circle.
+    Returns a list of (lo, hi) with hi > lo, ascending; an opening across
+    E = +-pi comes last, with hi > pi.
     """
-    min_width = 5.0 * (2.0 * np.pi / n_kx)
-    ks = np.linspace(-np.pi, np.pi, n_kx, endpoint=False)
-    E = np.arccos(np.clip([_band_cosines(tx, theta_y, ks, k_y)
-                           for tx in theta_media], -1.0, 1.0)).ravel()
-    pts = np.sort(_wrap_pi(np.concatenate((E, -E))))
-    gaps = np.diff(pts)
-    out = [(float(pts[i]), float(pts[i + 1]))
-           for i in np.nonzero(gaps > min_width)[0]]
-    wrap = 2.0 * np.pi - (pts[-1] - pts[0])
-    if wrap > min_width:
-        out.append((float(pts[-1]), float(pts[0] + 2.0 * np.pi)))
+    lo, hi = _band_ranges(np.asarray(theta_media, float), theta_y, k_y)
+    top, bottom = np.arccos(np.clip((hi.ravel(), lo.ravel()), -1.0, 1.0))
+    starts, ends = np.concatenate(((top, bottom), (-bottom, -top)), axis=1)
+    order = np.argsort(starts)
+    # the furthest E the covered intervals reach, up to each start
+    starts, ends = starts[order], np.maximum.accumulate(ends[order])
+    out = [(float(ends[i]), float(starts[i + 1]))
+           for i in np.flatnonzero(starts[1:] > ends[:-1])]
+    if starts[0] + 2.0 * np.pi > ends[-1]:
+        out.append((float(ends[-1]), float(starts[0] + 2.0 * np.pi)))
     return out
 
 
@@ -409,8 +409,8 @@ def fit_edge_branch(k, E, theta, k_window=0.2):
     contribute their |E| directly (the branch must cross zero there).
     """
     k_rows = np.broadcast_to(k[:, None], E.shape)
-    mask = ((np.abs(k_rows) <= k_window)
-            & (np.abs(E) < bulk_gap_edge(theta, k)[:, None] * 0.95))
+    edge = np.arccos(_band_ranges(theta, 0.0, k)[1][1])
+    mask = (np.abs(k_rows) <= k_window) & (np.abs(E) < edge[:, None] * 0.95)
     if not mask.any():
         raise ValueError("no in-gap points found in the fit window")
     pts = np.column_stack((k_rows[mask], E[mask]))

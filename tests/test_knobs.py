@@ -21,8 +21,8 @@ PACKAGE = ROOT / "src" / "dtqw"
 CALLER_DIRS = (ROOT / "src", ROOT / "demos", ROOT / "bench")
 ALLOWED = {
     # inputs of independent cross-checks in the tests: a non-square
-    # lattice, a random start state and a 2001-point k_x sampling
-    "build_dirac.L_y", "trotter_error.psi0", "bulk_openings.n_kx",
+    # lattice and a random start state
+    "build_dirac.L_y", "trotter_error.psi0",
     # the CLI's test seam: the console script calls main() bare
     "main.argv",
 }

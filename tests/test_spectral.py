@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
@@ -9,9 +11,9 @@ from dtqw.profiles import Constant, DomainWall
 import dtqw.spectral
 from dtqw.presets import run_preset
 from dtqw.spectral import (ConvergenceError, UnitarityError, _band_cosines,
-                           _canonical_basis, _canonical_pairs, _quasi_energy,
-                           _span_eigenpairs, block_eigensystem, bulk_bands,
-                           bulk_gap_edge, bulk_openings, commensurate_grid,
+                           _band_ranges, _canonical_basis, _canonical_pairs,
+                           _quasi_energy, _span_eigenpairs, block_eigensystem,
+                           bulk_bands, bulk_openings, commensurate_grid,
                            momentum_block, near_unity_states, quasi_energies,
                            spectrum_scan, states_in_openings,
                            walk_matrix_sparse, zero_mode_profiles)
@@ -278,13 +280,36 @@ class TestBulkBands:
             assert abs(spacing(E) - gap) <= 1e-12
 
     def test_gap_edge_formula(self):
-        # brute-force the k_x minimum of |E| and compare
-        theta, ky = np.pi / 3, 0.35
-        edge = bulk_gap_edge(theta, ky)
-        kxs = np.linspace(-np.pi, np.pi, 20001)
-        brute = min(np.min(np.abs(bulk_bands(theta, 0.0, kx, ky)))
-                    for kx in kxs)
-        assert edge == pytest.approx(brute, abs=1e-6)
+        # at theta_y = 0 the top of c_+ over k_x, which sets the bulk gap
+        # edge, is hypot(cos theta cos k_y, sin theta sin k_y); k_y = 0 and
+        # +-pi take the beta = 0 and near-zero branches
+        ky = np.concatenate((commensurate_grid(101), [np.pi, -np.pi]))
+        for theta in (np.pi / 3, -np.pi / 3, 0.2, 1.3):
+            top = _band_ranges(theta, 0.0, ky)[1][1]
+            assert top.shape == ky.shape
+            hypot = np.hypot(np.cos(theta) * np.cos(ky),
+                             np.sin(theta) * np.sin(ky))
+            assert np.max(np.abs(top - hypot)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(*[st.floats(-np.pi, np.pi, allow_nan=False)] * 3)
+    def test_ranges_match_dense_eigvals_sampling(self, theta_x, theta_y, k_y):
+        # U^dag dU/dk_x = C_x^T (-i diag SHIFT_X_STEPS) C_x has norm 1, so
+        # each band's cos E moves by at most |dk_x|: every band value lies
+        # within h/2 of a sample on a k_x grid of spacing h.  The grid
+        # holds k_x = 0 and +-pi, where sqrt(beta sin^2 k_x + gamma) has a
+        # kink as gamma -> 0
+        n = 4000
+        h = 2.0 * np.pi / n
+        kx = np.linspace(-np.pi, np.pi, n + 1)
+        cos_E = np.sort(np.cos(bulk_bands(theta_x, theta_y, kx, k_y)),
+                        axis=1)[:, ::2]                 # (c_1, c_2) rows
+        lo, hi = _band_ranges(theta_x, theta_y, k_y)
+        tol = 1e-13
+        assert np.all(cos_E.min(axis=0) >= lo - tol)
+        assert np.all(cos_E.max(axis=0) <= hi + tol)
+        assert np.all(cos_E.min(axis=0) <= lo + h / 2 + tol)
+        assert np.all(cos_E.max(axis=0) >= hi - h / 2 - tol)
 
 
 class TestOpenings:
@@ -299,43 +324,74 @@ class TestOpenings:
                                          np.pi / 4, np.pi / 3])
     @pytest.mark.parametrize("L", [61, 101])
     def test_closed_form_openings_match_eigvals(self, theta_y, L):
-        # the preset grids: an opening list built from bulk_bands on the
-        # same 241 k_x points, with the same threshold and wrap
-        n_kx = 241
-        ks = np.linspace(-np.pi, np.pi, n_kx, endpoint=False)
-        k_y = commensurate_grid(L)
+        # the preset grids at every 6th k_y, against both media's bulk_bands
+        # on 2001 k_x points of spacing h.  Every band value lies within
+        # h/2 of a sample (see test_ranges_match_dense_eigvals_sampling), so
+        # each sampled gap wider than h holds one opening, whose edges lie
+        # within h/2 of the samples that bound it; the exact openings are
+        # all wider than h, so the two lists pair up one to one
+        n = 2000
+        h = 2.0 * np.pi / n
+        kx = np.linspace(-np.pi, np.pi, n + 1)
+        k_y = commensurate_grid(L)[::6]
         media = (np.pi / 3, -np.pi / 3)
-        bands = np.concatenate(                      # (n_kx, L, 4) each
-            [bulk_bands(tx, theta_y, ks[:, None], k_y[None, :])
+        bands = np.concatenate(                  # (2 (n + 1), len(k_y), 4)
+            [bulk_bands(tx, theta_y, kx[:, None], k_y[None, :])
              for tx in media])
-        min_width = 5.0 * (2.0 * np.pi / n_kx)
         for j, ky in enumerate(k_y):
             pts = np.sort(bands[:, j].ravel())
             ref = [(pts[i], pts[i + 1])
-                   for i in np.flatnonzero(np.diff(pts) > min_width)]
-            if 2.0 * np.pi - (pts[-1] - pts[0]) > min_width:
+                   for i in np.flatnonzero(np.diff(pts) > h)]
+            if 2.0 * np.pi - (pts[-1] - pts[0]) > h:
                 ref.append((pts[-1], pts[0] + 2.0 * np.pi))
             ops = bulk_openings(media, theta_y, ky)
             assert len(ops) == len(ref) >= 1
-            assert np.max(np.abs(np.subtract(ops, ref))) <= 1e-12
+            assert min(hi - lo for lo, hi in ops) > h
+            gap = np.subtract(ref, ops)          # sampled minus exact
+            assert np.all(gap[:, 0] <= 1e-12) and np.all(gap[:, 1] >= -1e-12)
+            assert np.max(np.abs(gap)) <= h / 2 + 1e-12
+
+    def test_fig2b_grid_keeps_the_narrow_openings(self):
+        # fig2b's grid (theta_y = pi/50, L = 101) at k_y = -2 pi 26/101 has
+        # two openings 0.062 wide near E = +-pi/2, besides those at E = 0
+        # and pi; a 241-point k_x sampling that kept only gaps wider than
+        # 0.130 reported 2 openings here.  20,001 samples of bulk_bands
+        # (spacing h) stay out of all four and come within h/2 of each edge
+        media, theta_y = (np.pi / 3, -np.pi / 3), np.pi / 50
+        ky = commensurate_grid(101)[50 - 26]
+        ops = bulk_openings(media, theta_y, ky)
+        assert len(ops) == 4
+        assert ops[0] == pytest.approx((-1.6018, -1.5397), abs=1e-4)
+        assert ops[2] == pytest.approx((1.5397, 1.6018), abs=1e-4)
+        n = 20000
+        h = 2.0 * np.pi / n
+        pts = np.concatenate([bulk_bands(tx, theta_y, np.linspace(
+            -np.pi, np.pi, n + 1), ky).ravel() for tx in media])
+        for lo, hi in ops:
+            offset = np.mod(pts - lo, 2.0 * np.pi)   # 0 at lo, cyclically
+            assert not np.any((offset > 1e-12) & (offset < hi - lo - 1e-12))
+            near = np.minimum(offset, 2.0 * np.pi - offset)
+            assert np.min(near) <= h / 2 + 1e-12
+            assert np.min(np.abs(offset - (hi - lo))) <= h / 2 + 1e-12
+
+    @pytest.mark.parametrize("ky", [0.0, 1.0, np.pi / 2])
+    def test_opening_edges_match_gap_formula(self, ky):
+        # the E ~ 0 opening of the +-theta media at theta_y = 0 is the
+        # projected bulk gap, +-arccos hypot(cos theta cos k_y,
+        # sin theta sin k_y)
+        ops = bulk_openings((np.pi / 3, -np.pi / 3), 0.0, ky)
+        zero_open = [o for o in ops if o[0] < 0.0 < o[1]]
+        assert len(zero_open) == 1
+        edge = np.arccos(np.hypot(np.cos(np.pi / 3) * np.cos(ky),
+                                  np.sin(np.pi / 3) * np.sin(ky)))
+        assert np.max(np.abs(np.subtract(zero_open[0], (-edge, edge)))
+                      ) <= 1e-12
 
     def test_states_in_openings_wraps(self):
         openings = [(-0.5, 0.5), (2.9, 3.5)]   # second straddles +pi
         hits = states_in_openings([0.0, 0.4, 1.0, 3.0, -3.2], openings)
         # -3.2 + 2pi = 3.083 sits inside the wrapped opening
         assert sorted(hits) == pytest.approx([-3.2, 0.0, 0.4, 3.0])
-
-    @pytest.mark.parametrize("ky", [0.0, 1.0, np.pi / 2])
-    def test_opening_edges_match_gap_formula(self, ky):
-        # the E ~ 0 opening of the +-theta media at theta_y = 0 is the
-        # projected bulk gap; its edges must agree with the closed form
-        ops = bulk_openings((np.pi / 3, -np.pi / 3), 0.0, ky, n_kx=2001)
-        zero_open = [o for o in ops if o[0] < 0.0 < o[1]]
-        assert len(zero_open) == 1
-        lo, hi = zero_open[0]
-        edge = bulk_gap_edge(np.pi / 3, ky)
-        assert hi == pytest.approx(edge, abs=2e-3)
-        assert lo == pytest.approx(-edge, abs=2e-3)
 
 
 class TestNearUnityStates:
@@ -616,6 +672,19 @@ class TestSpectrumScan:
                    outdir=str(tmp_path / "fig7c"))
         assert len(calls) == 6
         assert (tmp_path / "fig7c" / "enclosed.csv").exists()
+
+    def test_zero_energies_are_positive_zero(self):
+        # at L = 61 the clean wall's k_y = 0 zero modes come out exactly 0;
+        # the solved row and its mirror (the second k_y = 0 of the grid)
+        # write them as 0, not -0
+        op = StepOperator2D(LatticeSpec(61),
+                            DomainWall(np.pi / 3, -np.pi / 3, 15),
+                            Constant(0.0))
+        E_modes = zero_mode_profiles(op)[0]
+        _, E = spectrum_scan(op, k_grid=[0.0, 0.0])
+        for values in (E_modes, E[0], E[1]):
+            zeros = values[values == 0.0]
+            assert len(zeros) == 4 and not np.any(np.signbit(zeros))
 
     def test_explicit_grid_keeps_its_order(self, op):
         k, E = spectrum_scan(op, k_grid=[0.3, -1.1])
