@@ -57,7 +57,7 @@ PRESETS = OrderedDict([
                {"L": "101", "theta_x": _WALL_X, "theta_y": "pi/50"})),
     ("fig2c", ("spectrum", "disordered wall, W = 0.25",
                {"L": "101", "theta_x": _WALL_X + "+noise:0.25:11",
-                "theta_y": "constant:0", "seed": "11"})),
+                "theta_y": "constant:0"})),
     ("fig5", ("edge_profiles", "zero-mode profiles at k_y = 0",
               {"L": "101", "theta_x": _WALL_X, "theta_y": "constant:0"})),
     ("fig6", ("corner", "corner modes of the double wall",

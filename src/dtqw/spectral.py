@@ -14,13 +14,13 @@ W = (U + U^dag)/2, which commutes with U and has eigenvalues cos(E).
 The split-step walk carries an antiunitary symmetry that squares to -1
 (Kitagawa, Rudner, Berg and Demler, Phys. Rev. A 82, 033429, 2010), so the
 eigenvalues of W come in degenerate pairs; U restricted to W eigenvectors
-cut at a W gap above 1e-5 resolves the E signs.  Spectra and block
-eigenvectors resolve U in each cluster between such gaps; the corner-state
-search resolves it once over the top of the 2D lattice's W (real
-symmetric, since the walk matrix is real), whose largest eigenvalues
-cos(E) mark the quasi-energies nearest zero.  A Chebyshev-filtered block
-iteration finds that span, and each degenerate group of the states is
-rotated to a canonical basis that does not depend on the solver.
+cut at a W gap above 1e-5 resolves the E signs.  Spectra resolve U in
+each cluster between such gaps; the corner states and the zero modes of
+the real k_y = 0 block A are resolved once over the top of their real
+symmetric W, whose largest eigenvalues cos(E) mark the quasi-energies
+nearest zero.  A Chebyshev-filtered block iteration finds that span, and
+each degenerate group of the states is rotated to a canonical basis that
+does not depend on the solver.
 
 The uniform walk's bands have two routes: bulk_bands takes the
 eigenphases of the 4x4 Bloch unitary, and _band_cosines gives their
@@ -139,17 +139,16 @@ def _check_residuals(resid):
                              "enough")
 
 
-def _resolve_clusters(U, vectors):
-    """(E, X) of one unitary matrix, sorted by E; X holds the unit
-    eigenvectors as rows when `vectors` is true, else it is None.
+def quasi_energies(U):
+    """Quasi-energies E in (-pi, pi] of one unitary matrix, sorted ascending.
 
     eigh of W = (U + U^dag)/2, cut into clusters wherever its eigenvalues
     step by more than _CLUSTER_GAP; W commutes with U, so each cluster
     spans a U-invariant subspace, and V_c^dag U V_c is diagonalized inside
     each, batched over clusters of equal size.  The clusters are gathered
     as rows, (clusters, m, n), so the residual norms run over the
-    contiguous axis.  Every eigenpair residual is checked, with or without
-    `vectors`; only the eigenvector matrix is skipped without it.
+    contiguous axis.  Raises UnitarityError on an eigenpair residual above
+    1e-9 or an eigenvalue modulus that drifts from 1.
     """
     U = np.asarray(U)
     w, V = np.linalg.eigh((U + U.conj().T) * 0.5)
@@ -159,7 +158,6 @@ def _resolve_clusters(U, vectors):
     Vt, UVt = V.T, (U @ V).T
     lam = np.empty(n, dtype=complex)
     resid = np.empty(n)
-    X = np.empty((n, n), dtype=complex) if vectors else None
     for m in np.unique(sizes):
         idx = starts[sizes == m][:, None] + np.arange(m)   # (clusters, m)
         Vc, UVc = Vt[idx], UVt[idx]                        # (clusters, m, n)
@@ -168,36 +166,9 @@ def _resolve_clusters(U, vectors):
         Xc = Ct @ Vc                                       # eigenvectors, rows
         resid[idx] = (np.linalg.norm(Ct @ UVc - Xc * mu[..., None], axis=2)
                       / np.linalg.norm(Xc, axis=2))
-        if vectors:
-            # the returned vectors are formed as V_c C and normalized down
-            # the columns: the operand and summation order that fixes the
-            # bits of the zero-mode profiles
-            Xc = Vc.swapaxes(1, 2) @ C
-            X[idx] = (Xc / np.linalg.norm(Xc, axis=1)[:, None, :]
-                      ).swapaxes(1, 2)
         lam[idx] = mu
     _check_residuals(resid)
-    E = _quasi_energy(lam)
-    order = np.argsort(E)
-    return E[order], None if X is None else X[order]
-
-
-def block_eigensystem(U):
-    """(E, unit vectors as columns) of one unitary matrix, sorted by E.
-
-    Exact for any unitary matrix (see _resolve_clusters).  Raises
-    UnitarityError on an eigenpair residual above 1e-9 or an eigenvalue
-    modulus that drifts from 1.
-    """
-    E, X = _resolve_clusters(U, vectors=True)
-    return E, X.T
-
-
-def quasi_energies(U):
-    """Quasi-energies E in (-pi, pi] of one unitary matrix, sorted
-    ascending: the E of block_eigensystem, bit for bit, with the same
-    guards, but without building the eigenvector matrix."""
-    return _resolve_clusters(U, vectors=False)[0]
+    return np.sort(_quasi_energy(lam))
 
 
 def commensurate_grid(L_y):
@@ -229,43 +200,6 @@ def spectrum_scan(op, k_grid=None):
         else:
             E[i] = np.sort(_wrap_pi(0.0 - E[j]))
     return k, E
-
-
-def _canonical_basis(E, V, x):
-    """A basis of the eigenstates (E, V) that does not depend on LAPACK.
-
-    Sorts the states by E, orthonormalizes them with one QR in that order
-    (so states of different groups come out orthogonal to rounding, not
-    only to eps / (E spacing)), and groups them wherever E steps by more
-    than _RESIDUAL_TOL; each group is rotated to the basis that
-    diagonalizes the position x (one value per vector component), so
-    degenerate states localized at different walls separate.  Returns
-    (E, V) ordered by group, then by <x>.
-    """
-    order = np.argsort(E, kind="stable")
-    E, V = E[order], np.linalg.qr(V[:, order])[0]
-    groups = np.split(np.arange(len(E)),
-                      np.flatnonzero(np.diff(E) > _RESIDUAL_TOL) + 1)
-    for g in groups:
-        Q = V[:, g]
-        V[:, g] = Q @ np.linalg.eigh(Q.conj().T @ (x[:, None] * Q))[1]
-    return E, V
-
-
-def zero_mode_profiles(op):
-    """The four k_y = 0 eigenstates nearest E = 0 and their site profiles.
-
-    The states are taken in the canonical basis of _canonical_basis, so
-    each degenerate zero mode sits at one wall.  Returns (E, P): E the
-    four quasi-energies in ascending order, P of shape (4, L_x) with
-    P[i, x] = sum_c |psi_i(x, c)|^2 (each row sums to 1), rows ordered by
-    E group, then by <x>.
-    """
-    E, V = block_eigensystem(momentum_block(op, 0.0))
-    idx = np.argsort(np.abs(E))[:4]
-    E, V = _canonical_basis(E[idx], V[:, idx],
-                            np.repeat(op.lattice.coords_x, 4))
-    return E, np.sum(np.abs(V.T.reshape(4, -1, 4)) ** 2, axis=2)
 
 
 def bulk_bands(theta_x, theta_y, k_x, k_y):
@@ -351,26 +285,37 @@ def _band_ranges(theta_x, theta_y, k_y):
     return bands.min(axis=1), bands.max(axis=1)
 
 
+# cos E ranges this close touch: _band_cosines' roundoff opens gaps up to
+# 2.2e-16 wide in cos E; true openings were >= 1e-6 over a scan of angles
+_COS_TOUCH = 1e-14
+
+
 def bulk_openings(theta_media, theta_y, k_y):
     """Quasi-energy openings of the projected bulk bands at fixed k_y.
 
     The bands of every medium in `theta_media` (an iterable of theta_x,
     e.g. the two sides of a domain wall) cover E = +-arccos of their exact
-    cos E ranges (_band_ranges); the openings are the rest of the circle.
-    Returns a list of (lo, hi) with hi > lo, ascending; an opening across
-    E = +-pi comes last, with hi > pi.
+    cos E ranges (_band_ranges), joined within _COS_TOUCH; the openings
+    are the rest of the circle.  Returns a list of (lo, hi) with hi > lo,
+    ascending; an opening across E = +-pi comes last, with hi > pi.
     """
-    lo, hi = _band_ranges(np.asarray(theta_media, float), theta_y, k_y)
-    top, bottom = np.arccos(np.clip((hi.ravel(), lo.ravel()), -1.0, 1.0))
-    starts, ends = np.concatenate(((top, bottom), (-bottom, -top)), axis=1)
-    order = np.argsort(starts)
-    # the furthest E the covered intervals reach, up to each start
-    starts, ends = starts[order], np.maximum.accumulate(ends[order])
-    out = [(float(ends[i]), float(starts[i + 1]))
-           for i in np.flatnonzero(starts[1:] > ends[:-1])]
-    if starts[0] + 2.0 * np.pi > ends[-1]:
-        out.append((float(ends[-1]), float(starts[0] + 2.0 * np.pi)))
-    return out
+    lo, hi = np.clip(_band_ranges(np.asarray(theta_media, float), theta_y,
+                                  k_y), -1.0, 1.0).reshape(2, -1)
+    order = np.argsort(lo)
+    # uncovered cos E: under each range, down to all lower ranges' top
+    below = np.concatenate(([-1.0], np.maximum.accumulate(hi[order])))
+    above = np.concatenate((lo[order], [1.0]))
+    keep = above - below > _COS_TOUCH
+    near, far = np.arccos((above[keep], below[keep]))   # E descending
+    # each gap opens (near, far) and (-far, -near), one opening across
+    # E = 0 where near = 0 and across +-pi where far = pi
+    mid, rim = near == 0.0, far == np.pi
+    side = ~(mid | rim)
+    lo_E = np.concatenate((-far[side], -far[mid], near[side][::-1],
+                           near[rim]))
+    hi_E = np.concatenate((-near[side], far[mid], far[side][::-1],
+                           2.0 * np.pi - near[rim]))
+    return list(zip(lo_E.tolist(), hi_E.tolist()))
 
 
 def states_in_openings(energies, openings, margin=0.0):
@@ -574,21 +519,25 @@ def _span_eigenpairs(U, V):
     return _quasi_energy(lam), V @ C
 
 
-def _canonical_pairs(U, E, X, lattice, count):
-    """(E, states, residuals) of the `count` eigenpairs (E, X) nearest E = 0.
+def _canonical_pairs(U, E, X, d, count):
+    """(E, states as columns, residuals) of the `count` eigenpairs (E, X)
+    nearest E = 0, in a basis that does not depend on the solver.
 
-    _canonical_basis rotates each degenerate group to diagonalize
-    d = x + y/sqrt(2) + [c = 0]: position separates the four wall
-    crossings, the coin term the two states at each.  Rows run by |E|
-    group, the negative group of a +-E pair first, then by <d>; each
+    Sorts the pairs by E, orthonormalizes them with one QR in that order
+    (so states of different groups come out orthogonal to rounding, not
+    only to eps / (E spacing)), and groups them wherever E steps by more
+    than _RESIDUAL_TOL; each group is rotated to the basis that
+    diagonalizes the key d (one value per vector component).  Rows run by
+    |E| group, the negative group of a +-E pair first, then by <d>; each
     residual ||U psi - e^{-iE} psi|| uses its row's E, and raises
     UnitarityError above _RESIDUAL_TOL.
     """
-    x, y = np.meshgrid(lattice.coords_x, lattice.coords_y, indexing="ij")
-    d = (x[..., None] + y[..., None] / np.sqrt(2.0)
-         + (np.arange(4) == 0)).ravel()
-    E, X = _canonical_basis(E, X, d)
+    order = np.argsort(E, kind="stable")
+    E, X = E[order], np.linalg.qr(X[:, order])[0]
     g = np.cumsum(np.diff(E, prepend=-np.inf) > _RESIDUAL_TOL) - 1
+    for cols in np.split(np.arange(len(E)), np.flatnonzero(np.diff(g)) + 1):
+        Q = X[:, cols]
+        X[:, cols] = Q @ np.linalg.eigh(Q.conj().T @ (d[:, None] * Q))[1]
     E_group = np.bincount(g, E) / np.bincount(g)
     # a +-E pair ties on |E| up to roundoff: the tolerance decides it
     key = np.abs(E_group) - _RESIDUAL_TOL * (E_group < 0)
@@ -596,7 +545,13 @@ def _canonical_pairs(U, E, X, lattice, count):
     E, X = E[rows], X[:, rows]
     resid = np.linalg.norm(U @ X - X * np.exp(-1j * E), axis=0)
     _check_residuals(resid)
-    return E, X.T.reshape((count,) + lattice.shape), resid
+    return E, X, resid
+
+
+def _near_zero_pairs(U, d, count):
+    """_canonical_pairs of a real unitary U over the top of its W."""
+    E, X = _span_eigenpairs(U, _top_of_w((U + U.T) * 0.5, count))
+    return _canonical_pairs(U, E, X, d, count)
 
 
 def near_unity_states(op, count):
@@ -613,15 +568,30 @@ def near_unity_states(op, count):
 
     Returns (E, states, residuals), shaped (count,), (count, L_x, L_y, 4)
     and (count,), ordered by |E| group (the negative group of a +-E pair
-    first), then by <x + y/sqrt(2) + [c = 0]>.
+    first), then by <d>, d = x + y/sqrt(2) + [c = 0]: position separates
+    the four wall crossings, the coin term the two states at each.
     """
     lattice = op.lattice
     n = lattice.size
     if count < 1 or count > n:
         raise ValueError(f"count must be in 1..{n}")
-    U = walk_matrix_sparse(op)
-    E, X = _span_eigenpairs(U, _top_of_w((U + U.T) * 0.5, count))
-    return _canonical_pairs(U, E, X, lattice, count)
+    x, y = np.meshgrid(lattice.coords_x, lattice.coords_y, indexing="ij")
+    d = (x[..., None] + y[..., None] / np.sqrt(2.0)
+         + (np.arange(4) == 0)).ravel()
+    E, X, resid = _near_zero_pairs(walk_matrix_sparse(op), d, count)
+    return E, X.T.reshape((count,) + lattice.shape), resid
+
+
+def zero_mode_profiles(op):
+    """The four k_y = 0 eigenstates nearest E = 0 and their site profiles.
+
+    The real block A = U(k_y = 0) is solved as near_unity_states solves
+    the walk, with d = x, so each degenerate zero mode sits at one wall,
+    and in its row order.  Returns (E, P), P[i, x] = sum_c |psi_i(x, c)|^2.
+    """
+    E, X, _ = _near_zero_pairs(_block_terms(op)[0],
+                               np.repeat(op.lattice.coords_x, 4), 4)
+    return E, np.sum(np.abs(X.T.reshape(4, -1, 4)) ** 2, axis=2)
 
 
 def corner_weight(P, L_wall):

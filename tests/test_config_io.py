@@ -204,6 +204,23 @@ class TestPresetRuns:
         assert main([name, "--L", "9", "--outdir", str(tmp_path)]) in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_every_preset_key_is_read(self, name, tmp_path, monkeypatch):
+        # a key in a preset's table that its pipeline never reads is a
+        # setting that a CLI override changes without effect; the L alias
+        # counts as read through either axis
+        read = set()
+        for accessor in ("get", "get_int", "get_float"):
+            def recording(cfg, key, *args, _get=getattr(ExperimentConfig,
+                                                         accessor)):
+                read.add(key)
+                return _get(cfg, key, *args)
+            monkeypatch.setattr(ExperimentConfig, accessor, recording)
+        run_preset(name, {"L": "33", "T_max": "4"}, outdir=str(tmp_path))
+        if read & {"L_x", "L_y"}:
+            read.add("L")
+        assert set(PRESETS[name][2]) <= read
+
     def test_initial_state_inside_the_lattice_is_accepted(self, tmp_path):
         cfg = ExperimentConfig({"L_x": "9", "L_y": "7",
                                 "initial": "basis:-4:3:2"})

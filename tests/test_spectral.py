@@ -11,9 +11,9 @@ from dtqw.profiles import Constant, DomainWall
 import dtqw.spectral
 from dtqw.presets import run_preset
 from dtqw.spectral import (ConvergenceError, UnitarityError, _band_cosines,
-                           _band_ranges, _canonical_basis, _canonical_pairs,
-                           _quasi_energy, _span_eigenpairs, block_eigensystem,
-                           bulk_bands, bulk_openings, commensurate_grid,
+                           _band_ranges, _block_terms, _canonical_pairs,
+                           _quasi_energy, _span_eigenpairs, bulk_bands,
+                           bulk_openings, commensurate_grid,
                            momentum_block, near_unity_states, quasi_energies,
                            spectrum_scan, states_in_openings,
                            walk_matrix_sparse, zero_mode_profiles)
@@ -54,21 +54,6 @@ class TestBlocks:
             [quasi_energies(momentum_block(op, k))
              for k in commensurate_grid(7)]))
         assert np.allclose(dense, tiled, atol=1e-10)
-
-    @pytest.mark.parametrize("theta_y", [0.0, np.pi / 3])
-    @pytest.mark.parametrize("k_y", [0.0, 0.4])
-    def test_block_eigensystem_residual(self, theta_y, k_y):
-        op = StepOperator2D(LatticeSpec(9),
-                            DomainWall(np.pi / 3, -np.pi / 3, 3)
-                            .with_noise(0.25, 5), Constant(theta_y))
-        blk = momentum_block(op, k_y)
-        E, V = block_eigensystem(blk)
-        assert np.all(np.diff(E) >= 0)
-        assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0,
-                           atol=1e-14)
-        resid = np.linalg.norm(blk @ V - V * np.exp(-1j * E), axis=0)
-        assert np.max(resid) <= 1e-10
-        assert _phase_multiset_distance(E, _eigvals_route(blk)) <= 1e-13
 
     def test_eigenphases_are_in_half_open_interval(self):
         # lambda = -1 has angle +pi, so E = -pi; the wrap maps it to +pi
@@ -136,9 +121,6 @@ class TestKernel:
         E = quasi_energies(U)
         assert E.shape == (84,) and np.all(np.diff(E) >= 0.0)
         assert _phase_multiset_distance(E, _eigvals_route(U)) <= 1e-13
-        # one cluster loop: the spectrum-only path gives the bits of the
-        # eigenvector path
-        assert np.array_equal(E, block_eigensystem(U)[0])
 
     def test_degenerate_minus_one_matches_eigvals(self):
         Q = _haar_unitary(7, 3)
@@ -157,31 +139,44 @@ class TestKernel:
         # U-invariant subspaces
         N = np.zeros_like(U)
         N[0, -1] = 1e-6
-        for solve in (quasi_energies, block_eigensystem):
-            with pytest.raises(UnitarityError, match="modulus drifts"):
-                solve(1.001 * U)
-            with pytest.raises(UnitarityError, match="eigenpair residual"):
-                solve(U + N)
+        with pytest.raises(UnitarityError, match="modulus drifts"):
+            quasi_energies(1.001 * U)
+        with pytest.raises(UnitarityError, match="eigenpair residual"):
+            quasi_energies(U + N)
 
 
 class TestZeroModeProfiles:
-    """The canonical basis of the four k_y = 0 zero modes of a clean wall."""
+    """The canonical basis of the four k_y = 0 states nearest E = 0."""
 
     @staticmethod
-    def _wall(L, L_wall):
-        return StepOperator2D(LatticeSpec(L),
-                              DomainWall(np.pi / 3, -np.pi / 3, L_wall),
-                              Constant(0.0))
+    def _wall(L, L_wall, theta_y=0.0, seed=None):
+        wall = DomainWall(np.pi / 3, -np.pi / 3, L_wall)
+        if seed is not None:
+            wall = wall.with_noise(0.25, seed)
+        return StepOperator2D(LatticeSpec(L), wall, Constant(theta_y))
 
     @staticmethod
-    def _canonical(op, solve):
-        """(U, E, V): the k_y = 0 block and its four states nearest E = 0
-        from `solve`, in the canonical basis."""
-        U = momentum_block(op, 0.0)
-        E, V = solve(U)
-        idx = np.argsort(np.abs(E))[:4]
-        return (U, *_canonical_basis(E[idx], V[:, idx],
-                                     np.repeat(op.lattice.coords_x, 4)))
+    def _canonical(op, route):
+        """(A, E, V, resid): the real k_y = 0 block and its four states
+        nearest E = 0 from a dense route, put through _canonical_pairs
+        with the key d = x.  "eigh" takes the top eigenvectors of W =
+        (A + A^T)/2 down to the first W gap past 4, resolved by
+        _span_eigenpairs; "eig" takes the four eigenpairs of the general
+        eig with the smallest |E|."""
+        A = _block_terms(op)[0]
+        if route == "eigh":
+            w, V = np.linalg.eigh((A + A.T) * 0.5)
+            w, V = w[::-1], V[:, ::-1]
+            j = 4
+            while w[j - 1] - w[j] <= dtqw.spectral._CLUSTER_GAP:
+                j += 1
+            E, V = _span_eigenpairs(A, V[:, :j])
+        else:
+            E, V = _eig_route(A)
+            idx = np.argsort(np.abs(E))[:4]
+            E, V = E[idx], V[:, idx]
+        return (A, *_canonical_pairs(A, E, V,
+                                     np.repeat(op.lattice.coords_x, 4), 4))
 
     @staticmethod
     def _profiles(V):
@@ -200,26 +195,45 @@ class TestZeroModeProfiles:
 
     def test_basis_is_orthonormal_and_independent_of_the_solver(self):
         op = self._wall(41, 10)
-        U, E, V = self._canonical(op, block_eigensystem)
+        A, E, V, resid = self._canonical(op, "eigh")
         assert np.allclose(V.conj().T @ V, np.eye(4), rtol=0, atol=1e-13)
-        assert np.max(np.linalg.norm(U @ V - V * np.exp(-1j * E),
-                                     axis=0)) <= 1e-10
-        _, P = zero_mode_profiles(op)
+        assert np.max(resid) <= 1e-10
+        E_modes, P = zero_mode_profiles(op)
+        assert np.max(np.abs(E_modes - E)) <= 1e-14
         assert np.max(np.abs(self._profiles(V) - P)) <= 1e-14
         # the general eig route, put through the same rotation
-        _, _, V_eig = self._canonical(op, _eig_route)
+        _, _, V_eig, _ = self._canonical(op, "eig")
         assert np.max(np.abs(self._profiles(V_eig) - P)) <= 1e-13
 
     def test_split_quartet_keeps_eigenstates(self):
         # at L = 21 tunnelling splits the quartet into two Kramers pairs
-        # (|E| ~ 1e-6), so each row stays a true eigenstate
+        # (|E| ~ 1e-6), so each row stays a true eigenstate.  Inside a pair
+        # both states have the same <x>, which leaves their profiles
+        # ill-conditioned (1e-10 apart between routes): only E and the
+        # residuals are compared
         op = self._wall(21, 5)
-        U, E, V = self._canonical(op, block_eigensystem)
+        E, _ = zero_mode_profiles(op)
         assert np.min(np.abs(E)) > 1e-7
         assert E[1] - E[0] <= 1e-9 < E[2] - E[1]
-        assert np.max(np.linalg.norm(U @ V - V * np.exp(-1j * E),
-                                     axis=0)) <= 1e-12
-        assert np.array_equal(zero_mode_profiles(op)[0], E)
+        for route in ("eigh", "eig"):
+            _, E_ref, _, resid = self._canonical(op, route)
+            assert np.max(np.abs(E - E_ref)) <= 1e-14
+            assert np.max(resid) <= 1e-12
+
+    @pytest.mark.parametrize("theta_y", [np.pi / 50, np.pi / 6])
+    def test_noisy_wall_with_transverse_coin(self, theta_y):
+        # theta_y != 0 moves the four states off E = 0 to two +-E pairs of
+        # single states, one pair at each wall: the rows run by |E| group,
+        # the negative one of each pair first
+        op = self._wall(41, 10, theta_y, seed=3)
+        E, P = zero_mode_profiles(op)
+        assert np.all(E[::2] < 0) and np.array_equal(E[1::2], -E[::2])
+        assert np.abs(E[0]) < np.abs(E[2])
+        assert np.all(np.abs(P @ op.lattice.coords_x) > 10.0)
+        _, E_eig, V_eig, resid = self._canonical(op, "eig")
+        assert np.max(np.abs(E - E_eig)) <= 1e-14
+        assert np.max(resid) <= 1e-12
+        assert np.max(np.abs(self._profiles(V_eig) - P)) <= 1e-14
 
 
 class TestBulkBands:
@@ -387,6 +401,28 @@ class TestOpenings:
         assert np.max(np.abs(np.subtract(zero_open[0], (-edge, edge)))
                       ) <= 1e-12
 
+    def test_touching_bands_open_no_roundoff_gap(self):
+        # float angles leave touching bands apart by roundoff: at
+        # theta_y = pi/2, cos theta_y = 6e-17 splits two bands at
+        # E = +-pi/2 by 2.2e-16 in cos E, and at theta_x = theta_y = pi/2
+        # the top and bottom bands stop at cos E = +-(1 - eps), which
+        # arccos turns into gaps 3e-8 wide at E = 0 and pi
+        ops = bulk_openings((np.pi / 4, -np.pi / 4), np.pi / 2, np.pi)
+        assert len(ops) == 2 and np.allclose(
+            ops, [(-np.pi / 4, np.pi / 4), (3 * np.pi / 4, 5 * np.pi / 4)],
+            rtol=0, atol=1e-15)
+        ops = bulk_openings((np.pi / 2, -np.pi / 2), np.pi / 2,
+                            commensurate_grid(101)[99])
+        assert len(ops) == 2 and np.allclose(
+            ops, [(-1.66411, -1.47748), (1.47748, 1.66411)], rtol=0,
+            atol=1e-5)
+        # the true openings over multiples of pi/4 are >= 0.02 wide
+        angles = np.pi / 4 * np.arange(-4, 5)
+        k_y = np.concatenate((commensurate_grid(101), [np.pi, -np.pi]))
+        widths = [hi - lo for tx in angles for ty in angles for ky in k_y
+                  for lo, hi in bulk_openings((tx, -tx), ty, ky)]
+        assert min(widths) > 0.02
+
     def test_states_in_openings_wraps(self):
         openings = [(-0.5, 0.5), (2.9, 3.5)]   # second straddles +pi
         hits = states_in_openings([0.0, 0.4, 1.0, 3.0, -3.2], openings)
@@ -481,6 +517,20 @@ def _double_wall(L, L_wall, seed=None):
     return StepOperator2D(LatticeSpec(L), wx, wy)
 
 
+def _corner_key(lattice):
+    """The key d = x + y/sqrt(2) + [c = 0] of the corner states' basis."""
+    x, y = np.meshgrid(lattice.coords_x, lattice.coords_y, indexing="ij")
+    return (x[..., None] + y[..., None] / np.sqrt(2.0)
+            + (np.arange(4) == 0)).ravel()
+
+
+def _canonical_states(U, E, X, lattice, count):
+    """_canonical_pairs with the corner key, states shaped like
+    near_unity_states'."""
+    E, X, resid = _canonical_pairs(U, E, X, _corner_key(lattice), count)
+    return E, X.T.reshape((count,) + lattice.shape), resid
+
+
 def _arpack_route(op, count):
     """near_unity_states' rows from ARPACK's top W pairs, cut at the same
     W gap and put through the same resolution and canonical basis."""
@@ -493,8 +543,8 @@ def _arpack_route(op, count):
     j = count
     while w[j - 1] - w[j] <= dtqw.spectral._CLUSTER_GAP:
         j += 1
-    return _canonical_pairs(U, *_span_eigenpairs(U, V[:, :j]), op.lattice,
-                            count)
+    return _canonical_states(U, *_span_eigenpairs(U, V[:, :j]), op.lattice,
+                             count)
 
 
 class TestCornerBasis:
@@ -507,7 +557,7 @@ class TestCornerBasis:
     # has levels >= 1e-3 apart (1.8e-13).  The noisy L = 15 octet spans
     # two W clusters 1.2e-5 apart, so only a resolution over the whole
     # span meets 1e-12 (9.5e-13; one eig per cluster gives maps 1.4e-12
-    # apart).  The overlaps need no such allowance: _canonical_basis
+    # apart).  The overlaps need no such allowance: _canonical_pairs
     # orthonormalizes the whole E-sorted span with one QR, which leaves
     # them at rounding (6.7e-16 at most; one QR per group left 8.3e-9 at
     # L = 41)
@@ -546,14 +596,14 @@ class TestCornerBasis:
         for i, g in enumerate(np.split(np.arange(len(E)), cuts)):
             mixed[:, g] = X[:, g] @ _haar_unitary(len(g), i)
         lat = op.lattice
-        E_a, a, _ = _canonical_pairs(U, E, X, lat, 8)
-        E_b, b, _ = _canonical_pairs(U, E, mixed, lat, 8)
+        E_a, a, _ = _canonical_states(U, E, X, lat, 8)
+        E_b, b, _ = _canonical_states(U, E, mixed, lat, 8)
         assert np.array_equal(E_a, E_b)
         assert np.max(np.abs(probability_map(a) - probability_map(b))) <= 1e-12
         # nor on roundoff in |E| between the two groups of a +-E pair
         for f in (1 - 1e-13, 1 + 1e-13):
-            E_c, c, _ = _canonical_pairs(U, np.where(E > 0, E * f, E), X,
-                                         lat, 8)
+            E_c, c, _ = _canonical_states(U, np.where(E > 0, E * f, E), X,
+                                          lat, 8)
             assert np.array_equal(np.sign(E_c), np.sign(E_a))
             assert np.max(np.abs(probability_map(a)
                                  - probability_map(c))) <= 1e-12
