@@ -19,8 +19,9 @@ def _usage(out):
               "\npresets:\n")
     for name, (kind, blurb, _) in PRESETS.items():
         out.write(f"  {name:<10} {blurb} [{kind}]\n")
-    out.write("\nkeys are config fields, e.g. --theta-x wall:pi/3:-pi/3:25 "
-              "--T 1000 --outdir out\n")
+    out.write("\na run takes the keys its preset's table sets (--L sets "
+              "L_x and L_y) plus --outdir\nand --emit, e.g. dtqw fig2a "
+              "--L 61 --theta-x wall:pi/3:-pi/3:15 --outdir out\n")
 
 
 def main(argv=None):

@@ -4,7 +4,8 @@ A configuration is a flat mapping of known keys to canonical value
 strings.  Canonicalization happens at parse time, so equality, file
 round-trips and the ``meta.json`` echo are all exact.  Unknown keys and
 malformed values raise ConfigError naming the key and the expected
-grammar.
+grammar.  Which of the known keys a run accepts is its preset's table in
+``presets.PRESETS``; ``presets.run_config`` refuses the rest.
 """
 
 import configparser
@@ -13,8 +14,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .continuum import BETA, analytic_zero_mode_2d
-from .profiles import Constant, parse_angle, parse_profile
+from .continuum import analytic_zero_mode_2d
+from .profiles import Constant, DomainWall, parse_angle, parse_profile
 from .lattice import LatticeSpec, basis_state, normalize
 from .operators import StepOperator2D
 
@@ -124,8 +125,7 @@ _KEYS = OrderedDict([
     ("band_center", (_canon_angle, "angle (pi/N, decimal)")),
     ("band_sigma", (_positive(_canon_float), "positive number")),
     ("band_passes", (_canon_pos_int, "integer >= 1")),
-    ("k_points", (_canon_nonneg_int,
-                  "integer >= 0 (0 = commensurate grid)")),
+    ("k_points", (_canon_pos_int, "integer >= 1")),
     ("count", (_canon_pos_int, "integer >= 1")),
     ("seed", (_canon_int, "integer")),
     ("outdir", (_canon_str, "directory path")),
@@ -172,35 +172,40 @@ class ExperimentConfig:
 
     # -- typed access -----------------------------------------------------
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
+    def get(self, key):
+        """The canonical string of `key`, which must be set."""
+        if key not in self.values:
+            raise ConfigError(f"{key} is required but missing")
+        return self.values[key]
 
-    def get_int(self, key, default=None):
-        v = self.values.get(key)
-        return default if v is None else int(v)
+    def get_int(self, key):
+        return int(self.get(key))
 
-    def get_float(self, key, default=None):
-        v = self.values.get(key)
-        return default if v is None else float(v)
+    def get_float(self, key):
+        return float(self.get(key))
 
     def lattice(self):
-        L_x = self.get_int("L_x", 101)
-        L_y = self.get_int("L_y", L_x)
-        return LatticeSpec(L_x, L_y)
+        return LatticeSpec(self.get_int("L_x"), self.get_int("L_y"))
 
     def profile(self, axis, kind=None):
         """The theta_<axis> profile; with `kind` given it must be of that
-        class, and a Constant must also carry no noise."""
+        class, and a Constant must also carry no noise.  A DomainWall must
+        fit its axis: 0 <= L_wall < L // 2 leaves sites on both sides of
+        the wall."""
         key = f"theta_{axis}"
         text = self.get(key)
-        if text is None:
-            raise ConfigError(f"{key} is required but missing")
         prof = parse_profile(text)
         if kind is not None and (not isinstance(prof, kind) or (
                 kind is Constant and prof.noise_amplitude)):
             noiseless = "noiseless " if kind is Constant else ""
             raise ConfigError(f"{key} must be a {noiseless}{kind.__name__} "
                               f"profile for this pipeline, got {text!r}")
+        if isinstance(prof, DomainWall):
+            half = self.get_int(f"L_{axis}") // 2
+            if not 0 <= prof.L_wall < half:
+                raise ConfigError(
+                    f"{key} wall half-width {prof.L_wall} does not fit "
+                    f"L_{axis} = {2 * half + 1}; need 0 <= L_wall < {half}")
         return prof
 
     def step_operator(self, kind=None):
@@ -209,22 +214,17 @@ class ExperimentConfig:
                               self.profile("y", kind))
 
     def band_pass(self):
-        center = self.get_float("band_center")
-        if center is None:
-            return None
-        sigma = self.get_float("band_sigma")
-        if sigma is None:
-            raise ConfigError("band_center given without band_sigma")
-        return (center, sigma, self.get_int("band_passes", 1))
+        return (self.get_float("band_center"), self.get_float("band_sigma"),
+                self.get_int("band_passes"))
 
     def initial_state(self):
         """The normalized start array: the Gaussian zero mode of width
         beta_over_eps, a basis site, or the array a file: value names."""
-        text = self.get("initial", "gaussian")
+        text = self.get("initial")
         lat = self.lattice()
         if text == "gaussian":
-            return analytic_zero_mode_2d(
-                self.get_float("beta_over_eps", BETA), lat)
+            return analytic_zero_mode_2d(self.get_float("beta_over_eps"),
+                                         lat)
         if text.startswith("basis:"):
             x, y, c = (int(p) for p in text.split(":")[1:])
             if abs(x) > lat.half_x or abs(y) > lat.half_y:
@@ -245,7 +245,7 @@ class ExperimentConfig:
         return normalize(psi)
 
     def emit_set(self):
-        return set(self.get("emit", "csv,json,svg").split(","))
+        return set(self.values.get("emit", "csv,json,svg").split(","))
 
     # -- serialization ----------------------------------------------------
 

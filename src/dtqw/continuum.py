@@ -30,6 +30,8 @@ with the internal index fastest.
 
 import numpy as np
 
+from .lattice import LatticeSpec
+
 SIGMA_0 = np.eye(2)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -43,20 +45,6 @@ class LatticeTooSmall(ValueError):
     names the axis lengths (L_x, L_y) that are too small."""
 
 
-def _check_odd(L):
-    L = int(L)
-    if L < 3 or L % 2 == 0:
-        raise ValueError(f"axis length must be odd and >= 3, got {L} "
-                         "(odd L keeps the coordinate range symmetric and "
-                         "the momentum grid free of an unpaired mode)")
-    return L
-
-
-def coords(L):
-    L = _check_odd(L)
-    return np.arange(-(L // 2), L // 2 + 1)
-
-
 def momentum_matrix(L):
     """Hermitian momentum p = -i d/dx on the periodic L-site axis.
 
@@ -64,24 +52,24 @@ def momentum_matrix(L):
     the Fourier basis), which makes exp(+-i a p) the exact one-site
     translation.
     """
-    L = _check_odd(L)
+    L = LatticeSpec(L).L_x
     k = 2.0 * np.pi * np.fft.fftfreq(L)
     P = np.fft.ifft(k[:, None] * np.fft.fft(np.eye(L), axis=0), axis=0)
     return 0.5 * (P + P.conj().T)   # symmetrize away rounding
 
 
 def mass_array(mass, L):
-    """Mass profile as an array over coords(L).
+    """Mass profile as an array over the L site coordinates of an axis.
 
     Accepts a callable m(x), a scalar, or an AngleProfile (theta = m*dt
     with dt = 1).
     """
-    L = _check_odd(L)
+    axis = LatticeSpec(L)
     if hasattr(mass, "table"):          # AngleProfile
-        return np.asarray(mass.table(L // 2), dtype=float)
+        return np.asarray(mass.table(axis.half_x), dtype=float)
     if callable(mass):
-        return np.asarray([float(mass(xi)) for xi in coords(L)])
-    return np.full(L, float(mass))
+        return np.asarray([float(mass(xi)) for xi in axis.coords_x])
+    return np.full(axis.L_x, float(mass))
 
 
 def _dirac_terms(m):
@@ -278,8 +266,7 @@ def hermite_state(n, beta, L):
         raise ValueError("n must be >= 0")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    L = _check_odd(L)
-    x = coords(L).astype(float)
+    x = LatticeSpec(L).coords_x.astype(float)
     lam = np.sqrt(1.0 / beta)           # oscillator length
     psi = np.exp(-x ** 2 / (2.0 * lam ** 2))
     psi = psi / np.linalg.norm(psi)
@@ -307,7 +294,7 @@ def dirac_oscillator_eigenstate(n, sign, beta, L):
 
     Returns an (L, 2) complex array, unit lattice norm.
     """
-    L = _check_odd(L)
+    L = LatticeSpec(L).L_x
     out = np.zeros((L, 2), dtype=complex)
     if sign == 0:
         h0 = hermite_state(0, beta, L)
@@ -453,7 +440,7 @@ def trotter_error(mass, L, dt, t, dim=1, psi0=None):
             return expm_multiply(-1j * t * H, psi)
 
         if psi0 is None:
-            g = np.exp(-(coords(L) - 2.0) ** 2 * BETA / 2.0)
+            g = np.exp(-(LatticeSpec(L).coords_x - 2.0) ** 2 * BETA / 2.0)
             psi0 = np.kron(g, [1.0, 0.0]).astype(complex)
     elif dim == 2:
         h_x, h_y, m_x, m_y = dirac_2d_factors(mass, L)
@@ -475,8 +462,9 @@ def trotter_error(mass, L, dt, t, dim=1, psi0=None):
             return SquaredDirac2D(h_x, h_y).propagate(psi, t)
 
         if psi0 is None:
-            gx = np.exp(-(coords(L_x) - 2.0) ** 2 * BETA / 2.0)
-            gy = np.exp(-coords(L_y) ** 2 * BETA / 2.0)
+            lat = LatticeSpec(L_x, L_y)
+            gx = np.exp(-(lat.coords_x - 2.0) ** 2 * BETA / 2.0)
+            gy = np.exp(-lat.coords_y ** 2 * BETA / 2.0)
             psi0 = np.kron(np.kron(gx, gy), [1.0, 0.0, 0.0, 0.0]).astype(complex)
     else:
         raise ValueError(f"dim must be 1 or 2, got {dim}")

@@ -46,30 +46,8 @@ def write_csv(path, header, rows):
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_csv(path):
-    """Read a write_csv file back as (header, list of float-or-str rows)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        row = []
-        for cell in line.split(","):
-            try:
-                row.append(float(cell))
-            except ValueError:
-                row.append(cell)
-        rows.append(row)
-    return header, rows
-
-
 def write_json(path, obj):
     _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 # --- SVG -------------------------------------------------------------------

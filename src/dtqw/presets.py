@@ -1,9 +1,12 @@
 """Named experiment presets and the pipeline runner behind the CLI.
 
-Each preset is a complete ExperimentConfig plus a pipeline kind; running
-one writes deterministic CSV/JSON (and decorative SVG) into the output
-directory together with a ``meta.json`` echo that is itself a valid
-config file, so any run can be reproduced from its own artifacts.
+Each preset is a complete ExperimentConfig plus a pipeline kind, and its
+table is also the schema of its runs: a run may override the keys the
+table sets (``L`` standing for ``L_x`` and ``L_y``) plus the run-level
+``outdir`` and ``emit``, and nothing else.  Running one writes
+deterministic CSV/JSON (and decorative SVG) into the output directory
+together with a ``meta.json`` echo that is itself a valid config file, so
+any run can be reproduced from its own artifacts.
 """
 
 import os
@@ -86,7 +89,8 @@ PRESETS = OrderedDict([
 
 
 def base_config(name):
-    """The ExperimentConfig a preset starts from (before overrides)."""
+    """The ExperimentConfig a preset starts from (before overrides); its
+    keys are the data keys a run of the preset accepts."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: "
                           f"{', '.join(PRESETS)}")
@@ -107,16 +111,16 @@ def _prepared_start(cfg):
     """(op, psi): the walk of a dynamics config and its prepared start."""
     op = cfg.step_operator()
     psi = prepare_initial_state(
-        op, cfg.initial_state(), cfg.get_int("refine_iters", 0),
-        (cfg.get_int("shift_x", 0), cfg.get_int("shift_y", 0)),
-        (cfg.get_float("kick_x", 0.0), cfg.get_float("kick_y", 0.0)),
+        op, cfg.initial_state(), cfg.get_int("refine_iters"),
+        (cfg.get_int("shift_x"), cfg.get_int("shift_y")),
+        (cfg.get_float("kick_x"), cfg.get_float("kick_y")),
         cfg.band_pass())
     return op, psi
 
 
 def _run_dynamics(cfg):
-    table = run_dynamics(*_prepared_start(cfg), cfg.get_int("T_max", 1000),
-                         cfg.get_int("stride", 1))
+    table = run_dynamics(*_prepared_start(cfg), cfg.get_int("T_max"),
+                         cfg.get_int("stride"))
     return {
         "dynamics.csv": lambda p: write_csv(
             p, ["T", "mean_x", "mean_y", "std_x", "std_y"], table),
@@ -125,16 +129,9 @@ def _run_dynamics(cfg):
     }, {}
 
 
-def _scan(cfg):
-    op = cfg.step_operator(Constant)
-    n_k = cfg.get_int("k_points", 0)
-    grid = None if n_k == 0 else np.linspace(-np.pi, np.pi, n_k,
-                                             endpoint=False)
-    return op, spectrum_scan(op, k_grid=grid)
-
-
 def _run_spectrum(cfg):
-    op, (k, E) = _scan(cfg)
+    op = cfg.step_operator(Constant)
+    k, E = spectrum_scan(op)
     k_col, E_col = np.repeat(k, E.shape[1]), E.ravel()
     files = {
         "spectrum.csv": lambda p: write_csv(p, ["k_y", "E"],
@@ -302,14 +299,23 @@ def _oracle_report(L_big):
     return rep
 
 
+def _square_side(cfg):
+    """L of the square lattice the continuum pipelines run on."""
+    lat = cfg.lattice()
+    if lat.L_y != lat.L_x:
+        raise ConfigError(f"L_y = {lat.L_y} differs from L_x = {lat.L_x}; "
+                          "this pipeline takes one side length, set L")
+    return lat.L_x
+
+
 def _run_oracle(cfg):
-    rep = _oracle_report(cfg.get_int("L_x"))
+    rep = _oracle_report(_square_side(cfg))
     return ({"report.json": lambda p: write_json(p, rep)},
             {"combine_2d_residual": rep["combine_2d_residual"]})
 
 
 def _run_trotter(cfg):
-    L = cfg.get_int("L_x")
+    L = _square_side(cfg)
     mass = lambda x: BETA * x   # noqa: E731
     tasks = [(1, dt) for dt in (0.5, 0.25, 0.125)] + \
             [(2, dt) for dt in (0.5, 0.25)]
@@ -362,16 +368,28 @@ _PIPELINES = {
 }
 
 
+_RUN_KEYS = ("outdir", "emit")
+
+
 def run_config(cfg, outdir=None):
-    """Execute a config (preset-based or fully explicit); returns meta dict."""
-    name = cfg.get("preset")
-    if name is not None:
-        cfg = base_config(name).update(cfg.to_dict())
-        kind = PRESETS[name][0]
-    else:
-        kind = "dynamics" if cfg.get("T_max") is not None else "spectrum"
-    outdir = outdir or cfg.get("outdir") or (name or "run")
-    os.makedirs(outdir, exist_ok=True)
+    """Execute a config that names a preset; returns the meta dict.
+
+    The config may set only the preset's own keys (see base_config) and
+    the run-level outdir and emit; any other key is a ConfigError.
+    """
+    name = cfg.values.get("preset")
+    if name is None:
+        raise ConfigError(f"preset is required: a config must name one of "
+                          f"{', '.join(PRESETS)}")
+    base = base_config(name)
+    for key in cfg.values:
+        if key not in base.values and key not in _RUN_KEYS:
+            takes = [k for k in base.values if k != "preset"]
+            raise ConfigError(f"{key} is not a setting of preset {name!r}; "
+                              f"it takes {', '.join(takes + list(_RUN_KEYS))}")
+    cfg = base.update(cfg.to_dict())
+    kind = PRESETS[name][0]
+    outdir = outdir or cfg.values.get("outdir") or name
     files, extras = _PIPELINES[kind](cfg)
     emit = cfg.emit_set()
     outputs = sorted(n for n in files if n.rsplit(".", 1)[1] in emit)

@@ -1,16 +1,33 @@
+import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from dtqw.config import ConfigError, ExperimentConfig, parse_config
 from dtqw.continuum import analytic_zero_mode_2d
-from dtqw.io import (format_number, read_csv, read_json, svg_polyline,
-                     svg_scatter, write_csv, write_json)
+from dtqw.io import (format_number, svg_polyline, svg_scatter, write_csv,
+                     write_json)
 from dtqw.lattice import LatticeSpec
-from dtqw.presets import PRESETS, run_preset
+from dtqw.presets import PRESETS, base_config, run_preset
 from dtqw.profiles import parse_angle
+
+
+def _toy_overrides(name, L):
+    """Overrides drawn from a preset's own table that shrink it to an
+    L-site lattice: L itself, each wall moved to |x| = L // 4, and four
+    steps for a dynamics run."""
+    table = PRESETS[name][2]
+    over = {"L": str(L)} if "L" in table else {}
+    for key in ("theta_x", "theta_y"):
+        if table.get(key, "").startswith("wall:"):
+            over[key] = re.sub(r"^(wall:[^:]+:[^:+]+:)\d+", rf"\g<1>{L // 4}",
+                               table[key])
+    if "T_max" in table:
+        over["T_max"] = "4"
+    return over
 
 
 class TestConfig:
@@ -65,6 +82,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="band_sigma"):
             cfg.band_pass()
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_wall_must_leave_sites_outside_it(self, axis):
+        # L = 11: sites |x| <= 5, so a wall at 4 is the widest with theta2
+        # sites left; at 5 the whole axis is theta1
+        cfg = ExperimentConfig({"L_x": "11", "L_y": "11",
+                                f"theta_{axis}": "wall:pi/3:-pi/3:4"})
+        assert cfg.profile(axis).L_wall == 4
+        cfg.set(f"theta_{axis}", "wall:pi/3:-pi/3:5")
+        with pytest.raises(ConfigError, match=f"theta_{axis} wall .* fit "
+                                              f"L_{axis} = 11"):
+            cfg.profile(axis)
+
     def test_duplicate_ini_keys_rejected(self, tmp_path):
         f = tmp_path / "dup.ini"
         f.write_text("[run]\nT_max = 5\nT_max = 6\n")
@@ -86,16 +115,19 @@ class TestNumbersAndCsv:
                 enumerate(rng.normal(size=50))]
         f = str(tmp_path / "t.csv")
         write_csv(f, ["i", "v"], rows)
-        header, back = read_csv(f)
+        with open(f, newline="") as fh:
+            header, *back = csv.reader(fh)
         assert header == ["i", "v"]
-        assert all(b[1] == r[1] for b, r in zip(back, rows))
+        assert len(back) == len(rows)
+        assert all(float(b[1]) == r[1] for b, r in zip(back, rows))
 
     def test_json_writer_sorts_keys(self, tmp_path):
         f = str(tmp_path / "t.json")
         write_json(f, {"b": 1, "a": 2})
         text = open(f).read()
         assert text.index('"a"') < text.index('"b"')
-        assert read_json(f) == {"a": 2, "b": 1}
+        with open(f) as fh:
+            assert json.load(fh) == {"a": 2, "b": 1}
 
 
 class TestSvg:
@@ -141,7 +173,9 @@ class TestPresetRuns:
         # fig7c writes enclosed.csv only for a gapped bulk; emit=svg skips
         # it together with spectrum.csv
         out = str(tmp_path / "svg")
-        meta = run_preset("fig7c", {"emit": "svg", "L": "11"}, outdir=out)
+        meta = run_preset("fig7c", {"emit": "svg", "L": "11",
+                                    "theta_x": "wall:pi/3:-pi/3:3"},
+                          outdir=out)
         assert sorted(os.listdir(out)) == ["meta.json", "spectrum.svg"]
         assert meta["outputs"] == ["spectrum.svg"]
         out = str(tmp_path / "json")
@@ -169,7 +203,8 @@ class TestPresetRuns:
         (["fig1", "--initial", "file:{tmp}/missing.npy"], "initial"),
         (["fig1", "--initial", "file:{tmp}/shape.npy"], "initial"),
         (["fig1", "--initial", "file:{tmp}/zero.npy"], "initial"),
-        (["fig6", "--count", "100000"], "count"),
+        (["fig6", "--count", "100000", "--theta-x", "wall:pi/3:-pi/3:2",
+          "--theta-y", "wall:pi/3:-pi/3:2"], "count"),
         (["fig1", "--beta_over_eps", "0"], "beta_over_eps"),
         (["fig1", "--beta_over_eps", "-pi/20"], "beta_over_eps"),
         (["fig1", "--band_sigma", "0"], "band_sigma"),
@@ -201,14 +236,16 @@ class TestPresetRuns:
     def test_every_preset_runs_or_refuses_at_toy_size(
             self, name, tmp_path, capsys):
         from dtqw.cli import main
-        assert main([name, "--L", "9", "--outdir", str(tmp_path)]) in (0, 2)
+        argv = [a for k, v in _toy_overrides(name, 9).items()
+                for a in (f"--{k}", v)]
+        assert main([name, *argv, "--outdir", str(tmp_path)]) in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", list(PRESETS))
     def test_every_preset_key_is_read(self, name, tmp_path, monkeypatch):
-        # a key in a preset's table that its pipeline never reads is a
-        # setting that a CLI override changes without effect; the L alias
-        # counts as read through either axis
+        # the table is the preset's schema: a key in it that the pipeline
+        # never reads is a setting that an override changes without
+        # effect, and a key read outside it is one no override can reach
         read = set()
         for accessor in ("get", "get_int", "get_float"):
             def recording(cfg, key, *args, _get=getattr(ExperimentConfig,
@@ -216,10 +253,51 @@ class TestPresetRuns:
                 read.add(key)
                 return _get(cfg, key, *args)
             monkeypatch.setattr(ExperimentConfig, accessor, recording)
-        run_preset(name, {"L": "33", "T_max": "4"}, outdir=str(tmp_path))
-        if read & {"L_x", "L_y"}:
-            read.add("L")
-        assert set(PRESETS[name][2]) <= read
+        run_preset(name, _toy_overrides(name, 33), outdir=str(tmp_path))
+        assert read == set(base_config(name).values) - {"preset"}
+
+    @pytest.mark.parametrize("argv,key", [
+        (["fig2c", "--seed", "5"], "seed"),
+        (["fig2a", "--count", "3"], "count"),
+        (["fig2a", "--k-points", "41"], "k_points"),
+        (["fig2a", "--T", "5"], "T_max"),
+        (["bandsB3", "--theta-y", "pi/4"], "theta_y"),
+        (["bandsB1", "--L", "51"], "L_x"),
+        (["trotter", "--L-y", "31"], "L_y"),
+        (["run", "--theta-x", "pi/3", "--theta-y", "0"], "preset"),
+        (["fig6", "--L", "11"], "theta_x"),     # the wall at 25 fills L = 11
+        (["fig5", "--L", "11"], "theta_x"),
+        (["fig2a", "--L", "41"], "theta_x"),
+        (["fig6", "--L", "21", "--theta-x", "wall:pi/3:-pi/3:3"], "theta_y"),
+        (["fig2a", "--L", "21", "--theta-x", "wall:pi/3:-pi/3:-1"],
+         "theta_x"),
+    ])
+    def test_cli_key_the_run_does_not_read_exits_2(
+            self, argv, key, tmp_path, capsys):
+        from dtqw.cli import main
+        assert main(argv + ["--outdir", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} " in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "c")
+
+    def test_run_from_meta_echo_writes_the_same_bytes(self, tmp_path, capsys):
+        from dtqw.cli import main
+        first, second = tmp_path / "first", tmp_path / "second"
+        run_preset("fig7c", {"L": "11",
+                             "theta_x": "wall:pi/3:-pi/3:3+noise:0.25:5"},
+                   outdir=str(first))
+        assert main(["run", "--config", str(first / "meta.json"),
+                     "--outdir", str(second)]) == 0
+        names = sorted(os.listdir(first))
+        assert "enclosed.csv" in names and sorted(os.listdir(second)) == names
+        for name in names:
+            if name != "meta.json":
+                assert (first / name).read_bytes() == \
+                    (second / name).read_bytes(), name
+        meta = json.loads((second / "meta.json").read_text())
+        assert meta["config"].pop("outdir") == str(second)
+        assert meta == json.loads((first / "meta.json").read_text())
 
     def test_initial_state_inside_the_lattice_is_accepted(self, tmp_path):
         cfg = ExperimentConfig({"L_x": "9", "L_y": "7",
@@ -236,7 +314,8 @@ class TestPresetRuns:
 
     @pytest.mark.parametrize("beta", [None, "pi/10"])
     def test_gaussian_start_is_the_analytic_zero_mode(self, beta):
-        cfg = ExperimentConfig({"L_x": "25", "L_y": "27"})
+        # None: fig1's own width
+        cfg = base_config("fig1").update({"L_x": "25", "L_y": "27"})
         if beta is not None:
             cfg.set("beta_over_eps", beta)
         ref = analytic_zero_mode_2d(parse_angle(beta or "pi/20"),
@@ -277,7 +356,8 @@ class TestPresetRuns:
             raise ConvergenceError("eigensolver converged only 3/16 pairs")
 
         monkeypatch.setattr(dtqw.presets, "near_unity_states", no_convergence)
-        assert main(["fig6", "--L", "11", "--outdir",
+        assert main(["fig6", "--L", "11", "--theta-x", "wall:pi/3:-pi/3:3",
+                     "--theta-y", "wall:pi/3:-pi/3:3", "--outdir",
                      str(tmp_path / "c")]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -311,6 +391,7 @@ class TestPresetRuns:
         meta = json.load(open(os.path.join(out, "meta.json")))
         assert meta["kind"] == "dynamics"
         assert "dynamics.csv" in meta["outputs"]
-        header, rows = read_csv(os.path.join(out, "dynamics.csv"))
+        with open(os.path.join(out, "dynamics.csv"), newline="") as fh:
+            header, *rows = csv.reader(fh)
         assert header == ["T", "mean_x", "mean_y", "std_x", "std_y"]
         assert len(rows) == 21

@@ -23,8 +23,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dtqw"
 CALLER_DIRS = (ROOT / "src", ROOT / "demos", ROOT / "bench")
-# the read-back halves of io's writers, which the tests use on outputs
-ALLOWED = {"io.read_csv", "io.read_json"}
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
 
@@ -149,7 +147,7 @@ def unreferenced_definitions():
     dead = [label for qual, label, path, inside in _definitions()
             if not any(p != path or line not in inside
                        for p, line in refs.get(qual, ()))]
-    return sorted(set(dead) - ALLOWED)
+    return sorted(set(dead))
 
 
 def test_every_definition_has_a_caller():
