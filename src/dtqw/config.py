@@ -201,11 +201,11 @@ class ExperimentConfig:
             raise ConfigError(f"{key} must be a {noiseless}{kind.__name__} "
                               f"profile for this pipeline, got {text!r}")
         if isinstance(prof, DomainWall):
-            half = self.get_int(f"L_{axis}") // 2
-            if not 0 <= prof.L_wall < half:
+            L = self.get_int(f"L_{axis}")
+            if not 0 <= prof.L_wall < L // 2:
                 raise ConfigError(
                     f"{key} wall half-width {prof.L_wall} does not fit "
-                    f"L_{axis} = {2 * half + 1}; need 0 <= L_wall < {half}")
+                    f"L_{axis} = {L}; need 0 <= L_wall < {L // 2}")
         return prof
 
     def step_operator(self, kind=None):
