@@ -20,7 +20,7 @@ def _usage(out):
     for name, (kind, blurb, _) in PRESETS.items():
         out.write(f"  {name:<10} {blurb} [{kind}]\n")
     out.write("\na run takes the keys its preset's table sets (--L sets "
-              "L_x and L_y) plus --outdir\nand --emit, e.g. dtqw fig2a "
+              "L_x and L_y) plus --outdir,\ne.g. dtqw fig2a "
               "--L 61 --theta-x wall:pi/3:-pi/3:15 --outdir out\n")
 
 

@@ -1,4 +1,4 @@
-"""Experiment configuration: flat key=value files, CLI overrides, meta echo.
+"""Experiment configuration: CLI flags, JSON config files, meta echo.
 
 A configuration is a flat mapping of known keys to canonical value
 strings.  Canonicalization happens at parse time, so equality, file
@@ -8,15 +8,11 @@ grammar.  Which of the known keys a run accepts is its preset's table in
 ``presets.PRESETS``; ``presets.run_config`` refuses the rest.
 """
 
-import configparser
 import json
 from collections import OrderedDict
 
-import numpy as np
-
-from .continuum import analytic_zero_mode_2d
 from .profiles import Constant, DomainWall, parse_angle, parse_profile
-from .lattice import LatticeSpec, basis_state, normalize
+from .lattice import LatticeSpec
 from .operators import StepOperator2D
 
 
@@ -71,31 +67,6 @@ def _canon_nonneg_int(text):
     return str(v)
 
 
-def _canon_initial(text):
-    s = str(text).strip()
-    if s == "gaussian":
-        return s
-    if s.startswith("basis:"):
-        parts = s.split(":")
-        if len(parts) != 4:
-            raise ValueError("expected basis:<x>:<y>:<c>")
-        x, y, c = (int(p) for p in parts[1:])
-        if not 0 <= c <= 3:
-            raise ValueError("component c must be 0..3")
-        return f"basis:{x}:{y}:{c}"
-    if s.startswith("file:"):
-        return s
-    raise ValueError("expected gaussian, basis:<x>:<y>:<c> or file:<path>")
-
-
-def _canon_emit(text):
-    items = [p.strip() for p in str(text).split(",") if p.strip()]
-    bad = [p for p in items if p not in ("csv", "json", "svg")]
-    if bad or not items:
-        raise ValueError("expected a comma list drawn from csv,json,svg")
-    return ",".join(sorted(set(items)))
-
-
 def _canon_str(text):
     return str(text)
 
@@ -113,8 +84,6 @@ _KEYS = OrderedDict([
                  "wall:<th1>:<th2>:<L> [+noise:<W>:<seed>]")),
     ("T_max", (_canon_pos_int, "integer >= 1")),
     ("stride", (_canon_pos_int, "integer >= 1")),
-    ("initial", (_canon_initial,
-                 "gaussian | basis:<x>:<y>:<c> | file:<path>")),
     ("beta_over_eps", (_positive(_canon_angle),
                        "positive angle (pi/20, 0.15707, ...)")),
     ("shift_x", (_canon_int, "integer")),
@@ -127,12 +96,9 @@ _KEYS = OrderedDict([
     ("band_passes", (_canon_pos_int, "integer >= 1")),
     ("k_points", (_canon_pos_int, "integer >= 1")),
     ("count", (_canon_pos_int, "integer >= 1")),
-    ("seed", (_canon_int, "integer")),
+    ("seed", (_canon_nonneg_int, "integer >= 0")),
     ("outdir", (_canon_str, "directory path")),
-    ("emit", (_canon_emit, "comma list from csv,json,svg")),
 ])
-
-_ALIASES = {"T": "T_max", "L": None}  # L fans out to L_x and L_y
 
 
 class ExperimentConfig:
@@ -147,12 +113,9 @@ class ExperimentConfig:
 
     def set(self, key, value):
         key = str(key).replace("-", "_")
-        if key in _ALIASES:
-            if key == "L":
-                self.set("L_x", value)
-                self.set("L_y", value)
-                return self
-            key = _ALIASES[key]
+        if key == "L":                   # fans out to both axes
+            self.set("L_x", value)
+            return self.set("L_y", value)
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}; known keys: "
                               f"{', '.join(_KEYS)}")
@@ -217,36 +180,6 @@ class ExperimentConfig:
         return (self.get_float("band_center"), self.get_float("band_sigma"),
                 self.get_int("band_passes"))
 
-    def initial_state(self):
-        """The normalized start array: the Gaussian zero mode of width
-        beta_over_eps, a basis site, or the array a file: value names."""
-        text = self.get("initial")
-        lat = self.lattice()
-        if text == "gaussian":
-            return analytic_zero_mode_2d(self.get_float("beta_over_eps"),
-                                         lat)
-        if text.startswith("basis:"):
-            x, y, c = (int(p) for p in text.split(":")[1:])
-            if abs(x) > lat.half_x or abs(y) > lat.half_y:
-                raise ConfigError(
-                    f"initial site ({x}, {y}) lies outside {lat!r}; need "
-                    f"|x| <= {lat.half_x} and |y| <= {lat.half_y}")
-            return basis_state(lat, x, y, c)
-        path = text[len("file:"):]
-        try:
-            psi = np.asarray(np.load(path), dtype=complex)
-        except (OSError, ValueError, TypeError) as err:
-            raise ConfigError(f"initial file {path!r} cannot be loaded as "
-                              f"an array: {err}") from None
-        if psi.shape != lat.shape or not np.linalg.norm(psi) > 0:
-            raise ConfigError(f"initial file {path!r} holds shape "
-                              f"{psi.shape}; expected a nonzero array of "
-                              f"shape {lat.shape}")
-        return normalize(psi)
-
-    def emit_set(self):
-        return set(self.values.get("emit", "csv,json,svg").split(","))
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self):
@@ -262,36 +195,28 @@ class ExperimentConfig:
 
 
 def _load_file(path):
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        obj = json.loads(text)
-        if "config" in obj:          # a meta.json echo
-            obj = obj["config"]
-        return obj
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
+    """The flat key -> value object of a JSON config file: a meta.json
+    echo (its "config" entry) or a flat object."""
     try:
-        cp.read_string(text)
-    except configparser.Error as err:
-        raise ConfigError(f"cannot parse config file {path}: {err}") from None
-    flat = OrderedDict()
-    for section in cp.sections():
-        for key, value in cp.items(section):
-            if key in flat:
-                raise ConfigError(f"duplicate key {key!r} in {path}")
-            flat[key] = value
-    return flat
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from None
+    if isinstance(obj, dict) and "config" in obj:
+        obj = obj["config"]          # a meta.json echo
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object of "
+                          "key: value settings")
+    return obj
 
 
 def parse_config(args=(), file=None):
     """Build a config from an optional file plus --key value overrides.
 
     `args` is a flat token list (--key value or --key=value); flags
-    override file values.  The file may be the key=value format or a
-    meta.json produced by an earlier run (closure: re-running from the
-    echo reproduces the experiment).
+    override file values.  The file is JSON: a flat object of settings
+    or a meta.json produced by an earlier run (closure: re-running from
+    the echo reproduces the experiment).
     """
     cfg = ExperimentConfig()
     if file is not None:

@@ -159,7 +159,7 @@ def build_dirac(dim, masses, L_x, L_y=None):
     else:
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     herm = np.max(np.abs(H - H.conj().T))
-    if herm > 1e-12:
+    if not herm <= 1e-12:
         raise ValueError(f"assembled matrix is not Hermitian "
                          f"(max deviation {herm:.3g})")
     return H
@@ -277,7 +277,7 @@ def hermite_state(n, beta, L):
             psi = -lam * (ddx @ psi) + (x / lam) * psi
             psi = psi / np.linalg.norm(psi)
     tail = float(np.abs(psi[0]) ** 2 + np.abs(psi[-1]) ** 2)
-    if tail > 1e-6:
+    if not tail <= 1e-6:
         raise LatticeTooSmall(f"L_x = {L} is too small for oscillator "
                               f"level n={n}: boundary probability "
                               f"{tail:.3g} > 1e-6")
@@ -363,7 +363,7 @@ def analytic_zero_mode_2d(beta, lattice):
     P = np.sum(np.abs(psi) ** 2, axis=2)
     tail = float(P[0, :].sum() + P[-1, :].sum()
                  + P[1:-1, 0].sum() + P[1:-1, -1].sum())
-    if tail > 1e-8:
+    if not tail <= 1e-8:
         raise LatticeTooSmall(f"L_x = {lattice.L_x}, L_y = {lattice.L_y} is "
                               f"too small for the Gaussian zero mode: "
                               f"boundary tail {tail:.3g} > 1e-8")

@@ -100,7 +100,7 @@ def run_dynamics(op, psi, T_max, stride=1):
         if T % stride == 0 or T == T_max:
             P = lat.probability_map(psi)
             drift = abs(np.sqrt(P.sum()) - 1.0)
-            if drift > 1e-9:
+            if not drift <= 1e-9:
                 raise RuntimeError(f"norm drift {drift:.3g} at step {T}")
             records.append((T, *lat.map_moments(P, op.lattice)))
     return np.array(records, dtype=float)

@@ -69,17 +69,10 @@ def allocate_state(lattice):
     return np.zeros(lattice.shape, dtype=complex)
 
 
-def basis_state(lattice, x, y, c):
-    """Unit amplitude at site (x, y) in component c."""
-    psi = allocate_state(lattice)
-    psi[x + lattice.half_x, y + lattice.half_y, c] = 1.0
-    return psi
-
-
 def normalize(state):
     n = np.linalg.norm(state)
-    if n == 0:
-        raise ValueError("cannot normalize the zero state")
+    if not n > 0:
+        raise ValueError(f"cannot normalize a state of norm {n:g}")
     return state / n
 
 
@@ -109,7 +102,7 @@ def position_moments(state, lattice):
     """
     P = probability_map(state)
     n = np.sqrt(P.sum())
-    if abs(n - 1.0) > NORM_TOL_INPUT:
+    if not abs(n - 1.0) <= NORM_TOL_INPUT:
         raise ValueError(
             f"state norm {n:.12g} deviates from 1 by more than "
             f"{NORM_TOL_INPUT:g}; normalize before calling")

@@ -3,7 +3,7 @@
 Each preset is a complete ExperimentConfig plus a pipeline kind, and its
 table is also the schema of its runs: a run may override the keys the
 table sets (``L`` standing for ``L_x`` and ``L_y``) plus the run-level
-``outdir`` and ``emit``, and nothing else.  Running one writes
+``outdir``, and nothing else.  Running one writes
 deterministic CSV/JSON (and decorative SVG) into the output directory
 together with a ``meta.json`` echo that is itself a valid config file, so
 any run can be reproduced from its own artifacts.
@@ -38,7 +38,6 @@ _FIG1 = {
     "theta_y": "linear:pi/20:5:pi/4",
     "T_max": "1000",
     "stride": "1",
-    "initial": "gaussian",
     "beta_over_eps": "pi/20",
     "refine_iters": "30",
     "shift_x": "2",
@@ -103,15 +102,15 @@ def base_config(name):
 # --------------------------------------------------------------------------
 # pipelines: each takes the merged config and returns (files, extras), where
 # files maps an output name to a writer taking its path and extras go into
-# meta.json.  run_config calls only the writers the emit set selects, so work
-# that one file alone needs stays inside that file's writer.
+# meta.json.
 # --------------------------------------------------------------------------
 
 def _prepared_start(cfg):
     """(op, psi): the walk of a dynamics config and its prepared start."""
     op = cfg.step_operator()
     psi = prepare_initial_state(
-        op, cfg.initial_state(), cfg.get_int("refine_iters"),
+        op, analytic_zero_mode_2d(cfg.get_float("beta_over_eps"), op.lattice),
+        cfg.get_int("refine_iters"),
         (cfg.get_int("shift_x"), cfg.get_int("shift_y")),
         (cfg.get_float("kick_x"), cfg.get_float("kick_y")),
         cfg.band_pass())
@@ -333,13 +332,14 @@ def _run_trotter(cfg):
 
 def _run_symmetry(cfg):
     w = cfg.profile("x", DomainWall)
+    # the configured wall at half-width 2, for the 7- and 9-site checks
+    small = DomainWall(w.theta1, w.theta2, 2)
     op = cfg.step_operator(Constant)
     rep = {
         "phs_multiset_residual": spectral_particle_hole_residual(
             spectrum_scan(op)[1]),
         "walk_reality_residual": check_walk_particle_hole(
-            StepOperator2D(LatticeSpec(7), DomainWall(w.theta1, w.theta2, 2),
-                           op.profile_y)),
+            StepOperator2D(LatticeSpec(7), small, op.profile_y)),
     }
     grid = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     rep["sublattice_shift_residual"] = check_sublattice_shift(
@@ -349,9 +349,8 @@ def _run_symmetry(cfg):
     rep["phs_multiset_residual_noise"] = spectral_particle_hole_residual(
         spectrum_scan(noisy)[1])
 
-    wallm = lambda x: np.pi / 3 if abs(x) <= 2 else -np.pi / 3  # noqa: E731
-    H = build_dirac(2, (wallm, 0.0), 9)
-    rep["diii_residuals_my0"] = diii_residuals(H)
+    rep["diii_residuals_my0"] = diii_residuals(
+        build_dirac(2, (small, 0.0), 9))
     return {"report.json": lambda p: write_json(p, rep)}, {}
 
 
@@ -368,14 +367,14 @@ _PIPELINES = {
 }
 
 
-_RUN_KEYS = ("outdir", "emit")
+_RUN_KEYS = ("outdir",)
 
 
 def run_config(cfg, outdir=None):
     """Execute a config that names a preset; returns the meta dict.
 
     The config may set only the preset's own keys (see base_config) and
-    the run-level outdir and emit; any other key is a ConfigError.
+    the run-level outdir; any other key is a ConfigError.
     """
     name = cfg.values.get("preset")
     if name is None:
@@ -391,8 +390,7 @@ def run_config(cfg, outdir=None):
     kind = PRESETS[name][0]
     outdir = outdir or cfg.values.get("outdir") or name
     files, extras = _PIPELINES[kind](cfg)
-    emit = cfg.emit_set()
-    outputs = sorted(n for n in files if n.rsplit(".", 1)[1] in emit)
+    outputs = sorted(files)
     for fname in outputs:
         files[fname](os.path.join(outdir, fname))
     meta = {

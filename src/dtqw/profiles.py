@@ -37,23 +37,26 @@ def parse_angle(text):
     """Parse an angle given as a decimal or a rational multiple of pi.
 
     Accepted forms: ``0.3``, ``-1.2e-3``, ``pi``, ``-pi``, ``pi/50``,
-    ``3pi/4``, ``2*pi/5``.
+    ``3pi/4``, ``2*pi/5``.  Raises ValueError on a zero denominator and
+    on a value that is not finite (``inf``, ``nan``).
     """
     s = str(text).strip().lower().replace(" ", "")
-    if "pi" in s:
-        m = re.fullmatch(r"(-?)(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?", s)
-        if m is None:
-            raise ValueError(f"cannot parse angle {text!r}; expected forms "
-                             "like 'pi/20', '-pi/3', '3pi/4' or a decimal")
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        num = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * np.pi / den
+    m = re.fullmatch(r"(-?)(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?", s)
     try:
-        return float(s)
-    except ValueError:
-        raise ValueError(f"cannot parse angle {text!r}; expected forms "
-                         "like 'pi/20', '-pi/3', '3pi/4' or a decimal") from None
+        if m is None:
+            value = float(s)
+        else:
+            sign = -1.0 if m.group(1) == "-" else 1.0
+            num = float(m.group(2)) if m.group(2) else 1.0
+            den = float(m.group(3)) if m.group(3) else 1.0
+            value = sign * num * np.pi / den
+        if not np.isfinite(value):
+            raise ValueError
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse angle {text!r}; expected a finite "
+                         "decimal or a form like 'pi/20', '-pi/3', "
+                         "'3pi/4'") from None
+    return value
 
 
 def _fmt(x):
@@ -73,7 +76,11 @@ class AngleProfile:
         raise NotImplementedError
 
     def with_noise(self, W, seed):
-        """Copy of this profile carrying a uniform [-W, W] perturbation."""
+        """Copy of this profile carrying a uniform [-W, W] perturbation;
+        W must be finite and >= 0, the seed >= 0."""
+        if not 0 <= W < np.inf or seed < 0:
+            raise ValueError(f"noise needs a finite W >= 0 and a seed >= 0, "
+                             f"got W = {W}, seed = {seed}")
         import copy
         p = copy.copy(self)
         p.noise_amplitude = float(W)
@@ -133,6 +140,8 @@ class LinearSaturated(AngleProfile):
         self.b = float(b)
         self.x_c = int(x_c)
         self.theta_sat = float(theta_sat)
+        if self.x_c < 0:
+            raise ValueError(f"x_c must be >= 0, got {self.x_c}")
         if abs(self.b) * self.x_c > self.theta_sat + 1e-12:
             raise ValueError(
                 f"linear part exceeds the saturation value: |b|*x_c = "

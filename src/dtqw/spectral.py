@@ -78,7 +78,7 @@ def _block_terms(op):
     eye, AtB = np.eye(A.shape[0]), A.T @ B
     dev = max(np.max(np.abs(A.T @ A - eye)), np.max(np.abs(B.T @ B - eye)),
               np.max(np.abs(AtB - AtB.T)))
-    if dev > 1e-12:
+    if not dev <= 1e-12:
         raise UnitarityError(f"momentum block is not unitary "
                              f"(max deviation {dev:.3g})")
     return A, B
@@ -116,7 +116,7 @@ def _quasi_energy(lam):
     subspace) they came from was not unitary enough for eigenphases.
     """
     drift = np.max(np.abs(np.abs(lam) - 1.0))
-    if drift > 1e-10:
+    if not drift <= 1e-10:
         raise UnitarityError(f"eigenvalue modulus drifts from 1 by "
                              f"{drift:.3g}; matrix is not unitary enough")
     return _wrap_pi(0.0 - np.angle(lam))
@@ -133,7 +133,7 @@ def _check_residuals(resid):
     """Raise UnitarityError if any eigenpair residual ||U x - e^{-iE} x||
     exceeds _RESIDUAL_TOL (U not unitary enough)."""
     worst = float(np.max(resid))
-    if worst > _RESIDUAL_TOL:
+    if not worst <= _RESIDUAL_TOL:
         raise UnitarityError(f"eigenpair residual {worst:.3g} exceeds "
                              f"{_RESIDUAL_TOL:g}; matrix is not unitary "
                              "enough")

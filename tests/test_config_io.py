@@ -33,7 +33,7 @@ def _toy_overrides(name, L):
 class TestConfig:
     def test_flags_canonicalize(self):
         cfg = parse_config(["--theta-x", "wall:pi/3:-pi/3:25",
-                            "--T", "1000", "--theta-y", "pi/50"])
+                            "--T-max", "1000", "--theta-y", "pi/50"])
         assert cfg.get("T_max") == "1000"
         assert cfg.get("theta_y").startswith("constant:0.0628318530717958")
         assert "wall:" in cfg.get("theta_x")
@@ -51,24 +51,11 @@ class TestConfig:
             parse_config(["--L-x", "40"])
 
     def test_flags_override_file(self, tmp_path):
-        f = tmp_path / "a.ini"
-        f.write_text("[lattice]\nL = 41\n[run]\nT_max = 10\n")
-        cfg = parse_config(["--T", "99"], file=str(f))
+        f = tmp_path / "a.json"
+        f.write_text('{"L": "41", "T_max": "10"}')
+        cfg = parse_config(["--T-max", "99"], file=str(f))
         assert cfg.get("T_max") == "99"
         assert cfg.get("L_x") == "41"
-
-    def test_ini_round_trip(self, tmp_path):
-        cfg = ExperimentConfig({
-            "preset": "fig2a", "L": "101",
-            "theta_x": "wall:pi/3:-pi/3:25+noise:0.25:11",
-            "theta_y": "0", "emit": "csv,svg", "seed": "11"})
-        f = tmp_path / "b.ini"
-        f.write_text("[experiment]\npreset = fig2a\n"
-                     "[lattice]\nL = 101\n"
-                     "[coins]\ntheta_x = wall:pi/3:-pi/3:25+noise:0.25:11\n"
-                     "theta_y = 0\n"
-                     "[output]\nemit = svg,csv\nseed = 11\n")
-        assert parse_config(file=str(f)) == cfg
 
     def test_meta_json_round_trip(self, tmp_path):
         cfg = ExperimentConfig({"L": "21", "theta_x": "pi/4",
@@ -93,12 +80,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"theta_{axis} wall .* fit "
                                               f"L_{axis} = 11"):
             cfg.profile(axis)
-
-    def test_duplicate_ini_keys_rejected(self, tmp_path):
-        f = tmp_path / "dup.ini"
-        f.write_text("[run]\nT_max = 5\nT_max = 6\n")
-        with pytest.raises(ConfigError):
-            parse_config(file=str(f))
 
 
 class TestNumbersAndCsv:
@@ -164,25 +145,6 @@ class TestPresetRuns:
         for f, blob in blobs.items():
             assert open(os.path.join(out, f), "rb").read() == blob
 
-    def test_emit_flags_respected(self, tmp_path):
-        out = str(tmp_path / "run2")
-        run_preset("bandsB1", {"emit": "csv"}, outdir=out)
-        names = set(os.listdir(out))
-        assert "bands.csv" in names and "meta.json" in names
-        assert not any(n.endswith(".svg") for n in names)
-        # fig7c writes enclosed.csv only for a gapped bulk; emit=svg skips
-        # it together with spectrum.csv
-        out = str(tmp_path / "svg")
-        meta = run_preset("fig7c", {"emit": "svg", "L": "11",
-                                    "theta_x": "wall:pi/3:-pi/3:3"},
-                          outdir=out)
-        assert sorted(os.listdir(out)) == ["meta.json", "spectrum.svg"]
-        assert meta["outputs"] == ["spectrum.svg"]
-        out = str(tmp_path / "json")
-        meta = run_preset("trotter", {"emit": "json", "L": "7"}, outdir=out)
-        assert os.listdir(out) == ["meta.json"]
-        assert meta["outputs"] == []
-
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             run_preset("nosuch")
@@ -198,11 +160,6 @@ class TestPresetRuns:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,key", [
-        (["fig1", "--initial", "basis:99:0:0"], "initial"),
-        (["fig1", "--initial", "basis:-6:0:0"], "initial"),   # no wrap-around
-        (["fig1", "--initial", "file:{tmp}/missing.npy"], "initial"),
-        (["fig1", "--initial", "file:{tmp}/shape.npy"], "initial"),
-        (["fig1", "--initial", "file:{tmp}/zero.npy"], "initial"),
         (["fig6", "--count", "100000", "--theta-x", "wall:pi/3:-pi/3:2",
           "--theta-y", "wall:pi/3:-pi/3:2"], "count"),
         (["fig1", "--beta_over_eps", "0"], "beta_over_eps"),
@@ -213,16 +170,25 @@ class TestPresetRuns:
         (["fig1", "--band_sigma", "inf"], "band_sigma"),
         (["fig1"], "L_x"),           # the Gaussian start overflows L = 9
         (["oracleA"], "L_x"),        # so does the oscillator ground state
-    ], ids=["site-past-edge", "negative-site", "missing-file", "wrong-shape",
-            "zero-state", "count-past-n", "zero-beta", "negative-beta",
+        (["fig2a", "--theta-y", "pi/0"], "theta_y"),
+        (["bandsB1", "--theta-x", "inf"], "theta_x"),
+        (["fig2a", "--theta-x", "wall:pi/3:-pi/3:3", "--theta-y", "nan"],
+         "theta_y"),
+        (["fig1", "--kick-y", "nan"], "kick_y"),
+        (["fig2c", "--theta-x", "wall:pi/3:-pi/3:3+noise:-0.5:3"], "theta_x"),
+        (["fig2c", "--theta-x", "wall:pi/3:-pi/3:3+noise:0.5:-3"], "theta_x"),
+        (["fig2c", "--theta-x", "wall:pi/3:-pi/3:3+noise:nan:3"], "theta_x"),
+        (["fig1", "--theta-x", "linear:pi/20:-5:pi/4"], "theta_x"),
+        (["symmetry", "--seed", "-3"], "seed"),
+    ], ids=["count-past-n", "zero-beta", "negative-beta",
             "zero-sigma", "negative-sigma", "infinite-beta", "infinite-sigma",
-            "gaussian-past-edge", "oscillator-past-edge"])
+            "gaussian-past-edge", "oscillator-past-edge", "zero-denominator",
+            "infinite-angle", "nan-angle", "nan-kick", "negative-noise",
+            "negative-noise-seed", "nan-noise", "negative-x_c",
+            "negative-seed"])
     def test_cli_value_the_pipeline_cannot_honour_exits_2(
             self, argv, key, tmp_path, capsys):
         from dtqw.cli import main
-        np.save(tmp_path / "shape.npy", np.ones((9, 9, 2)))
-        np.save(tmp_path / "zero.npy", np.zeros((9, 9, 4)))
-        argv = [a.format(tmp=tmp_path) for a in argv]
         assert main(argv + ["--L", "9", "--outdir", str(tmp_path / "c")]) == 2
         err = capsys.readouterr().err
         # the pipeline's own message starts with the key; a value refused
@@ -231,6 +197,7 @@ class TestPresetRuns:
                 or "config error: bad value" in err
                 and f"for key '{key}';" in err)
         assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "c")
 
     @pytest.mark.parametrize("name", list(PRESETS))
     def test_every_preset_runs_or_refuses_at_toy_size(
@@ -260,7 +227,7 @@ class TestPresetRuns:
         (["fig2c", "--seed", "5"], "seed"),
         (["fig2a", "--count", "3"], "count"),
         (["fig2a", "--k-points", "41"], "k_points"),
-        (["fig2a", "--T", "5"], "T_max"),
+        (["fig2a", "--T-max", "5"], "T_max"),
         (["bandsB3", "--theta-y", "pi/4"], "theta_y"),
         (["bandsB1", "--L", "51"], "L_x"),
         (["trotter", "--L-y", "31"], "L_y"),
@@ -271,13 +238,18 @@ class TestPresetRuns:
         (["fig6", "--L", "21", "--theta-x", "wall:pi/3:-pi/3:3"], "theta_y"),
         (["fig2a", "--L", "21", "--theta-x", "wall:pi/3:-pi/3:-1"],
          "theta_x"),
+        (["fig1", "--emit", "csv"], "emit"),
+        (["fig1", "--initial", "basis:0:0:0"], "initial"),
+        (["fig1", "--T", "5"], "T"),
     ])
     def test_cli_key_the_run_does_not_read_exits_2(
             self, argv, key, tmp_path, capsys):
         from dtqw.cli import main
         assert main(argv + ["--outdir", str(tmp_path / "c")]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {key} " in err
+        # a key of no preset is refused at parse time as unknown
+        assert (f"config error: {key} " in err
+                or f"config error: unknown config key '{key}';" in err)
         assert "Traceback" not in err
         assert not os.path.exists(tmp_path / "c")
 
@@ -299,28 +271,50 @@ class TestPresetRuns:
         assert meta["config"].pop("outdir") == str(second)
         assert meta == json.loads((first / "meta.json").read_text())
 
-    def test_initial_state_inside_the_lattice_is_accepted(self, tmp_path):
-        cfg = ExperimentConfig({"L_x": "9", "L_y": "7",
-                                "initial": "basis:-4:3:2"})
-        unit = np.zeros((9, 7, 4), dtype=complex)
-        unit[0, 6, 2] = 1.0                 # (x, y) = (-4, 3), component 2
-        assert np.array_equal(cfg.initial_state(), unit)
-        psi = np.ones((9, 7, 4))
-        np.save(tmp_path / "psi.npy", psi)
-        cfg.set("initial", f"file:{tmp_path / 'psi.npy'}")
-        start = cfg.initial_state()
-        assert np.array_equal(start, psi / np.linalg.norm(psi))
-        assert np.linalg.norm(start) == pytest.approx(1.0, abs=1e-15)
+    @pytest.mark.parametrize("contents", [
+        None, "{oops", "[run]\nT_max = 5\n", "[1, 2]"],
+        ids=["missing", "malformed", "ini", "not-an-object"])
+    def test_cli_config_file_that_cannot_be_read_exits_2(
+            self, contents, tmp_path, capsys):
+        from dtqw.cli import main
+        f = tmp_path / "cfg.json"
+        if contents is not None:
+            f.write_text(contents)
+        assert main(["run", "--config", str(f),
+                     "--outdir", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot read config file {f}:" in err or \
+            f"config error: config file {f} must" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "c")
+
+    def test_fig1_echo_with_an_initial_key_exits_2(self, tmp_path, capsys):
+        # fig1 echoes written while fig1 took an `initial` key
+        from dtqw.cli import main
+        f = tmp_path / "meta.json"
+        write_json(str(f), {"config": {**base_config("fig1").to_dict(),
+                                       "initial": "gaussian"}})
+        assert main(["run", "--config", str(f),
+                     "--outdir", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: unknown config key 'initial';" in err
+        assert not os.path.exists(tmp_path / "c")
 
     @pytest.mark.parametrize("beta", [None, "pi/10"])
-    def test_gaussian_start_is_the_analytic_zero_mode(self, beta):
+    def test_gaussian_start_is_the_analytic_zero_mode(self, beta,
+                                                      monkeypatch):
         # None: fig1's own width
+        import dtqw.presets
+        starts = []
+        monkeypatch.setattr(dtqw.presets, "prepare_initial_state",
+                            lambda op, psi, *args: starts.append(psi))
         cfg = base_config("fig1").update({"L_x": "25", "L_y": "27"})
         if beta is not None:
             cfg.set("beta_over_eps", beta)
+        dtqw.presets._prepared_start(cfg)
         ref = analytic_zero_mode_2d(parse_angle(beta or "pi/20"),
                                     LatticeSpec(25, 27))
-        assert np.array_equal(cfg.initial_state(), ref)
+        assert len(starts) == 1 and np.array_equal(starts[0], ref)
 
     def test_dynamics_csv_writes_T_as_integers(self, tmp_path):
         out = str(tmp_path / "dyn")

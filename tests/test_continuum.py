@@ -109,6 +109,15 @@ class TestHermiteLadder:
             analytic_zero_mode_2d(BETA, LatticeSpec(21))
         analytic_zero_mode_2d(BETA, LatticeSpec(23))
 
+    def test_nan_tails_trip_the_tail_checks(self):
+        # beta = inf samples exp(-inf * 0) = nan at the origin
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(continuum.LatticeTooSmall,
+                               match="probability nan"):
+                hermite_state(0, np.inf, 21)
+            with pytest.raises(continuum.LatticeTooSmall, match="tail nan"):
+                analytic_zero_mode_2d(np.inf, LatticeSpec(41))
+
 
 def _schroedinger_1d(m):
     """H_S = p^2 + m^2 + i s^x [p, m] on (x, spinor)."""
@@ -177,6 +186,10 @@ class TestBuildDirac:
         monkeypatch.setattr(continuum, "momentum_matrix", lambda L: bent)
         with pytest.raises(ValueError, match="not Hermitian"):
             build_dirac(dim, masses, 9)
+
+    def test_nan_mass_trips_the_hermiticity_check(self):
+        with pytest.raises(ValueError, match="deviation nan"):
+            build_dirac(1, np.nan, 9)
 
 
 class TestFactoredRoutes:

@@ -4,9 +4,10 @@ import pytest
 from dtqw.continuum import BETA, analytic_zero_mode_2d
 from dtqw.evolution import (band_filter, prepare_initial_state,
                             refine_unit_eigenstate, run_dynamics)
-from dtqw.lattice import LatticeSpec, basis_state
+from dtqw.lattice import LatticeSpec
 from dtqw.operators import StepOperator2D
 from dtqw.profiles import Constant, LinearSaturated
+from test_lattice import basis_state
 
 
 def _trap_op(L=41):
@@ -47,6 +48,17 @@ class TestRunDynamics:
                 run_dynamics(op, psi, T_max=1)
         else:
             assert len(run_dynamics(op, psi, T_max=1)) == 2
+
+    def test_nan_start_raises(self):
+        op = _trap_op(21)
+        with pytest.raises(ValueError, match="state norm nan"):
+            run_dynamics(op, np.full(op.lattice.shape, np.nan + 0j), T_max=1)
+
+    def test_nan_step_trips_the_drift_check(self, monkeypatch):
+        op = _trap_op(21)
+        monkeypatch.setattr(op, "apply", lambda psi: psi * np.nan)
+        with pytest.raises(RuntimeError, match="norm drift nan at step 1"):
+            run_dynamics(op, basis_state(op.lattice, 0, 0, 2), T_max=1)
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_bad_T_rejected(self, bad):

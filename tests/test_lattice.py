@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from dtqw.continuum import BETA, analytic_zero_mode_2d
-from dtqw.lattice import (LatticeSpec, apply_phase_kick, basis_state,
-                          map_moments, normalize, position_moments,
-                          probability_map, translate)
+from dtqw.lattice import (LatticeSpec, apply_phase_kick, map_moments,
+                          normalize, position_moments, probability_map,
+                          translate)
+
+
+def basis_state(lattice, x, y, c):
+    """Unit amplitude at site (x, y) in component c: a start state for
+    the tests, at index (x + half_x, y + half_y, c)."""
+    psi = np.zeros(lattice.shape, dtype=complex)
+    psi[x + lattice.half_x, y + lattice.half_y, c] = 1.0
+    return psi
 
 
 class TestLatticeSpec:
@@ -59,6 +67,8 @@ class TestStates:
         lat = LatticeSpec(5)
         with pytest.raises(ValueError):
             normalize(np.zeros(lat.shape, dtype=complex))
+        with pytest.raises(ValueError, match="norm nan"):
+            normalize(np.full(lat.shape, np.nan + 0j))
 
 
 class TestMoments:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dtqw.lattice import LD, RD, LatticeSpec, allocate_state, basis_state
+from dtqw.lattice import LD, RD, LatticeSpec, allocate_state
 from dtqw.operators import StepOperator2D, coin_matrix, walk_matrix_dense
 from dtqw.profiles import Constant, DomainWall, LinearSaturated
+from test_lattice import basis_state
 
 
 def _rand_state(lat, seed=0):

@@ -20,7 +20,9 @@ class TestParseAngle:
     def test_grammar(self, text, value):
         assert parse_angle(text) == pytest.approx(value, abs=1e-15)
 
-    @pytest.mark.parametrize("bad", ["pi/x", "pi/", "", "2pi/", "e/3"])
+    @pytest.mark.parametrize("bad", ["pi/x", "pi/", "", "2pi/", "e/3", "pi/0",
+                                     "-3pi/0.0", "inf", "-inf", "nan",
+                                     "1e400"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_angle(bad)
@@ -42,6 +44,15 @@ class TestProfiles:
     def test_linear_slope_exceeding_saturation_rejected(self):
         with pytest.raises(ValueError):
             LinearSaturated(np.pi / 4, 10, np.pi / 8)
+
+    @pytest.mark.parametrize("W, seed", [(-0.5, 3), (np.nan, 3),
+                                         (np.inf, 3), (0.5, -3)])
+    def test_noise_needs_finite_W_and_seed_at_least_0(self, W, seed):
+        base = DomainWall(np.pi / 3, -np.pi / 3, 4)
+        with pytest.raises(ValueError, match="noise needs"):
+            base.with_noise(W, seed)
+        with pytest.raises(ValueError, match="noise needs"):
+            parse_profile(f"wall:pi/3:-pi/3:4+noise:{W}:{seed}")
 
     def test_wall_boundary_site_belongs_to_inner_region(self):
         p = DomainWall(np.pi / 3, -np.pi / 3, 4)

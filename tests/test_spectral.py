@@ -102,6 +102,11 @@ class TestBlockUnitarityGuard:
         with pytest.raises(UnitarityError, match="not unitary"):
             spectrum_scan(op)
 
+    def test_nan_angle_rejected(self):
+        op = StepOperator2D(LatticeSpec(9), Constant(np.nan), Constant(0.0))
+        with pytest.raises(UnitarityError, match="deviation nan"):
+            spectrum_scan(op)
+
 
 class TestKernel:
     """quasi_energies (the W kernel) against the general eigvals route."""
@@ -143,6 +148,12 @@ class TestKernel:
             quasi_energies(1.001 * U)
         with pytest.raises(UnitarityError, match="eigenpair residual"):
             quasi_energies(U + N)
+
+    def test_nan_trips_the_eigenvalue_guards(self):
+        with pytest.raises(UnitarityError, match="drifts from 1 by nan"):
+            dtqw.spectral._quasi_energy(np.array([1.0, np.nan]))
+        with pytest.raises(UnitarityError, match="residual nan"):
+            dtqw.spectral._check_residuals(np.array([0.0, np.nan]))
 
 
 class TestZeroModeProfiles:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dtqw.continuum import SIGMA_X, build_dirac
+from dtqw.continuum import SIGMA_X, build_dirac, mass_array
 from dtqw.lattice import LatticeSpec
 from dtqw.operators import StepOperator2D
+from dtqw.presets import run_preset
 from dtqw.profiles import Constant, DomainWall
 from dtqw.spectral import spectrum_scan
 from dtqw.symmetry import (THETA, _phase_multiset_distance, _pi_partners,
@@ -124,3 +125,22 @@ class TestContinuumSymmetries:
         # Gamma1 = sigma^x on every site anticommutes with H1
         W = np.kron(np.eye(H1.shape[0] // 2), SIGMA_X)
         assert np.max(np.abs(W @ H1 @ W.conj().T + H1)) < 1e-13
+
+    def test_symmetry_preset_checks_the_configured_wall(self, monkeypatch,
+                                                        tmp_path):
+        # the 9-site DIII Hamiltonian carries the run's wall angles
+        import dtqw.presets
+        masses = []
+
+        def recording(dim, m, L):
+            masses.append(m)
+            return build_dirac(dim, m, L)
+
+        monkeypatch.setattr(dtqw.presets, "build_dirac", recording)
+        run_preset("symmetry", {"L": "11", "theta_x": "wall:pi/4:-pi/5:3"},
+                   outdir=str(tmp_path))
+        (m_x, m_y), = masses
+        assert np.array_equal(mass_array(m_x, 9),
+                              [-np.pi / 5] * 2 + [np.pi / 4] * 5
+                              + [-np.pi / 5] * 2)
+        assert m_y == 0.0
