@@ -42,29 +42,15 @@ def _positive(canon):
     return check
 
 
-def _canon_int(text):
-    return str(int(str(text), 10))
-
-
-def _canon_odd_size(text):
-    v = int(str(text), 10)
-    if v < 3 or v % 2 == 0:
-        raise ValueError("must be odd and >= 3")
-    return str(v)
-
-
-def _canon_pos_int(text):
-    v = int(str(text), 10)
-    if v < 1:
-        raise ValueError("must be >= 1")
-    return str(v)
-
-
-def _canon_nonneg_int(text):
-    v = int(str(text), 10)
-    if v < 0:
-        raise ValueError("must be >= 0")
-    return str(v)
+def _integer(lo=None, odd=False):
+    """Canonicalizer of base-10 integers; with `lo` given it refuses those
+    below lo, and with `odd` the even ones."""
+    def canon(text):
+        v = int(str(text), 10)
+        if lo is not None and (v < lo or (odd and v % 2 == 0)):
+            raise ValueError(f"must be {'odd and ' if odd else ''}>= {lo}")
+        return str(v)
+    return canon
 
 
 def _canon_str(text):
@@ -74,29 +60,29 @@ def _canon_str(text):
 # key -> (canonicalizer, grammar shown in error messages)
 _KEYS = OrderedDict([
     ("preset", (_canon_str, "a preset name")),
-    ("L_x", (_canon_odd_size, "odd integer >= 3")),
-    ("L_y", (_canon_odd_size, "odd integer >= 3")),
+    ("L_x", (_integer(3, odd=True), "odd integer >= 3")),
+    ("L_y", (_integer(3, odd=True), "odd integer >= 3")),
     ("theta_x", (_canon_profile,
                  "constant:<th> | linear:<b>:<x_c>:<th> | "
                  "wall:<th1>:<th2>:<L> [+noise:<W>:<seed>]")),
     ("theta_y", (_canon_profile,
                  "constant:<th> | linear:<b>:<x_c>:<th> | "
                  "wall:<th1>:<th2>:<L> [+noise:<W>:<seed>]")),
-    ("T_max", (_canon_pos_int, "integer >= 1")),
-    ("stride", (_canon_pos_int, "integer >= 1")),
+    ("T_max", (_integer(1), "integer >= 1")),
+    ("stride", (_integer(1), "integer >= 1")),
     ("beta_over_eps", (_positive(_canon_angle),
                        "positive angle (pi/20, 0.15707, ...)")),
-    ("shift_x", (_canon_int, "integer")),
-    ("shift_y", (_canon_int, "integer")),
+    ("shift_x", (_integer(), "integer")),
+    ("shift_y", (_integer(), "integer")),
     ("kick_x", (_canon_angle, "angle (pi/N, decimal)")),
     ("kick_y", (_canon_angle, "angle (pi/N, decimal)")),
-    ("refine_iters", (_canon_nonneg_int, "integer >= 0")),
+    ("refine_iters", (_integer(0), "integer >= 0")),
     ("band_center", (_canon_angle, "angle (pi/N, decimal)")),
     ("band_sigma", (_positive(_canon_float), "positive number")),
-    ("band_passes", (_canon_pos_int, "integer >= 1")),
-    ("k_points", (_canon_pos_int, "integer >= 1")),
-    ("count", (_canon_pos_int, "integer >= 1")),
-    ("seed", (_canon_nonneg_int, "integer >= 0")),
+    ("band_passes", (_integer(1), "integer >= 1")),
+    ("k_points", (_integer(1), "integer >= 1")),
+    ("count", (_integer(1), "integer >= 1")),
+    ("seed", (_integer(0), "integer >= 0")),
     ("outdir", (_canon_str, "directory path")),
 ])
 

@@ -58,20 +58,6 @@ def momentum_matrix(L):
     return 0.5 * (P + P.conj().T)   # symmetrize away rounding
 
 
-def mass_array(mass, L):
-    """Mass profile as an array over the L site coordinates of an axis.
-
-    Accepts a callable m(x), a scalar, or an AngleProfile (theta = m*dt
-    with dt = 1).
-    """
-    axis = LatticeSpec(L)
-    if hasattr(mass, "table"):          # AngleProfile
-        return np.asarray(mass.table(axis.half_x), dtype=float)
-    if callable(mass):
-        return np.asarray([float(mass(xi)) for xi in axis.coords_x])
-    return np.full(axis.L_x, float(mass))
-
-
 def _dirac_terms(m):
     """The kinetic and mass terms of H = -s^z p + m(x) s^y.
 
@@ -82,35 +68,17 @@ def _dirac_terms(m):
             (np.diag(m), SIGMA_Y))
 
 
-def dirac_1d_factor(mass, L):
-    """The 2-component factor H = -s^z p + m(x) s^y on (x, spinor)."""
-    m = mass_array(mass, L)
+def dirac_1d_factor(m):
+    """The 2-component factor H = -s^z p + m(x) s^y on (x, spinor), for
+    the site masses m along an odd axis (theta = m*dt with dt = 1)."""
     kinetic, mass_term = _dirac_terms(m)
-    return np.kron(*kinetic) + np.kron(*mass_term), m
-
-
-def dirac_2d_factors(masses, L_x, L_y=None):
-    """The two 1D factors of the 2D Dirac Hamiltonian.
-
-    Returns (H_x, H_y, m_x, m_y): H_x acts on (x, sigma) and H_y on
-    (y, tau), each a dirac_1d_factor, so that
-    H = H_x (x) tau^0 + sigma^x (x) H_y.  L_y defaults to L_x.
-    """
-    if L_y is None:
-        L_y = L_x
-    try:
-        m_x_in, m_y_in = masses
-    except (TypeError, ValueError):
-        raise ValueError("dim=2 needs a pair of mass profiles (m_x, m_y)")
-    h_x, m_x = dirac_1d_factor(m_x_in, L_x)
-    h_y, m_y = dirac_1d_factor(m_y_in, L_y)
-    return h_x, h_y, m_x, m_y
+    return np.kron(*kinetic) + np.kron(*mass_term)
 
 
 def apply_dirac_2d(h_x, h_y, psi):
     """H psi for H = H_x (x) tau^0 + sigma^x (x) H_y, without forming H.
 
-    h_x, h_y are the (2 L_x)^2 and (2 L_y)^2 factors of dirac_2d_factors;
+    h_x, h_y are the (2 L_x)^2 and (2 L_y)^2 dirac_1d_factor matrices;
     psi is any array of L_x * L_y * 4 amplitudes in the (x, y, tau, sigma)
     layout.  Returns the product in the shape of psi.
     """
@@ -124,32 +92,27 @@ def apply_dirac_2d(h_x, h_y, psi):
     return out.reshape(np.shape(psi))
 
 
-def build_dirac(dim, masses, L_x, L_y=None):
-    """Dense lattice Dirac Hamiltonian in 1 or 2 dimensions.
+def build_dirac(*masses):
+    """Dense lattice Dirac Hamiltonian of one or two site-mass arrays.
 
-    Parameters
-    ----------
-    dim : 1 or 2
-    masses : mass profile (dim=1) or pair (m_x, m_y) of profiles (dim=2);
-        each may be a callable, a scalar, or an AngleProfile
-    L_x, L_y : odd axis lengths (L_y defaults to L_x)
-
-    Returns the Hermitian matrix as an ndarray.  dim=2 assembles
+    The number of arrays is the dimension and their lengths are the odd
+    axis lengths.  One array m gives dirac_1d_factor(m); a pair
+    (m_x, m_y) assembles
 
         H = H_x (x) tau^0 + sigma^x (x) H_y
 
     over flattened (x, y, tau, sigma) with sigma fastest, which matches the
-    walk's (x, y, c) state layout.
+    walk's (x, y, c) state layout.  Returns the Hermitian matrix as an
+    ndarray.
     """
-    if dim == 1:
-        H = dirac_1d_factor(masses, L_x)[0]
-    elif dim == 2:
-        h_x, h_y, m_x, m_y = dirac_2d_factors(masses, L_x, L_y)
-        L_x, L_y = len(m_x), len(m_y)
+    if len(masses) == 1:
+        H = dirac_1d_factor(masses[0])
+    elif len(masses) == 2:
+        L_x, L_y = map(len, masses)
         H = np.zeros((4 * L_x * L_y,) * 2, dtype=complex)
         H8 = H.reshape((L_x, L_y, 2, 2) * 2)     # a view: writes reach H
-        hx4 = h_x.reshape(L_x, 2, L_x, 2)
-        hy4 = h_y.reshape(L_y, 2, L_y, 2)
+        hx4, hy4 = (dirac_1d_factor(m).reshape(len(m), 2, len(m), 2)
+                    for m in masses)
         for y in range(L_y):
             for u in range(2):
                 H8[:, y, u, :, :, y, u, :] += hx4
@@ -157,7 +120,8 @@ def build_dirac(dim, masses, L_x, L_y=None):
             for s in range(2):
                 H8[x, :, :, s, x, :, :, 1 - s] += hy4
     else:
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
+        raise ValueError(f"build_dirac takes one or two mass arrays, got "
+                         f"{len(masses)}")
     herm = np.max(np.abs(H - H.conj().T))
     if not herm <= 1e-12:
         raise ValueError(f"assembled matrix is not Hermitian "
@@ -168,7 +132,7 @@ def build_dirac(dim, masses, L_x, L_y=None):
 def square_decomposition_check(h_x, h_y, m_x, m_y):
     """Residual of (H^(2))^2 against its Schroedinger direct-sum form.
 
-    Takes the factors and masses that dirac_2d_factors returns.  Squaring
+    Takes the two dirac_1d_factor matrices and their masses.  Squaring
     the 2D Hamiltonian must produce
 
         H_Sx (x) tau^0 + sigma^0 (x) H_Sy,
@@ -264,8 +228,8 @@ def hermite_state(n, beta, L):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     x = LatticeSpec(L).coords_x.astype(float)
     lam = np.sqrt(1.0 / beta)           # oscillator length
     psi = np.exp(-x ** 2 / (2.0 * lam ** 2))
@@ -326,6 +290,9 @@ def combine_2d(E_x, E_y, s):
     with E_x = E cos 2phi and E_y = E sin 2phi.  Errors out when the
     combination is non-normalizable (1 + s sin 2phi <= 0).
     """
+    for name, E in (("E_x", E_x), ("E_y", E_y)):
+        if not np.isfinite(E):
+            raise ValueError(f"{name} must be finite, got {E}")
     if E_x == 0.0 and E_y == 0.0:
         raise ValueError("(E_x, E_y) = (0, 0): the zero mode does not mix; "
                          "use the product of 1D zero modes directly")
@@ -350,8 +317,8 @@ def analytic_zero_mode_2d(beta, lattice):
     Returns a normalized (L_x, L_y, 4) array; raises LatticeTooSmall when
     the tail at the lattice boundary exceeds 1e-8.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     xs = lattice.coords_x.astype(float)
     ys = lattice.coords_y.astype(float)
     fx = np.exp(-beta * xs ** 2 / 2.0)
@@ -377,8 +344,10 @@ def jr_scattering(k_x, m0):
     E_x = +sqrt(k_x^2 + m0^2); flux conservation |B/A|^2 + |C/A|^2 = 1
     holds identically.
     """
-    if k_x <= 0:
-        raise ValueError("k_x must be positive")
+    if not 0 < k_x < np.inf:
+        raise ValueError(f"k_x must be positive and finite, got {k_x}")
+    if not np.isfinite(m0):
+        raise ValueError(f"m0 must be finite, got {m0}")
     two_phi = np.arctan2(m0, k_x)
     B_over_A = complex(-np.sin(two_phi))
     C_over_A = complex(-np.cos(two_phi))
@@ -403,16 +372,17 @@ def _axis_step(kinetic, mass, dt):
             @ _expm_factor(np.kron(*mass), dt))
 
 
-def trotter_error(mass, L, dt, t, dim=1, psi0=None):
+def trotter_error(masses, dt, t, psi0=None):
     """Splitting error of the walk-style product formula at step size dt.
 
+    `masses` holds one site-mass array (1D) or the pair (m_x, m_y) (2D).
     Scales the walk to step dt (shift distance dt realized spectrally,
     coin angles m*dt), applies t/dt product steps to psi0 and compares with
     the exact propagator exp(-i H t) of the same lattice Hamiltonian.
     Returns the 2-norm of the difference.  psi0 defaults to a Gaussian of
     width parameter BETA displaced two sites along x.
 
-    dim=1 uses the two-factor product exp(-iK dt) exp(-iM dt); dim=2 the
+    1D uses the two-factor product exp(-iK dt) exp(-iM dt); 2D the
     walk's four-factor order exp(-iK_y dt) exp(-iM_y dt) exp(-iK_x dt)
     exp(-iM_x dt).  With m = 0 the product is exact for any dt.
 
@@ -427,10 +397,11 @@ def trotter_error(mass, L, dt, t, dim=1, psi0=None):
         raise ValueError(f"t/dt = {steps:.6g} is not an integer; choose a "
                          "commensurate step")
     steps = int(round(steps))
-    if dim == 1:
+    if len(masses) == 1:
         from scipy.sparse.linalg import expm_multiply
 
-        H, m = dirac_1d_factor(mass, L)
+        m, = masses
+        H = dirac_1d_factor(m)
         s_x = _axis_step(*_dirac_terms(m), dt)
 
         def step(psi):
@@ -440,10 +411,11 @@ def trotter_error(mass, L, dt, t, dim=1, psi0=None):
             return expm_multiply(-1j * t * H, psi)
 
         if psi0 is None:
-            g = np.exp(-(LatticeSpec(L).coords_x - 2.0) ** 2 * BETA / 2.0)
+            g = np.exp(-(LatticeSpec(len(m)).coords_x - 2.0) ** 2
+                       * BETA / 2.0)
             psi0 = np.kron(g, [1.0, 0.0]).astype(complex)
-    elif dim == 2:
-        h_x, h_y, m_x, m_y = dirac_2d_factors(mass, L)
+    elif len(masses) == 2:
+        m_x, m_y = masses
         L_x, L_y = len(m_x), len(m_y)
         s_x = _axis_step(*_dirac_terms(m_x), dt).reshape(L_x, 2, L_x, 2)
         # the y factor chains sigma^x onto both internal parts
@@ -459,7 +431,8 @@ def trotter_error(mass, L, dt, t, dim=1, psi0=None):
             return (psi.reshape(L_x, 4 * L_y) @ s_y.T).ravel()
 
         def exact(psi):
-            return SquaredDirac2D(h_x, h_y).propagate(psi, t)
+            return SquaredDirac2D(dirac_1d_factor(m_x),
+                                  dirac_1d_factor(m_y)).propagate(psi, t)
 
         if psi0 is None:
             lat = LatticeSpec(L_x, L_y)
@@ -467,7 +440,8 @@ def trotter_error(mass, L, dt, t, dim=1, psi0=None):
             gy = np.exp(-lat.coords_y ** 2 * BETA / 2.0)
             psi0 = np.kron(np.kron(gx, gy), [1.0, 0.0, 0.0, 0.0]).astype(complex)
     else:
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
+        raise ValueError(f"trotter_error takes one or two mass arrays, got "
+                         f"{len(masses)}")
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     psi0 = psi0 / np.linalg.norm(psi0)
 

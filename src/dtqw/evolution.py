@@ -41,8 +41,8 @@ def band_filter(op, psi, center, sigma_t, passes=1):
     through a Gaussian window of spectral width 1/sigma_t.  Repeating
     sharpens the window (`passes`).
     """
-    if sigma_t <= 0:
-        raise ValueError("sigma_t must be positive")
+    if not 0 < sigma_t < np.inf:
+        raise ValueError(f"sigma_t must be positive and finite, got {sigma_t}")
     half_span = int(np.ceil(3 * sigma_t))
     # for sigma_t << 1 the weights past t = 0 overflow to exp(-inf) = 0
     with np.errstate(over="ignore"):

@@ -11,6 +11,8 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 
 def _atomic_write_text(path, text):
     d = os.path.dirname(os.path.abspath(path))
@@ -28,22 +30,17 @@ def _atomic_write_text(path, text):
         raise
 
 
-def format_number(v):
-    """Canonical text for one CSV cell."""
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    return format(float(v), ".17g")
-
-
-def write_csv(path, header, rows):
-    """Write rows of numbers (or strings) under a comma-joined header."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            v if isinstance(v, str) else format_number(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path, header, table):
+    """Write an (n, len(header)) table of numbers under a comma-joined
+    header, one "%.17g" cell each; n = 0 writes the header alone, and a
+    table of any other shape raises ValueError."""
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"table of shape {table.shape} does not fit the "
+                         f"{len(header)} columns {header}")
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    _atomic_write_text(path, ",".join(header) + "\n"
+                       + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_json(path, obj):
@@ -53,10 +50,6 @@ def write_json(path, obj):
 # --- SVG -------------------------------------------------------------------
 
 _W, _H, _M = 640, 480, 56
-
-
-def _fmt_pt(v):
-    return format(float(v), ".2f")
 
 
 def _frame(x_label, y_label, x_rng, y_rng):
@@ -79,57 +72,45 @@ def _frame(x_label, y_label, x_rng, y_rng):
         yv = y_rng[0] + frac * (y_rng[1] - y_rng[0])
         xp = x0 + frac * (x1 - x0)
         yp = y0 - frac * (y0 - y1)
-        parts.append(f'<text x="{_fmt_pt(xp)}" y="{y0 + 18}" '
+        parts.append(f'<text x="{xp:.2f}" y="{y0 + 18}" '
                      f'text-anchor="middle" font-family="monospace" '
                      f'font-size="11">{xv:.4g}</text>')
-        parts.append(f'<text x="{x0 - 6}" y="{_fmt_pt(yp + 4)}" '
+        parts.append(f'<text x="{x0 - 6}" y="{yp + 4:.2f}" '
                      f'text-anchor="end" font-family="monospace" '
                      f'font-size="11">{yv:.4g}</text>')
     return parts
 
 
-def _ranges(xs, ys):
-    if len(xs) == 0:
-        return (0.0, 1.0), (0.0, 1.0)
-    x_lo, x_hi = float(min(xs)), float(max(xs))
-    y_lo, y_hi = float(min(ys)), float(max(ys))
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    return (x_lo, x_hi), (y_lo, y_hi)
-
-
-def _project(xs, ys, x_rng, y_rng):
-    x0, x1 = _M, _W - _M
-    y0, y1 = _H - _M, _M
-    pts = []
-    for x, y in zip(xs, ys):
-        u = (float(x) - x_rng[0]) / (x_rng[1] - x_rng[0])
-        v = (float(y) - y_rng[0]) / (y_rng[1] - y_rng[0])
-        pts.append((x0 + u * (x1 - x0), y0 - v * (y0 - y1)))
-    return pts
+def _plot(path, xs, ys, x_label, y_label, point, sep, element):
+    """Axes spanning (xs, ys), then `element` around the points, each
+    written by the two-slot `point` template and joined by `sep`; axes
+    only when empty.  An axis whose values are all equal spans +-0.5."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    rngs = []
+    for v in (xs, ys):
+        lo, hi = (float(v.min()), float(v.max())) if len(v) else (0.0, 1.0)
+        rngs.append((lo - 0.5, hi + 0.5) if hi == lo else (lo, hi))
+    (x_lo, x_hi), (y_lo, y_hi) = rngs
+    parts = _frame(x_label, y_label, *rngs)
+    if len(xs):
+        x0, x1 = _M, _W - _M
+        y0, y1 = _H - _M, _M
+        px = x0 + (xs - x_lo) / (x_hi - x_lo) * (x1 - x0)
+        py = y0 - (ys - y_lo) / (y_hi - y_lo) * (y0 - y1)
+        pts = np.column_stack((px, py)).ravel().tolist()
+        parts.append(element.format(sep.join([point] * len(xs)) % tuple(pts)))
+    parts.append("</svg>")
+    _atomic_write_text(path, "\n".join(parts) + "\n")
 
 
 def svg_polyline(path, xs, ys, x_label="x", y_label="y"):
     """One connected line through (xs, ys); axes only when empty."""
-    x_rng, y_rng = _ranges(xs, ys)
-    parts = _frame(x_label, y_label, x_rng, y_rng)
-    pts = _project(xs, ys, x_rng, y_rng)
-    if pts:
-        coords = " ".join(f"{_fmt_pt(px)},{_fmt_pt(py)}" for px, py in pts)
-        parts.append(f'<polyline points="{coords}" fill="none" '
-                     f'stroke="#1060c0" stroke-width="1.2"/>')
-    parts.append("</svg>")
-    _atomic_write_text(path, "\n".join(parts) + "\n")
+    _plot(path, xs, ys, x_label, y_label, "%.2f,%.2f", " ",
+          '<polyline points="{}" fill="none" stroke="#1060c0" '
+          'stroke-width="1.2"/>')
 
 
 def svg_scatter(path, xs, ys, x_label="x", y_label="y"):
     """Dot markers at (xs, ys); axes only when empty."""
-    x_rng, y_rng = _ranges(xs, ys)
-    parts = _frame(x_label, y_label, x_rng, y_rng)
-    for px, py in _project(xs, ys, x_rng, y_rng):
-        parts.append(f'<circle cx="{_fmt_pt(px)}" cy="{_fmt_pt(py)}" '
-                     f'r="1.4" fill="#103060"/>')
-    parts.append("</svg>")
-    _atomic_write_text(path, "\n".join(parts) + "\n")
+    _plot(path, xs, ys, x_label, y_label,
+          '<circle cx="%.2f" cy="%.2f" r="1.4" fill="#103060"/>', "\n", "{}")

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .continuum import (BETA, SquaredDirac2D, apply_dirac_2d,
-                        build_dirac, combine_2d, dirac_2d_factors,
+                        build_dirac, combine_2d, dirac_1d_factor,
                         dirac_oscillator_eigenstate, analytic_zero_mode_2d,
                         jr_scattering, square_decomposition_check,
                         trotter_error)
@@ -134,7 +134,7 @@ def _run_spectrum(cfg):
     k_col, E_col = np.repeat(k, E.shape[1]), E.ravel()
     files = {
         "spectrum.csv": lambda p: write_csv(p, ["k_y", "E"],
-                                            zip(k_col, E_col)),
+                                            np.column_stack((k_col, E_col))),
         "spectrum.svg": lambda p: svg_scatter(p, k_col, E_col, "k_y", "E"),
     }
     # enclosed in-opening states, when the bulk is gapped by theta_y
@@ -151,11 +151,10 @@ def _run_edge_profiles(cfg):
     op = cfg.step_operator(Constant)
     E, profiles = zero_mode_profiles(op)
     xs = op.lattice.coords_x
-    rows = [(int(x), *(float(p[j]) for p in profiles))
-            for j, x in enumerate(xs)]
     header = ["x"] + [f"P_{i + 1}" for i in range(len(profiles))]
     return {
-        "profiles.csv": lambda p: write_csv(p, header, rows),
+        "profiles.csv": lambda p: write_csv(
+            p, header, np.column_stack((xs, *profiles))),
         "profiles.svg": lambda p: svg_polyline(p, xs, profiles[0], "x", "P"),
     }, {"energies": [float(e) for e in E]}
 
@@ -168,20 +167,15 @@ def _run_corner(cfg):
         raise ConfigError(f"count {count} exceeds the {op.lattice.size} "
                           f"states of {op.lattice!r}")
     E, states, resid = near_unity_states(op, count)
-    rows = [(e, r, corner_weight(probability_map(s), Lw))
-            for e, s, r in zip(E, states, resid)]
-
-    def site_map(p):
-        P = probability_map(states[0])
-        xs, ys = op.lattice.coords_x, op.lattice.coords_y
-        write_csv(p, ["x", "y", "P"], [
-            (int(x), int(y), float(P[i, j]))
-            for i, x in enumerate(xs) for j, y in enumerate(ys)])
-
+    P = probability_map(states)
+    X, Y = np.meshgrid(op.lattice.coords_x, op.lattice.coords_y,
+                       indexing="ij")
+    site_map = np.column_stack((X.ravel(), Y.ravel(), P[0].ravel()))
     return {
         "states.csv": lambda p: write_csv(
-            p, ["E", "residual", "corner_weight_r5"], rows),
-        "map.csv": site_map,
+            p, ["E", "residual", "corner_weight_r5"], np.column_stack(
+                (E, resid, [corner_weight(m, Lw) for m in P]))),
+        "map.csv": lambda p: write_csv(p, ["x", "y", "P"], site_map),
         "states.svg": lambda p: svg_scatter(
             p, range(count), E, "index", "E"),
     }, {"count_small_E": int(np.sum(np.abs(E) < 0.05))}
@@ -191,15 +185,15 @@ _SECTION_LINES = (0.0, np.pi / 2, np.pi)
 
 
 def _band_rows(theta_x, theta_y, k_x, k_y):
-    grid = bulk_bands(theta_x, theta_y, np.asarray(k_x)[:, None],
-                      k_y[None, :])
-    return [(float(kx), float(ky), *map(float, grid[i, j]))
-            for i, kx in enumerate(k_x) for j, ky in enumerate(k_y)]
+    """(k_x, k_y, E_1..E_4) rows over the grid, k_x outermost."""
+    KX, KY = np.meshgrid(k_x, k_y, indexing="ij")
+    return np.column_stack((KX.ravel(), KY.ravel(), bulk_bands(
+        theta_x, theta_y, KX, KY).reshape(-1, 4)))
 
 
 def _svg_sections(path, rows):
-    svg_scatter(path, [r[1] for r in rows for _ in range(4)],
-                [e for r in rows for e in r[2:]], "k_y", "E")
+    svg_scatter(path, np.repeat(rows[:, 1], 4), rows[:, 2:].ravel(),
+                "k_y", "E")
 
 
 def _run_bands(cfg):
@@ -227,8 +221,8 @@ def _run_bands_sweep(cfg):
     ks = np.linspace(-np.pi, np.pi, n)
     tys = [parse_angle(t) for t in _SWEEP_THETA_Y]
     blocks = [_band_rows(tx, ty, _SECTION_LINES, ks) for ty in tys]
-    rows = [(float(ty), *row) for ty, block in zip(tys, blocks)
-            for row in block]
+    rows = np.vstack([np.column_stack((np.full(len(block), ty), block))
+                      for ty, block in zip(tys, blocks)])
     return {
         "sections.csv": lambda p: write_csv(
             p, ["theta_y", "k_x", "k_y", "E_1", "E_2", "E_3", "E_4"], rows),
@@ -240,7 +234,7 @@ def _oracle_report(L_big):
     omega = 2.0 * BETA
     rep = {"omega": omega}
 
-    H1 = build_dirac(1, lambda x: BETA * x, L_big)
+    H1 = build_dirac(BETA * LatticeSpec(L_big).coords_x)
     ev1 = np.linalg.eigvalsh(H1)
     ladder = {}
     for n in (1, 2, 3):
@@ -252,10 +246,11 @@ def _oracle_report(L_big):
     rep["zero_mode_min_abs_E"] = float(np.min(np.abs(ev1)))
 
     L2 = 25   # wide enough that the analytic zero mode's tail clears 1e-8
-    h_x, h_y, m_x, m_y = dirac_2d_factors(
-        (lambda x: BETA * x, lambda y: BETA * y), L2)
-    rep["squaring_residual"] = square_decomposition_check(h_x, h_y, m_x, m_y)
-    sq = SquaredDirac2D(h_x, h_y)
+    # both axes carry the same linear mass, so one factor serves both
+    m2 = BETA * LatticeSpec(L2).coords_x
+    h2 = dirac_1d_factor(m2)
+    rep["squaring_residual"] = square_decomposition_check(h2, h2, m2, m2)
+    sq = SquaredDirac2D(h2, h2)
     w2 = sq.energies()
     cut = 0.25 * np.sqrt(omega)
     counts = {"0": int(np.sum(np.abs(w2) < cut))}
@@ -272,7 +267,7 @@ def _oracle_report(L_big):
         np.linalg.norm(H1 @ z.reshape(-1)))
     gz = analytic_zero_mode_2d(BETA, LatticeSpec(L2))
     rep["zero_mode_residual_2d"] = float(
-        np.linalg.norm(apply_dirac_2d(h_x, h_y, gz)))
+        np.linalg.norm(apply_dirac_2d(h2, h2, gz)))
     # overlap of the analytic zero mode with the numeric near-zero
     # subspace: H's projector onto |E| < cut is H^2's onto lam < cut^2
     rep["zero_mode_subspace_overlap"] = float(
@@ -282,7 +277,7 @@ def _oracle_report(L_big):
     rep["jr_flux_residual"] = float(abs(abs(B) ** 2 + abs(C) ** 2 - 1.0))
 
     L3 = 41
-    Hx = build_dirac(1, lambda x: BETA * x, L3)
+    Hx = build_dirac(BETA * LatticeSpec(L3).coords_x)
     wx, Vx = np.linalg.eigh(Hx)
     ix = int(np.argmin(np.abs(wx - np.sqrt(omega))))
     iy = int(np.argmin(np.abs(wx - np.sqrt(2 * omega))))
@@ -314,17 +309,15 @@ def _run_oracle(cfg):
 
 
 def _run_trotter(cfg):
-    L = _square_side(cfg)
-    mass = lambda x: BETA * x   # noqa: E731
+    mass = BETA * LatticeSpec(_square_side(cfg)).coords_x
     tasks = [(1, dt) for dt in (0.5, 0.25, 0.125)] + \
             [(2, dt) for dt in (0.5, 0.25)]
-    rows = [(dim, dt, trotter_error(mass if dim == 1 else (mass, mass),
-                                    L, dt, t=4.0, dim=dim))
-            for dim, dt in tasks]
+    rows = np.array([(dim, dt, trotter_error((mass,) * dim, dt, t=4.0))
+                     for dim, dt in tasks])
     ratios = {}
     for dim in (1, 2):
-        errs = [r[2] for r in rows if r[0] == dim]
-        ratios[str(dim)] = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
+        errs = rows[rows[:, 0] == dim, 2]
+        ratios[str(dim)] = (errs[:-1] / errs[1:]).tolist()
     return ({"trotter.csv": lambda p: write_csv(p, ["dim", "dt", "error"],
                                                 rows)},
             {"halving_ratios": ratios})
@@ -350,7 +343,7 @@ def _run_symmetry(cfg):
         spectrum_scan(noisy)[1])
 
     rep["diii_residuals_my0"] = diii_residuals(
-        build_dirac(2, (small, 0.0), 9))
+        build_dirac(small.table(4), np.zeros(9)))
     return {"report.json": lambda p: write_json(p, rep)}, {}
 
 

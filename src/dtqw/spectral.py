@@ -319,28 +319,28 @@ def bulk_openings(theta_media, theta_y, k_y):
 
 
 def states_in_openings(energies, openings, margin=0.0):
-    """Energies strictly inside any (lo, hi) opening, `margin` off the edges.
+    """Energies strictly inside any (lo, hi) opening, `margin` off the edges,
+    as an array in their input order.
 
     Energies and openings follow the bulk_openings convention (openings
     may extend past +pi to describe the wrap-around gap).
     """
     E = np.asarray(energies, dtype=float)
-    hits = []
-    for e in E:
-        for lo, hi in openings:
-            e_eff = e + 2.0 * np.pi if e < lo - np.pi else e
-            if lo + margin < e_eff < hi - margin:
-                hits.append(float(e))
-                break
-    return hits
+    hit = np.zeros(E.shape, dtype=bool)
+    for lo, hi in openings:
+        e_eff = np.where(E < lo - np.pi, E + 2.0 * np.pi, E)
+        hit |= (lo + margin < e_eff) & (e_eff < hi - margin)
+    return E[hit]
 
 
 def enclosed_states(k, E, theta_media, theta_y):
     """The (k_y, E) entries of a spectrum_scan table inside the bulk
-    openings at their own k_y, at least 0.01 off the opening edges."""
-    return [(float(k_y), e) for k_y, row in zip(k, E)
-            for e in states_in_openings(
-                row, bulk_openings(theta_media, theta_y, k_y), margin=0.01)]
+    openings at their own k_y, at least 0.01 off the opening edges, as an
+    (m, 2) array in row-major order."""
+    hits = [states_in_openings(row, bulk_openings(theta_media, theta_y, k_y),
+                               margin=0.01) for k_y, row in zip(k, E)]
+    return np.column_stack((np.repeat(k, [len(h) for h in hits]),
+                            np.concatenate(hits)))
 
 
 def fit_edge_branch(k, E, theta, k_window=0.2):

@@ -30,7 +30,7 @@ THETA = np.kron(SIGMA_Y, SIGMA_X)
 def diii_residuals(H):
     """Max-norm residuals of the three DIII relations on H.
 
-    H is a dense 4-component matrix such as build_dirac(2, ...) returns;
+    H is a dense 4-component matrix such as build_dirac(m_x, m_y) returns;
     THETA is extended by the identity over the site factors to W.  Returns
     {"time_reversal": |W H* W^dag - H|, "particle_hole": |H* + H|,
     "chiral": |W H W^dag + H|}, the relations of Theta = W K, Xi = K and

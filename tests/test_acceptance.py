@@ -156,7 +156,8 @@ def test_c07_symmetry_suite(wall_op, wall_scan, noisy_wall_op):
                        Constant(0.0)))
     from dtqw.continuum import build_dirac
     wallm = lambda x: np.pi / 3 if abs(x) <= 2 else -np.pi / 3  # noqa: E731
-    H = build_dirac(2, (wallm, 0.0), 9)
+    H = build_dirac(np.array([wallm(x) for x in LatticeSpec(9).coords_x]),
+                    np.zeros(9))
     diii = max(diii_residuals(H).values())
     _report(7, f"PHS clean {phs_clean:.2e} noisy {phs_noise:.2e}, "
                f"k->k+pi {shift:.2e}, reality {reality:.2e}, "
@@ -263,11 +264,9 @@ def test_c10_continuum_oracle_battery():
 
 
 def test_c11_trotter_halving():
-    prof = LinearSaturated(np.pi / 20, 5, np.pi / 4)
-    e1d = [trotter_error(prof, 21, dt, t=4.0, dim=1)
-           for dt in (0.5, 0.25, 0.125)]
-    e2d = [trotter_error((prof, prof), 21, dt, t=4.0, dim=2)
-           for dt in (0.5, 0.25)]
+    m = LinearSaturated(np.pi / 20, 5, np.pi / 4).table(10)   # L = 21
+    e1d = [trotter_error((m,), dt, t=4.0) for dt in (0.5, 0.25, 0.125)]
+    e2d = [trotter_error((m, m), dt, t=4.0) for dt in (0.5, 0.25)]
     ratios = [e1d[0] / e1d[1], e1d[1] / e1d[2], e2d[0] / e2d[1]]
     _report(11, "error halving ratios " +
             ", ".join(f"{r:.3f}" for r in ratios))

@@ -8,8 +8,7 @@ import pytest
 
 from dtqw.config import ConfigError, ExperimentConfig, parse_config
 from dtqw.continuum import analytic_zero_mode_2d
-from dtqw.io import (format_number, svg_polyline, svg_scatter, write_csv,
-                     write_json)
+from dtqw.io import svg_polyline, svg_scatter, write_csv, write_json
 from dtqw.lattice import LatticeSpec
 from dtqw.presets import PRESETS, base_config, run_preset
 from dtqw.profiles import parse_angle
@@ -84,11 +83,28 @@ class TestConfig:
 
 class TestNumbersAndCsv:
     @pytest.mark.parametrize("v,text", [
-        (True, "1"), (False, "0"), (7, "7"), (1.0, "1"),
+        (7, "7"), (1.0, "1"), (5.0, "5"), (-0.0, "-0"),
         (0.1, "0.10000000000000001"), (1 / 3, "0.33333333333333331"),
+        (1e-300, "1e-300"), (1e22, "1e+22"),
     ])
-    def test_format_number(self, v, text):
-        assert format_number(v) == text
+    def test_csv_cell_text(self, v, text, tmp_path):
+        f = str(tmp_path / "t.csv")
+        write_csv(f, ["v", "w"], [(v, -v)])
+        minus = text[1:] if text.startswith("-") else "-" + text
+        assert open(f).read() == f"v,w\n{text},{minus}\n"
+
+    def test_empty_table_writes_the_header_alone(self, tmp_path):
+        f = str(tmp_path / "t.csv")
+        write_csv(f, ["k_y", "E"], np.empty((0, 2)))
+        assert open(f).read() == "k_y,E\n"
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 1), (0, 3), (2,)],
+                             ids=["wide", "narrow", "empty_wide", "flat"])
+    def test_table_width_must_match_the_header(self, shape, tmp_path):
+        f = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="does not fit the 2 columns"):
+            write_csv(str(f), ["k_y", "E"], np.zeros(shape))
+        assert not f.exists()
 
     def test_csv_round_trips_doubles_exactly(self, tmp_path):
         rng = np.random.Generator(np.random.PCG64(1))
@@ -111,6 +127,35 @@ class TestNumbersAndCsv:
             assert json.load(fh) == {"a": 2, "b": 1}
 
 
+_SVG_HEAD = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" '
+    'viewBox="0 0 640 480">\n'
+    '<rect width="640" height="480" fill="white"/>\n'
+    '<line x1="56" y1="424" x2="584" y2="424" stroke="black"/>\n'
+    '<line x1="56" y1="424" x2="56" y2="56" stroke="black"/>\n'
+    '<text x="320" y="468" text-anchor="middle" font-family="monospace" '
+    'font-size="13">k</text>\n'
+    '<text x="16" y="240" text-anchor="middle" font-family="monospace" '
+    'font-size="13" transform="rotate(-90 16 240)">E</text>\n')
+_SVG_TICK = (
+    '<text x="{px}" y="442" text-anchor="middle" font-family="monospace" '
+    'font-size="11">{x}</text>\n'
+    '<text x="50" y="{py}" text-anchor="end" font-family="monospace" '
+    'font-size="11">{y}</text>\n')
+# xs, ys, tick labels (x, y) at 0, 1/2 and 1 of each range, drawn points
+_SVG_CASES = {
+    "three": ([0.0, 1.5, 3.0], [-1.0, 0.25, 2.0],
+              [("0", "-1"), ("1.5", "0.5"), ("3", "2")],
+              [("56.00", "424.00"), ("320.00", "270.67"),
+               ("584.00", "56.00")]),
+    "equal_x": ([2.0, 2.0, 2.0], [1.0, 3.0, 2.0],
+                [("1.5", "1"), ("2", "2"), ("2.5", "3")],
+                [("320.00", "424.00"), ("320.00", "56.00"),
+                 ("320.00", "240.00")]),
+    "empty": ([], [], [("0", "0"), ("0.5", "0.5"), ("1", "1")], []),
+}
+
+
 class TestSvg:
     def test_polyline_deterministic_and_timestamp_free(self, tmp_path):
         xs = np.linspace(0, 1, 40)
@@ -122,6 +167,24 @@ class TestSvg:
         assert t1 == open(f2).read()
         assert "<svg" in t1 and "polyline" in t1
         assert "date" not in t1.lower() and "time" not in t1.lower()
+
+    @pytest.mark.parametrize("case", sorted(_SVG_CASES))
+    def test_svg_text_is_pinned(self, case, tmp_path):
+        xs, ys, ticks, pts = _SVG_CASES[case]
+        frame = _SVG_HEAD + "".join(
+            _SVG_TICK.format(px=px, py=py, x=x, y=y) for (x, y), px, py
+            in zip(ticks, ("56.00", "320.00", "584.00"),
+                   ("428.00", "244.00", "60.00")))
+        line = (f'<polyline points="{" ".join(map(",".join, pts))}" '
+                f'fill="none" stroke="#1060c0" stroke-width="1.2"/>\n'
+                if pts else "")
+        dots = "".join(f'<circle cx="{cx}" cy="{cy}" r="1.4" '
+                       f'fill="#103060"/>\n' for cx, cy in pts)
+        f = str(tmp_path / "p.svg")
+        svg_polyline(f, xs, ys, "k", "E")
+        assert open(f).read() == frame + line + "</svg>\n"
+        svg_scatter(f, xs, ys, "k", "E")
+        assert open(f).read() == frame + dots + "</svg>\n"
 
     def test_empty_scatter_draws_axes_only(self, tmp_path):
         f = str(tmp_path / "e.svg")

@@ -8,7 +8,7 @@ from dtqw import continuum
 from dtqw.continuum import (BETA, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             SquaredDirac2D,
                             analytic_zero_mode_2d, apply_dirac_2d,
-                            build_dirac, combine_2d, dirac_2d_factors,
+                            build_dirac, combine_2d, dirac_1d_factor,
                             dirac_oscillator_eigenstate, hermite_state,
                             jr_scattering, momentum_matrix,
                             square_decomposition_check, trotter_error)
@@ -17,6 +17,17 @@ from dtqw.operators import StepOperator2D
 from dtqw.profiles import Constant, LinearSaturated
 
 OMEGA = 2 * BETA
+
+
+def _linear(L):
+    """The linear site masses BETA * x on the L-site axis."""
+    return BETA * LatticeSpec(L).coords_x
+
+
+def _wall(L):
+    """Site masses 0.5 within |x| <= 2 and -0.5 outside, on L sites."""
+    return np.array([0.5 if abs(x) <= 2 else -0.5
+                     for x in LatticeSpec(L).coords_x])
 
 
 class TestMomentumMatrix:
@@ -65,7 +76,7 @@ class TestHermiteLadder:
         assert np.allclose(V.T @ V, np.eye(6), atol=1e-10)
 
     def test_oscillator_ladder(self):
-        H = build_dirac(1, lambda x: BETA * x, 101)
+        H = build_dirac(_linear(101))
         ev = np.linalg.eigvalsh(H)
         assert np.min(np.abs(ev)) < 1e-12
         for n in (1, 2, 3):
@@ -77,7 +88,7 @@ class TestHermiteLadder:
                                         (3, "-")])
     def test_analytic_eigenstates(self, n, sign):
         L = 101
-        H = build_dirac(1, lambda x: BETA * x, L)
+        H = build_dirac(_linear(L))
         psi = dirac_oscillator_eigenstate(n, sign, BETA, L).reshape(-1)
         E = (1 if sign == "+" else -1) * np.sqrt(n * OMEGA)
         resid = np.linalg.norm(H @ psi - E * psi)
@@ -90,11 +101,12 @@ class TestHermiteLadder:
 
     def test_zero_mode(self):
         L = 101
-        H = build_dirac(1, lambda x: BETA * x, L)
+        H = build_dirac(_linear(L))
         z = dirac_oscillator_eigenstate(0, 0, BETA, L).reshape(-1)
         assert np.linalg.norm(H @ z) < 1e-6
 
-    @pytest.mark.parametrize("beta", [0.0, -BETA, float("nan")])
+    @pytest.mark.parametrize("beta", [0.0, -BETA, float("nan"),
+                                      float("inf")])
     def test_non_positive_beta_rejected(self, beta):
         with pytest.raises(ValueError, match="beta must be positive"):
             hermite_state(0, beta, 101)
@@ -109,14 +121,16 @@ class TestHermiteLadder:
             analytic_zero_mode_2d(BETA, LatticeSpec(21))
         analytic_zero_mode_2d(BETA, LatticeSpec(23))
 
-    def test_nan_tails_trip_the_tail_checks(self):
-        # beta = inf samples exp(-inf * 0) = nan at the origin
-        with np.errstate(divide="ignore", invalid="ignore"):
+    def test_nan_tails_trip_the_tail_checks(self, monkeypatch):
+        # a Gaussian sampled as nan reaches both tail checks
+        monkeypatch.setattr(np, "exp",
+                            lambda a: np.full(np.shape(a), np.nan))
+        with np.errstate(invalid="ignore"):
             with pytest.raises(continuum.LatticeTooSmall,
                                match="probability nan"):
-                hermite_state(0, np.inf, 21)
+                hermite_state(0, BETA, 21)
             with pytest.raises(continuum.LatticeTooSmall, match="tail nan"):
-                analytic_zero_mode_2d(np.inf, LatticeSpec(41))
+                analytic_zero_mode_2d(BETA, LatticeSpec(41))
 
 
 def _schroedinger_1d(m):
@@ -142,66 +156,62 @@ class TestSquaring:
     """The factor-form check against the dense H.H product."""
 
     @staticmethod
-    def both_routes(masses, L):
-        _, _, m_x, m_y = factors = dirac_2d_factors(masses, L)
-        return (square_decomposition_check(*factors),
-                _dense_square_residual(build_dirac(2, masses, L), m_x, m_y))
+    def both_routes(m_x, m_y):
+        return (square_decomposition_check(dirac_1d_factor(m_x),
+                                           dirac_1d_factor(m_y), m_x, m_y),
+                _dense_square_residual(build_dirac(m_x, m_y), m_x, m_y))
 
     def test_oscillator_squares_to_schroedinger_pair(self):
-        masses = (lambda x: BETA * x, lambda y: BETA * y)
-        assert max(self.both_routes(masses, 15)) < 1e-10
+        assert max(self.both_routes(_linear(15), _linear(15))) < 1e-10
 
     def test_zero_mass_squares_to_laplacian(self):
-        assert max(self.both_routes((0.0, 0.0), 9)) < 1e-12
+        assert max(self.both_routes(np.zeros(9), np.zeros(9))) < 1e-12
 
     def test_wall_masses(self):
-        wall = lambda x: 0.5 if abs(x) <= 2 else -0.5   # noqa: E731
-        assert max(self.both_routes((wall, wall), 9)) < 1e-12
+        assert max(self.both_routes(_wall(9), _wall(9))) < 1e-12
 
     def test_perturbation_detected(self):
         # eps sigma^x anticommutes with h_x, so it moves the 1D squares
         # only by eps^2 = 1e-8, below the 1e-6 threshold, but it breaks
         # {h_x, sigma^x} = 0 by 2 eps: only the cross term sees it
-        masses = (lambda x: BETA * x, lambda y: BETA * y)
         L, eps = 9, 1e-4
-        h_x, h_y, m_x, m_y = dirac_2d_factors(masses, L)
+        m_x = m_y = _linear(L)
+        h_x = h_y = dirac_1d_factor(m_x)
         bent = h_x + eps * np.kron(np.eye(L), SIGMA_X)   # stays Hermitian
         assert np.max(np.abs(bent @ bent - h_x @ h_x)) < 1e-6
         assert square_decomposition_check(bent, h_y, m_x, m_y) > 1e-6
-        H = build_dirac(2, masses, L)
+        H = build_dirac(m_x, m_y)
         H += eps * np.kron(np.eye(2 * L * L), SIGMA_X)
         assert _dense_square_residual(H, m_x, m_y) > 1e-6
 
 
 class TestBuildDirac:
-    @pytest.mark.parametrize("dim,masses", [
-        (1, lambda x: BETA * x), (2, (lambda x: BETA * x, 0.0))],
-        ids=["1d", "2d"])
-    def test_rejects_a_bent_factor(self, dim, masses, monkeypatch):
-        H = build_dirac(dim, masses, 9)
+    @pytest.mark.parametrize("masses", [
+        (_linear(9),), (_linear(9), np.zeros(9))], ids=["1d", "2d"])
+    def test_rejects_a_bent_factor(self, masses, monkeypatch):
+        dim = len(masses)
+        H = build_dirac(*masses)
         assert isinstance(H, np.ndarray)
         assert H.shape == (2 * dim * 9 ** dim,) * 2
         bent = momentum_matrix(9)
         bent[6, 2] += 1e-6
         monkeypatch.setattr(continuum, "momentum_matrix", lambda L: bent)
         with pytest.raises(ValueError, match="not Hermitian"):
-            build_dirac(dim, masses, 9)
+            build_dirac(*masses)
 
     def test_nan_mass_trips_the_hermiticity_check(self):
         with pytest.raises(ValueError, match="deviation nan"):
-            build_dirac(1, np.nan, 9)
+            build_dirac(np.full(9, np.nan))
 
 
 class TestFactoredRoutes:
     """Per-axis routes against dense full-size products; a swapped axis,
     tau or sigma index moves either far past its tolerance."""
 
-    wall = staticmethod(lambda x: 0.5 if abs(x) <= 2 else -0.5)
-
     def test_matrix_free_product_matches_dense(self):
-        masses = (self.wall, lambda y: BETA * y)
-        H = build_dirac(2, masses, 7, 9)
-        h_x, h_y, _, _ = dirac_2d_factors(masses, 7, 9)
+        masses = (_wall(7), _linear(9))
+        H = build_dirac(*masses)
+        h_x, h_y = map(dirac_1d_factor, masses)
         rng = np.random.default_rng(5)
         n = H.shape[0]
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -211,9 +221,8 @@ class TestFactoredRoutes:
     @pytest.mark.parametrize("dt", [0.5, 0.25])
     def test_factored_trotter_matches_dense_product(self, dt):
         L, t = 7, 2.0
-        masses = (self.wall, lambda y: BETA * y)
-        H = build_dirac(2, masses, L)
-        _, _, m_x, m_y = dirac_2d_factors(masses, L)
+        m_x, m_y = masses = (_wall(L), _linear(L))
+        H = build_dirac(*masses)
         p, eye = momentum_matrix(L), np.eye(L)
 
         def kron(*factors):
@@ -232,39 +241,37 @@ class TestFactoredRoutes:
         psi0 /= np.linalg.norm(psi0)
         psi = np.linalg.matrix_power(step, int(round(t / dt))) @ psi0
         dense = np.linalg.norm(psi - expm(-1j * t * H) @ psi0)
-        factored = trotter_error(masses, L, dt, t, dim=2, psi0=psi0)
+        factored = trotter_error(masses, dt, t, psi0=psi0)
         assert abs(factored - dense) <= 1e-12 * dense
 
 
 class TestKroneckerSquare:
-    """SquaredDirac2D's routes against the dense build_dirac(2) matrix on
-    non-square lattices.  The massless case has exact zero modes on both
+    """SquaredDirac2D's routes against the dense two-array build_dirac
+    matrix on non-square lattices.  The massless case has exact zero modes on both
     axes (k = 0), so its lam = 0 levels take the sinc branch of the
     propagator; the linear x mass leaves two near-zero e_x whose signs
     LAPACK picks freely, which a sign(e_x) rule would misread."""
 
-    wall = staticmethod(lambda x: 0.5 if abs(x) <= 2 else -0.5)
-    cases = pytest.mark.parametrize("masses,L_x,L_y", [
-        ((wall, lambda y: BETA * y), 7, 9),
-        ((0.0, 0.0), 7, 9),
-        ((lambda x: BETA * x, wall), 9, 7)],
+    cases = pytest.mark.parametrize("masses", [
+        (_wall(7), _linear(9)), (np.zeros(7), np.zeros(9)),
+        (_linear(9), _wall(7))],
         ids=["wall_x_linear_y", "massless", "linear_x_wall_y"])
 
     @staticmethod
-    def routes(masses, L_x, L_y):
-        h_x, h_y, _, _ = dirac_2d_factors(masses, L_x, L_y)
-        return SquaredDirac2D(h_x, h_y), build_dirac(2, masses, L_x, L_y)
+    def routes(masses):
+        return (SquaredDirac2D(*map(dirac_1d_factor, masses)),
+                build_dirac(*masses))
 
     @cases
-    def test_spectrum_matches_dense(self, masses, L_x, L_y):
-        sq, H = self.routes(masses, L_x, L_y)
+    def test_spectrum_matches_dense(self, masses):
+        sq, H = self.routes(masses)
         assert np.max(np.abs(sq.energies()
                              - np.linalg.eigvalsh(H))) <= 1e-12
 
     @cases
-    def test_low_projector_matches_dense(self, masses, L_x, L_y):
+    def test_low_projector_matches_dense(self, masses):
         cut = 0.4
-        sq, H = self.routes(masses, L_x, L_y)
+        sq, H = self.routes(masses)
         w, W = np.linalg.eigh(H)
         # the cut sits inside a gap, so both subspaces are well defined
         assert np.min(np.abs(np.abs(w) - cut)) > 0.1
@@ -281,12 +288,12 @@ class TestKroneckerSquare:
                               - near @ near.conj().T) <= 1e-12
 
     @cases
-    def test_propagator_matches_expm_multiply(self, masses, L_x, L_y):
+    def test_propagator_matches_expm_multiply(self, masses):
         from scipy.sparse.linalg import expm_multiply
 
         t = 2.0
-        sq, H = self.routes(masses, L_x, L_y)
-        if masses == (0.0, 0.0):
+        sq, H = self.routes(masses)
+        if not np.any(np.concatenate(masses)):
             assert np.min(sq.lam) < 1e-28
         rng = np.random.default_rng(11)
         psi0 = rng.normal(size=H.shape[0]) + 1j * rng.normal(size=H.shape[0])
@@ -301,9 +308,9 @@ class TestNoDense2DMatrix:
 
         from dtqw import presets
 
-        def one_d_only(dim, *args, **kw):
-            assert dim == 1, "a dense 2D Dirac matrix was built"
-            return build_dirac(dim, *args, **kw)
+        def one_d_only(*masses):
+            assert len(masses) == 1, "a dense 2D Dirac matrix was built"
+            return build_dirac(*masses)
 
         def refuse(*args, **kw):
             raise AssertionError("expm_multiply ran on the 2D reference")
@@ -313,8 +320,7 @@ class TestNoDense2DMatrix:
         monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
         rep = presets._oracle_report(41)
         assert rep["degeneracy_counts_2d"]["0"] == 4
-        mass = lambda x: BETA * x   # noqa: E731
-        assert trotter_error((mass, mass), 9, 0.5, 2.0, dim=2) > 0
+        assert trotter_error((_linear(9), _linear(9)), 0.5, 2.0) > 0
 
 
 class TestCombine2D:
@@ -337,6 +343,12 @@ class TestCombine2D:
         with pytest.raises(ValueError, match="does not mix"):
             combine_2d(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("E_x,E_y", [(np.nan, 1.0), (1.0, np.inf),
+                                         (-np.inf, 0.0)])
+    def test_non_finite_energy_rejected(self, E_x, E_y):
+        with pytest.raises(ValueError, match="E_[xy] must be finite"):
+            combine_2d(E_x, E_y, 0.0)
+
     def test_non_normalizable_rejected(self):
         # E_x = 0 puts 2phi at pi/2, so 1 + s sin 2phi = 0 at s = -1
         with pytest.raises(ValueError, match="not normalizable"):
@@ -346,7 +358,7 @@ class TestCombine2D:
         # build Psi = (gamma + delta sigma^x) psi_x (x) psi_y from 1D
         # numerics and verify it solves the 2D problem
         L = 31
-        Hx = build_dirac(1, lambda x: BETA * x, L)
+        Hx = build_dirac(_linear(L))
         w, V = np.linalg.eigh(Hx)
         ix = int(np.argmin(np.abs(w - np.sqrt(OMEGA))))
         iy = int(np.argmin(np.abs(w - np.sqrt(2 * OMEGA))))
@@ -357,11 +369,11 @@ class TestCombine2D:
                + delta * (sx @ V[:, ix]).reshape(L, 2))
         Psi = np.einsum("xs,yt->xyts", mix,
                         V[:, iy].reshape(L, 2)).reshape(-1)
-        H2 = build_dirac(2, (lambda x: BETA * x, lambda y: BETA * y), L)
+        H2 = build_dirac(_linear(L), _linear(L))
         assert np.linalg.norm(H2 @ Psi - E * Psi) < 1e-6
 
     def test_analytic_zero_mode_solves_2d(self):
-        H2 = build_dirac(2, (lambda x: BETA * x, lambda y: BETA * y), 25)
+        H2 = build_dirac(_linear(25), _linear(25))
         gz = analytic_zero_mode_2d(BETA, LatticeSpec(25))
         assert np.linalg.norm(H2 @ gz.reshape(-1)) < 1e-5
 
@@ -372,10 +384,17 @@ class TestJackiwRebbi:
             B, C, E = jr_scattering(kx, 0.7)
             assert abs(B) ** 2 + abs(C) ** 2 == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("k_x,m0,name", [
+        (np.nan, 0.7, "k_x"), (np.inf, 0.7, "k_x"), (0.0, 0.7, "k_x"),
+        (1.3, np.nan, "m0"), (1.3, -np.inf, "m0")])
+    def test_unusable_inputs_rejected(self, k_x, m0, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            jr_scattering(k_x, m0)
+
 
 class TestTrotter:
     def test_error_halves_with_dt_1d(self):
-        prof = LinearSaturated(np.pi / 20, 5, np.pi / 4)
-        e1 = trotter_error(prof, 21, 0.5, t=4.0, dim=1)
-        e2 = trotter_error(prof, 21, 0.25, t=4.0, dim=1)
+        m = LinearSaturated(np.pi / 20, 5, np.pi / 4).table(10)   # L = 21
+        e1 = trotter_error((m,), 0.5, t=4.0)
+        e2 = trotter_error((m,), 0.25, t=4.0)
         assert e1 / e2 == pytest.approx(2.0, abs=0.3)

@@ -147,5 +147,7 @@ class TestBandFilter:
 
     def test_invalid_sigma(self):
         op = _trap_op(21)
-        with pytest.raises(ValueError):
-            band_filter(op, np.ones(op.lattice.shape, complex), 0.0, -1.0)
+        for sigma_t in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma_t must be positive"):
+                band_filter(op, np.ones(op.lattice.shape, complex), 0.0,
+                            sigma_t)

@@ -20,9 +20,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dtqw"
 CALLER_DIRS = (ROOT / "src", ROOT / "demos", ROOT / "bench")
 ALLOWED = {
-    # inputs of independent cross-checks in the tests: a non-square
-    # lattice and a random start state
-    "build_dirac.L_y", "trotter_error.psi0",
+    # input of an independent cross-check in the tests: a random start
+    # state
+    "trotter_error.psi0",
     # the CLI's test seam: the console script calls main() bare
     "main.argv",
 }

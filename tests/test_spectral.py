@@ -31,6 +31,19 @@ def _eig_route(U):
     return _quasi_energy(lam), V
 
 
+def _states_in_openings_loop(energies, openings, margin):
+    """The per-energy loop that states_in_openings replaced, kept as its
+    reference."""
+    hits = []
+    for e in np.asarray(energies, dtype=float):
+        for lo, hi in openings:
+            e_eff = e + 2.0 * np.pi if e < lo - np.pi else e
+            if lo + margin < e_eff < hi - margin:
+                hits.append(float(e))
+                break
+    return hits
+
+
 def _haar_unitary(n, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     Q, R = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -433,6 +446,28 @@ class TestOpenings:
         widths = [hi - lo for tx in angles for ty in angles for ky in k_y
                   for lo, hi in bulk_openings((tx, -tx), ty, ky)]
         assert min(widths) > 0.02
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data(), st.sampled_from([0.0, 0.01]),
+           *[st.floats(-np.pi, np.pi)] * 4)
+    def test_states_in_openings_matches_the_loop(self, data, margin, t1, t2,
+                                                 theta_y, k_y):
+        angle = st.floats(-np.pi, np.pi, exclude_min=True)
+        openings = bulk_openings((t1, t2), theta_y, k_y)
+        start = data.draw(st.floats(np.pi / 2, np.pi))
+        openings.append((start,
+                         start + data.draw(st.floats(0.0, 1.9 * np.pi))))
+        # exact edges, edges +-margin and the wrap points lo - pi, folded
+        # into (-pi, pi], and +-pi
+        edges = [e + d for lo, hi in openings for e in (lo, hi, lo - np.pi)
+                 for d in (0.0, margin, -margin)]
+        edges = [e - 2.0 * np.pi if e > np.pi else
+                 e + 2.0 * np.pi if e <= -np.pi else e for e in edges]
+        energies = data.draw(st.permutations(
+            edges + [np.pi, -np.pi] + data.draw(st.lists(angle,
+                                                         max_size=20))))
+        assert (states_in_openings(energies, openings, margin).tolist()
+                == _states_in_openings_loop(energies, openings, margin))
 
     def test_states_in_openings_wraps(self):
         openings = [(-0.5, 0.5), (2.9, 3.5)]   # second straddles +pi

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dtqw.continuum import SIGMA_X, build_dirac, mass_array
+from dtqw.continuum import SIGMA_X, build_dirac
 from dtqw.lattice import LatticeSpec
 from dtqw.operators import StepOperator2D
 from dtqw.presets import run_preset
@@ -51,8 +51,10 @@ def small_wall_op():
 
 
 @pytest.fixture(scope="module")
-def wall_hamiltonian():
-    return lambda x: np.pi / 3 if abs(x) <= 2 else -np.pi / 3
+def wall_masses():
+    """Site masses pi/3 within |x| <= 2 and -pi/3 outside, on L sites."""
+    return lambda L: np.array([np.pi / 3 if abs(x) <= 2 else -np.pi / 3
+                               for x in LatticeSpec(L).coords_x])
 
 
 class TestWalkSymmetries:
@@ -98,17 +100,15 @@ class TestWalkSymmetries:
 
 
 class TestContinuumSymmetries:
-    def test_diii_relations_hold_at_zero_y_mass(self, wall_hamiltonian):
-        wall = wall_hamiltonian
-        res = diii_residuals(build_dirac(2, (wall, 0.0), 9))
+    def test_diii_relations_hold_at_zero_y_mass(self, wall_masses):
+        res = diii_residuals(build_dirac(wall_masses(9), np.zeros(9)))
         assert res["time_reversal"] < 1e-12
         assert res["particle_hole"] < 1e-12
         assert res["chiral"] < 1e-12
 
     def test_y_mass_breaks_time_reversal_not_particle_hole(
-            self, wall_hamiltonian):
-        wall = wall_hamiltonian
-        res = diii_residuals(build_dirac(2, (wall, wall), 9))
+            self, wall_masses):
+        res = diii_residuals(build_dirac(wall_masses(9), wall_masses(9)))
         assert res["particle_hole"] < 1e-12
         assert res["time_reversal"] > 0.1
         assert res["chiral"] > 0.1
@@ -119,9 +119,8 @@ class TestContinuumSymmetries:
         assert np.allclose(THETA @ THETA.conj().T, np.eye(4))
         assert np.allclose(THETA @ THETA.conj(), -np.eye(4))
 
-    def test_1d_chiral(self, wall_hamiltonian):
-        wall = wall_hamiltonian
-        H1 = build_dirac(1, wall, 21)
+    def test_1d_chiral(self, wall_masses):
+        H1 = build_dirac(wall_masses(21))
         # Gamma1 = sigma^x on every site anticommutes with H1
         W = np.kron(np.eye(H1.shape[0] // 2), SIGMA_X)
         assert np.max(np.abs(W @ H1 @ W.conj().T + H1)) < 1e-13
@@ -132,15 +131,14 @@ class TestContinuumSymmetries:
         import dtqw.presets
         masses = []
 
-        def recording(dim, m, L):
+        def recording(*m):
             masses.append(m)
-            return build_dirac(dim, m, L)
+            return build_dirac(*m)
 
         monkeypatch.setattr(dtqw.presets, "build_dirac", recording)
         run_preset("symmetry", {"L": "11", "theta_x": "wall:pi/4:-pi/5:3"},
                    outdir=str(tmp_path))
         (m_x, m_y), = masses
-        assert np.array_equal(mass_array(m_x, 9),
-                              [-np.pi / 5] * 2 + [np.pi / 4] * 5
+        assert np.array_equal(m_x, [-np.pi / 5] * 2 + [np.pi / 4] * 5
                               + [-np.pi / 5] * 2)
-        assert m_y == 0.0
+        assert np.array_equal(m_y, np.zeros(9))
