@@ -33,11 +33,51 @@ independently, so the derived forms can be tested against them.
 
 The matrix-free kernel (`StepOperator2D.apply` / `apply_adjoint`) takes
 and returns states in the public (L_x, L_y, 4) layout of `lattice`.
-Inside, it works on the component-major (4, L_x, L_y) view, so each
-component is one (L_x, L_y) plane: the coins pair planes, and both shifts
-are slice copies with the periodic wrap done as a one-row or one-column
-copy.  Every factor writes into a workspace that the operator allocates
-once, and only the returned state is a new array.
+Inside, each component is one plane of L_x L_y complex numbers, site
+(x, y) at flat index x L_y + y; the input is read and the output written
+through strided views of those planes.  A step is two stages.
+
+* The x stage rotates each (L, R) pair by C_x into planes padded with
+  one wrap row at each end.  S_x is folded into the next stage's reads:
+  the L movers are read one row ahead (x + 1) and the R movers one row
+  behind (x - 1), flat offsets of +-L_y, once the wrap row each read
+  crosses has been copied in.
+* The y stage folds C_y and S_y together.  From the x-stage output b it
+  forms the sums and differences
+
+      s1 = LD + RD,  s2 = LU + RU,  d1 = LD - RD,  d2 = LU - RU,
+
+  rotates them by the y coin (c, s = cos, sin theta_y(y)) with S_y's 1/2
+  folded into the coefficients,
+
+      g = (c s1 - s s2)/2        q = (s s1 + c s2)/2
+      h = (c d1 + s d2)/2        p = (c d2 - s d1)/2,
+
+  and applies S_y as a two-term stencil:
+
+      LD' = g(y+1) + h(y-1)      LU' = p(y+1) + q(y-1)
+      RD' = g(y+1) - h(y-1)      RU' = q(y-1) - p(y+1).
+
+  This is S_y C_y b written out.  With d = C_y b, g and h are
+  (d_LD +- d_RD)/2 and q and p are (d_LU +- d_RU)/2, and the S_y rows
+  read P f + Q f' = (f + f')(y+1)/2 + (f - f')(y-1)/2.  The y shift is a
+  flat offset of +-1; on the two wrap columns, where that offset crosses
+  into the next row, the stencil is applied again with the periodic
+  neighbours.
+
+The adjoint U^T = C_x^T S_x^T C_y^T S_y^T runs the transposed stages in
+reverse in the same form.  The transposed stencil reads sums and
+differences of the input across the shift,
+
+    G = s1(y-1),  P = d2(y-1),  Q = s2(y+1),  H = d1(y+1);
+
+the transposed rotation gives S1 = (c G + s Q)/2, S2 = (c Q - s G)/2,
+D1 = (c H - s P)/2 and D2 = (c P + s H)/2; the movers are (LD, LU) =
+(S1 + D1, S2 + D2) and (RD, RU) = (S1 - D1, S2 - D2); then S_x^T reads
+the L movers at x - 1 and the R movers at x + 1, and C_x^T rotates each
+pair back by theta_x(x).  The coin coefficients are tabulated once per
+site, every stage writes into planes the operator allocates once, and
+only the returned state is a new array.
 """
 
 import numpy as np
@@ -71,23 +111,71 @@ def coin_matrix(axis, theta):
     return np.cos(theta) * np.eye(4) + np.sin(theta) * COIN_GENERATORS[axis]
 
 
-# the component pairs each coin rotates, as (first, second) slices of the
-# component axis: C_x on (LD, RD) and (LU, RU), C_y on (LD, RU) and (RD, LU)
-_COIN_PAIRS = {"C_x": (slice(0, 4, 2), slice(1, 4, 2)),
-               "C_y": (slice(0, 2), slice(3, 1, -1))}
-_FACTORS = ("C_x", "S_x", "C_y", "S_y")    # U applies them left to right
-_MOVERS = (slice(0, 4, 2), slice(1, 4, 2))  # (LD, LU) and (RD, RU)
+def _rotate(c, s, a, b, out_a, out_b, t, sign):
+    """out_a = c a - sign s b and out_b = c b + sign s a, through scratch t.
+
+    c and s are coefficient planes that broadcast against the plane stacks
+    a and b; sign = +1 applies a coin, -1 its transpose.
+    """
+    minus, plus = (np.subtract, np.add)[::sign]
+    np.multiply(c, a, out=out_a)
+    np.multiply(s, b, out=t)
+    minus(out_a, t, out=out_a)
+    np.multiply(c, b, out=out_b)
+    np.multiply(s, a, out=t)
+    plus(out_b, t, out=out_b)
+
+
+def _read_rows(planes, step):
+    """Planes (k, L_x + 2, L_y) holding rows x = 0..L_x-1 in 1..L_x, read at
+    x + step (step = +-1) as flat (k, L_x L_y) views.  The wrap row that
+    read crosses is copied in first."""
+    if step > 0:
+        planes[:, -1] = planes[:, 1]
+    else:
+        planes[:, 0] = planes[:, -2]
+    return planes[:, 1 + step:planes.shape[1] - 1 + step].reshape(
+        len(planes), -1)
+
+
+def _stencil(out, up, down):
+    """S_y on the rotated planes (g, p, q, h): (LD, RD, LU, RU) into `out`
+    from `up`, those planes read at y + 1, and `down`, read at y - 1."""
+    np.add(up[0:2], down[3:1:-1], out=out[0::2])    # g+ + h-,  p+ + q-
+    np.subtract(up[0], down[3], out=out[1])          # g+ - h-
+    np.subtract(down[2], up[1], out=out[3])          # q- - p+
+
+
+def _stencil_transpose(out, up, down):
+    """The transpose of `_stencil`: (G, P, Q, H) into `out` from the state
+    (LD, RD, LU, RU) read at y + 1 (`up`) and y - 1 (`down`)."""
+    np.add(down[0], down[1], out=out[0])             # s1 at y - 1
+    np.subtract(down[2], down[3], out=out[1])        # d2 at y - 1
+    np.add(up[2], up[3], out=out[2])                 # s2 at y + 1
+    np.subtract(up[0], up[1], out=out[3])            # d1 at y + 1
+
+
+def _shift_y(stencil, out, planes, L_y):
+    """stencil(out, up, down) over flat (4, L_x L_y) planes, with `up` read
+    at y + 1 and `down` at y - 1.  The flat offsets of +-1 are right
+    everywhere but on the two wrap columns, which are done again."""
+    stencil(out[:, 1:-1], planes[:, 2:], planes[:, :-2])
+    out = out.reshape(N_COMP, -1, L_y)
+    planes = planes.reshape(N_COMP, -1, L_y)
+    stencil(out[..., 0], planes[..., 1], planes[..., -1])
+    stencil(out[..., -1], planes[..., 0], planes[..., -2])
 
 
 class StepOperator2D:
     """The one-step walk unitary U = S_y C_y S_x C_x for given angle profiles.
 
-    The coin angles are tabulated once per site from the profiles, and
-    `apply` / `apply_adjoint` act matrix-free, O(N) per step.  Both take
-    and return states in the public (L_x, L_y, 4) layout.  Internally the
-    kernel works component-major, on (4, L_x, L_y) planes held in a
-    workspace the constructor allocates once; each call returns a fresh
-    array.  Because calls share that workspace, one operator must not be
+    The coin angles are tabulated once per site from the profiles, as flat
+    coefficient planes stored complex so that every product is one
+    same-dtype loop.  `apply` / `apply_adjoint` act matrix-free, O(N) per
+    step, in the two stages of the module docstring.  Both take and return
+    states in the public (L_x, L_y, 4) layout; the input is only read, and
+    each call returns a fresh C-contiguous array.  The stages write into a
+    workspace the constructor allocates once, so one operator must not be
     applied from two threads at once.
     """
 
@@ -95,70 +183,67 @@ class StepOperator2D:
         self.lattice = lattice
         self.profile_x = profile_x
         self.profile_y = profile_y
+        L_x, L_y = lattice.L_x, lattice.L_y
         tx = profile_x.table(lattice.half_x)
         ty = profile_y.table(lattice.half_y)
-        # (cos, sin) of each coin, shaped to broadcast over (L_x, L_y)
-        self._coins = {"C_x": (np.cos(tx)[:, None], np.sin(tx)[:, None]),
-                       "C_y": (np.cos(ty)[None, :], np.sin(ty)[None, :])}
-        planes = (lattice.L_x, lattice.L_y)
-        self._work = np.empty((2, N_COMP) + planes, dtype=complex)
-        self._q = np.empty((N_COMP,) + planes, dtype=complex)
-        self._t = np.empty((2,) + planes, dtype=complex)
+        # (cos, sin) theta_x(x), and (cos, sin) theta_y(y) with S_y's 1/2
+        self._cx, self._sx = (np.repeat(f(tx), L_y).astype(complex)
+                              for f in (np.cos, np.sin))
+        self._cy, self._sy = (np.tile(0.5 * f(ty), L_x).astype(complex)
+                              for f in (np.cos, np.sin))
+        # the x stage's (LD, LU, RD, RU) planes, with a wrap row at each
+        # end, and two stacks of four flat planes for the y stage
+        self._rows = np.empty((N_COMP, L_x + 2, L_y), dtype=complex)
+        self._movers = self._rows[:, 1:-1].reshape(N_COMP, -1)  # a view
+        self._flat = np.empty((2, N_COMP, L_x * L_y), dtype=complex)
 
-    def _step(self, state, sign):
-        """U (sign = +1) or U^T = U^dag (sign = -1) applied to `state`.
-
-        The adjoint runs the factors in reverse order, each transposed:
-        -s in the coins, the shift directions swapped, -Q in S_y.  Each
-        factor reads `src` and writes the next workspace plane set.
-        """
+    def _components(self, state):
+        """`state` as a (4, L_x L_y) view, one row per component."""
         if state.shape != self.lattice.shape:
             raise ValueError(f"state shape {state.shape} does not match "
                              f"lattice {self.lattice!r}")
-        t, q = self._t, self._q
-        src = state.transpose(2, 0, 1)      # a view; the input is not written
-        for i, factor in enumerate(_FACTORS[::sign]):
-            dst = self._work[i % 2]
-            if factor in _COIN_PAIRS:
-                # each pair (a, b) -> (c a - s b, s a + c b)
-                a, b = _COIN_PAIRS[factor]
-                c, s = self._coins[factor]
-                s = sign * s
-                np.multiply(c, src[a], out=dst[a])
-                np.multiply(s, src[b], out=t)
-                np.subtract(dst[a], t, out=dst[a])
-                np.multiply(s, src[a], out=dst[b])
-                np.multiply(c, src[b], out=t)
-                np.add(dst[b], t, out=dst[b])
-            elif factor == "S_x":
-                # `ahead` takes f(x + 1), `behind` f(x - 1): the L movers
-                # step toward -x, and the adjoint swaps the roles
-                ahead, behind = _MOVERS[::sign]
-                dst[ahead, :-1] = src[ahead, 1:]
-                dst[ahead, -1] = src[ahead, 0]
-                dst[behind, 1:] = src[behind, :-1]
-                dst[behind, 0] = src[behind, -1]
-            else:
-                # P = (f(y+1) + f(y-1))/2 into dst, Q = +-(f(y+1) - f(y-1))/2
-                for out, combine in ((dst, np.add), (q, np.subtract)):
-                    combine(src[..., 2:], src[..., :-2], out=out[..., 1:-1])
-                    combine(src[..., 1], src[..., -1], out=out[..., 0])
-                    combine(src[..., 0], src[..., -2], out=out[..., -1])
-                np.multiply(0.5, dst, out=dst)
-                np.multiply(0.5 * sign, q, out=q)
-                # (LD, RD) += Q (RD, LD);  (LU, RU) -= Q (RU, LU)
-                np.add(dst[0:2], q[1::-1], out=dst[0:2])
-                np.subtract(dst[2:4], q[3:1:-1], out=dst[2:4])
-            src = dst
-        return src.transpose(1, 2, 0).copy()
+        return np.asarray(state, dtype=complex).reshape(-1, N_COMP).T
 
     def apply(self, state):
         """One walk step: S_y C_y S_x C_x |psi>."""
-        return self._step(state, +1)
+        psi = self._components(state)
+        sums, rotated = self._flat
+        movers = self._movers
+        # x stage: C_x on the (L, R) pairs ((LD, LU), (RD, RU))
+        _rotate(self._cx, self._sx, psi[0::2], psi[1::2],
+                movers[0:2], movers[2:4], sums[0:2], +1)
+        # S_x: the L movers step toward -x, so site x reads x + 1
+        ahead = _read_rows(self._rows[0:2], +1)
+        behind = _read_rows(self._rows[2:4], -1)
+        # y stage: (s1, d2, s2, d1), rotated into (g, p, q, h)
+        np.add(ahead, behind, out=sums[0::2])
+        np.subtract(ahead, behind, out=sums[3:0:-2])
+        _rotate(self._cy, self._sy, sums[0:2], sums[2:4],
+                rotated[0:2], rotated[2:4], movers[0:2], +1)
+        out = np.empty(self.lattice.shape, dtype=complex)
+        _shift_y(_stencil, out.reshape(-1, N_COMP).T, rotated,
+                 self.lattice.L_y)
+        return out
 
     def apply_adjoint(self, state):
         """One inverse step: C_x^T S_x^T C_y^T S_y^T |psi>."""
-        return self._step(state, -1)
+        psi = self._components(state)
+        sums, rotated = self._flat
+        movers = self._movers
+        # y stage transposed: (G, P, Q, H), rotated into (S1, D2, S2, D1)
+        _shift_y(_stencil_transpose, sums, psi, self.lattice.L_y)
+        _rotate(self._cy, self._sy, sums[0:2], sums[2:4],
+                rotated[0:2], rotated[2:4], movers[0:2], -1)
+        # the movers (L, R) = (S1, S2) +- (D1, D2)
+        np.add(rotated[0::2], rotated[3:0:-2], out=movers[0:2])
+        np.subtract(rotated[0::2], rotated[3:0:-2], out=movers[2:4])
+        # S_x^T reads the L movers at x - 1, then C_x^T
+        out = np.empty(self.lattice.shape, dtype=complex)
+        o = out.reshape(-1, N_COMP).T
+        _rotate(self._cx, self._sx, _read_rows(self._rows[0:2], -1),
+                _read_rows(self._rows[2:4], +1), o[0::2], o[1::2],
+                sums[0:2], -1)
+        return out
 
     def __repr__(self):
         return (f"StepOperator2D({self.lattice!r}, "

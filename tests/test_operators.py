@@ -3,7 +3,9 @@ import pytest
 
 from dtqw.lattice import LD, RD, LatticeSpec, allocate_state
 from dtqw.operators import StepOperator2D, coin_matrix, walk_matrix_dense
+from dtqw.presets import base_config
 from dtqw.profiles import Constant, DomainWall, LinearSaturated
+from dtqw.spectral import walk_matrix_sparse
 from test_lattice import basis_state
 
 
@@ -92,6 +94,18 @@ class TestWorkspace:
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
 
+    def test_real_input_gives_exactly_real_output(self):
+        # every factor is real, so the kernel may never mix the real and
+        # imaginary parts; the symmetry preset's reality residual needs 0.0
+        lat = LatticeSpec(7, 5)
+        op = self._op(lat)
+        psi = _rand_state(lat).real
+        for step in (op.apply, op.apply_adjoint):
+            out = step(psi)
+            assert np.iscomplexobj(out)
+            assert np.max(np.abs(out.imag)) == 0.0
+            assert np.array_equal(out.real, step(psi + 0j).real)
+
     def test_non_contiguous_input_matches_contiguous(self):
         lat = LatticeSpec(7, 5)
         op = self._op(lat)
@@ -142,6 +156,23 @@ class TestStepOperator:
         psi = _rand_state(lat, seed=3)
         assert np.allclose(U @ psi.reshape(-1),
                            op.apply(psi).reshape(-1), atol=1e-13)
+
+    def test_fig1_steps_follow_the_sparse_matrix(self):
+        # 200 steps of fig1's trap at L = 21: the kernel tracks repeated
+        # sparse products, and as many adjoint steps bring the start back
+        cfg = base_config("fig1")
+        cfg.set("L", "21")
+        op = cfg.step_operator()
+        U = walk_matrix_sparse(op)
+        start = _rand_state(op.lattice, seed=6)
+        psi, ref = start, start.reshape(-1)
+        for _ in range(200):
+            psi = op.apply(psi)
+            ref = U @ ref
+        assert np.max(np.abs(psi.reshape(-1) - ref)) <= 1e-12
+        for _ in range(200):
+            psi = op.apply_adjoint(psi)
+        assert np.max(np.abs(psi - start)) <= 1e-12
 
     def test_free_walk_movers(self):
         # theta = 0: sigma = L/R moves -x/+x, and the y shift moves the
