@@ -23,7 +23,7 @@ corners = [(sx * LW, sy * LW) for sx in (1, -1) for sy in (1, -1)]
 
 print(f"{'E':>13}  {'residual':>9}  {'corner weight':>13}")
 for e, s, r in zip(E, states, resid):
-    w = corner_weight(probability_map(s), LW)
+    w = corner_weight(probability_map(s), LW, LW)
     print(f"{e:+13.3e}  {r:9.1e}  {w:13.3f}")
 
 print(f"\nwall crossings at {corners}; weight measured within "

@@ -169,23 +169,24 @@ def _shift_y(stencil, out, planes, L_y):
 class StepOperator2D:
     """The one-step walk unitary U = S_y C_y S_x C_x for given angle profiles.
 
-    The coin angles are tabulated once per site from the profiles, as flat
-    coefficient planes stored complex so that every product is one
-    same-dtype loop.  `apply` / `apply_adjoint` act matrix-free, O(N) per
-    step, in the two stages of the module docstring.  Both take and return
-    states in the public (L_x, L_y, 4) layout; the input is only read, and
-    each call returns a fresh C-contiguous array.  The stages write into a
-    workspace the constructor allocates once, so one operator must not be
-    applied from two threads at once.
+    Each profile is evaluated once, into the float tables `theta_x`
+    (length L_x) and `theta_y` (length L_y), site coordinates ascending;
+    everything built from the walk reads these tables, not the profiles.
+    The kernel's coin coefficients come from them as flat planes stored
+    complex so that every product is one same-dtype loop.  `apply` /
+    `apply_adjoint` act matrix-free, O(N) per step, in the two stages of
+    the module docstring.  Both take and return states in the public
+    (L_x, L_y, 4) layout; the input is only read, and each call returns a
+    fresh C-contiguous array.  The stages write into a workspace the
+    constructor allocates once, so one operator must not be applied from
+    two threads at once.
     """
 
     def __init__(self, lattice, profile_x, profile_y):
         self.lattice = lattice
-        self.profile_x = profile_x
-        self.profile_y = profile_y
         L_x, L_y = lattice.L_x, lattice.L_y
-        tx = profile_x.table(lattice.half_x)
-        ty = profile_y.table(lattice.half_y)
+        self.theta_x = tx = profile_x.table(lattice.half_x)
+        self.theta_y = ty = profile_y.table(lattice.half_y)
         # (cos, sin) theta_x(x), and (cos, sin) theta_y(y) with S_y's 1/2
         self._cx, self._sx = (np.repeat(f(tx), L_y).astype(complex)
                               for f in (np.cos, np.sin))
@@ -244,11 +245,6 @@ class StepOperator2D:
                 _read_rows(self._rows[2:4], +1), o[0::2], o[1::2],
                 sums[0:2], -1)
         return out
-
-    def __repr__(self):
-        return (f"StepOperator2D({self.lattice!r}, "
-                f"x={self.profile_x.to_spec_string()}, "
-                f"y={self.profile_y.to_spec_string()})")
 
 
 def walk_matrix_dense(op):

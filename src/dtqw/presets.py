@@ -129,8 +129,8 @@ def _run_dynamics(cfg):
 
 
 def _run_spectrum(cfg):
-    op = cfg.step_operator(Constant)
-    k, E = spectrum_scan(op)
+    wall, ty = cfg.profile("x"), cfg.profile("y", Constant)
+    k, E = spectrum_scan(StepOperator2D(cfg.lattice(), wall, ty))
     k_col, E_col = np.repeat(k, E.shape[1]), E.ravel()
     files = {
         "spectrum.csv": lambda p: write_csv(p, ["k_y", "E"],
@@ -139,9 +139,8 @@ def _run_spectrum(cfg):
     }
     # enclosed in-opening states, when the bulk is gapped by theta_y
     extras = {}
-    wall, theta_y = op.profile_x, op.profile_y.theta
-    if theta_y and isinstance(wall, DomainWall):
-        enclosed = enclosed_states(k, E, (wall.theta1, wall.theta2), theta_y)
+    if ty.theta and isinstance(wall, DomainWall):
+        enclosed = enclosed_states(k, E, (wall.theta1, wall.theta2), ty.theta)
         extras["enclosed_count"] = len(enclosed)
         files["enclosed.csv"] = lambda p: write_csv(p, ["k_y", "E"], enclosed)
     return files, extras
@@ -160,8 +159,8 @@ def _run_edge_profiles(cfg):
 
 
 def _run_corner(cfg):
-    Lw = cfg.profile("x", DomainWall).L_wall
-    op = cfg.step_operator()
+    wall_x, wall_y = (cfg.profile(axis, DomainWall) for axis in "xy")
+    op = StepOperator2D(cfg.lattice(), wall_x, wall_y)
     count = cfg.get_int("count")
     if count > op.lattice.size:
         raise ConfigError(f"count {count} exceeds the {op.lattice.size} "
@@ -174,7 +173,8 @@ def _run_corner(cfg):
     return {
         "states.csv": lambda p: write_csv(
             p, ["E", "residual", "corner_weight_r5"], np.column_stack(
-                (E, resid, [corner_weight(m, Lw) for m in P]))),
+                (E, resid, [corner_weight(m, wall_x.L_wall, wall_y.L_wall)
+                            for m in P]))),
         "map.csv": lambda p: write_csv(p, ["x", "y", "P"], site_map),
         "states.svg": lambda p: svg_scatter(
             p, range(count), E, "index", "E"),
@@ -324,21 +324,21 @@ def _run_trotter(cfg):
 
 
 def _run_symmetry(cfg):
-    w = cfg.profile("x", DomainWall)
+    w, ty = cfg.profile("x", DomainWall), cfg.profile("y", Constant)
     # the configured wall at half-width 2, for the 7- and 9-site checks
     small = DomainWall(w.theta1, w.theta2, 2)
-    op = cfg.step_operator(Constant)
+    op = StepOperator2D(cfg.lattice(), w, ty)
     rep = {
         "phs_multiset_residual": spectral_particle_hole_residual(
             spectrum_scan(op)[1]),
         "walk_reality_residual": check_walk_particle_hole(
-            StepOperator2D(LatticeSpec(7), small, op.profile_y)),
+            StepOperator2D(LatticeSpec(7), small, ty)),
     }
     grid = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     rep["sublattice_shift_residual"] = check_sublattice_shift(
         *spectrum_scan(op, k_grid=grid))
-    noisy = StepOperator2D(op.lattice, op.profile_x.with_noise(
-        0.25, cfg.get_int("seed")), op.profile_y)
+    noisy = StepOperator2D(op.lattice, w.with_noise(
+        0.25, cfg.get_int("seed")), ty)
     rep["phs_multiset_residual_noise"] = spectral_particle_hole_residual(
         spectrum_scan(noisy)[1])
 

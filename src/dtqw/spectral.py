@@ -1,13 +1,14 @@
 """Quasi-energy spectra, bulk bands, and near-unit-eigenvalue searches.
 
-With a y-independent coin angle the walk block-diagonalizes over the y
-momentum: replacing the S_y half-shift combinations P -> cos(k_y),
-Q -> i sin(k_y) turns the step operator into a 4*L_x x 4*L_x unitary
-U(k_y) = cos(k_y) A + i sin(k_y) B, with A and B the real blocks at
-(P, Q) = (1, 0) and (0, 1), whose eigenphases are the quasi-energies E in
-(-pi, pi] (eigenvalue = exp(-iE)).  Since A and B are real,
-U(-k_y) = conj U(k_y) and the spectrum at -k_y is the negated spectrum at
-k_y, so a scan solves one block of each +-k_y pair and mirrors the other.
+When the walk's theta_y table holds one value, the walk is y-independent
+and block-diagonalizes over the y momentum: replacing the S_y half-shift
+combinations P -> cos(k_y), Q -> i sin(k_y) turns the step operator into
+a 4*L_x x 4*L_x unitary U(k_y) = cos(k_y) A + i sin(k_y) B, with A and
+B the real blocks at (P, Q) = (1, 0) and (0, 1), whose eigenphases are
+the quasi-energies E in (-pi, pi] (eigenvalue = exp(-iE)).  Since A and B
+are real, U(-k_y) = conj U(k_y) and the spectrum at -k_y is the negated
+spectrum at k_y, so a scan solves one block of each +-k_y pair and
+mirrors the other.
 
 Every eigenphase solve goes through the Hermitian surrogate
 W = (U + U^dag)/2, which commutes with U and has eigenvalues cos(E).
@@ -37,7 +38,6 @@ from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from .operators import (COIN_GENERATORS, SHIFT_X_STEPS, SHIFT_Y_Q_CELL,
                         coin_matrix)
-from .profiles import Constant
 
 
 class ConvergenceError(RuntimeError):
@@ -53,28 +53,25 @@ class UnitarityError(RuntimeError):
     eigenpair residual above _RESIDUAL_TOL."""
 
 
-def _require_block_structure(op):
-    if not isinstance(op.profile_y, Constant) or op.profile_y.noise_amplitude:
-        raise ValueError(
-            "momentum blocks need a y-independent walk: profile_y must be a "
-            f"plain Constant, got {op.profile_y.to_spec_string()!r}")
-
-
 def _block_terms(op):
     """The real dense pair (A, B) with U(k_y) = cos(k_y) A + i sin(k_y) B.
 
     A and B are the walk on a one-site y axis with the half-shift pair
-    (P, Q) = (1, 0) and (0, 1); U is linear in (P, Q).  Since
+    (P, Q) = (1, 0) and (0, 1), built from op.theta_x and op.theta_y[0];
+    U is linear in (P, Q).  Raises ValueError when the theta_y table holds
+    more than one value, as only then does the walk depend on y (an
+    all-NaN table is one value, which the unitarity check refuses).  Since
     U^dag U = cos^2 A^T A + sin^2 B^T B + i cos sin (A^T B - B^T A),
     every block is unitary when A^T A = B^T B = 1 and A^T B is symmetric;
     raises UnitarityError if any of the three deviates by more than 1e-12.
     """
-    _require_block_structure(op)
-    tx = op.profile_x.table(op.lattice.half_x)
-    ty = [op.profile_y.theta]
+    values = np.unique(op.theta_y)
+    if len(values) > 1:
+        raise ValueError(f"momentum blocks need a y-independent walk: the "
+                         f"theta_y table holds {len(values)} values")
     one, zero = sparse.csr_matrix([[1.0]]), sparse.csr_matrix((1, 1))
-    A = _assemble(tx, ty, one, zero).toarray()
-    B = _assemble(tx, ty, zero, one).toarray()
+    A = _assemble(op.theta_x, op.theta_y[:1], one, zero).toarray()
+    B = _assemble(op.theta_x, op.theta_y[:1], zero, one).toarray()
     eye, AtB = np.eye(A.shape[0]), A.T @ B
     dev = max(np.max(np.abs(A.T @ A - eye)), np.max(np.abs(B.T @ B - eye)),
               np.max(np.abs(AtB - AtB.T)))
@@ -94,11 +91,11 @@ def _combine(terms, k_y):
 def momentum_block(op, k_y):
     """The dense 4*L_x x 4*L_x unitary U(k_y) = S_y(k_y) C_y S_x C_x.
 
-    Index layout: 4*(x + half_x) + c.  Requires y-translation invariance
-    (constant noiseless theta_y); theta_x may be any profile including
-    noise.  Built as cos(k_y) A + i sin(k_y) B from the k-independent real
-    terms, so U(-k_y) = conj U(k_y) exactly; raises if the block is not
-    unitary.
+    Index layout: 4*(x + half_x) + c.  Requires y-translation invariance,
+    a theta_y table with one value; the theta_x table may hold any values,
+    noise included.  Built as cos(k_y) A + i sin(k_y) B from the
+    k-independent real terms, so U(-k_y) = conj U(k_y) exactly; raises if
+    the block is not unitary.
     """
     return _combine(_block_terms(op), k_y)
 
@@ -406,9 +403,8 @@ def walk_matrix_sparse(op):
     the result is a real sparse matrix (~16 nonzeros per row).
     """
     up, down = _roll(op.lattice.L_y, +1), _roll(op.lattice.L_y, -1)
-    return _assemble(op.profile_x.table(op.lattice.half_x),
-                     op.profile_y.table(op.lattice.half_y),
-                     (up + down) * 0.5, (up - down) * 0.5)
+    return _assemble(op.theta_x, op.theta_y, (up + down) * 0.5,
+                     (up - down) * 0.5)
 
 
 # Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago and
@@ -594,17 +590,17 @@ def zero_mode_profiles(op):
     return E, np.sum(np.abs(X.T.reshape(4, -1, 4)) ** 2, axis=2)
 
 
-def corner_weight(P, L_wall):
+def corner_weight(P, L_wall_x, L_wall_y):
     """Share of a site-probability map within Manhattan radius 5 of the
-    four wall crossings (+-L_wall, +-L_wall).
+    four wall crossings (+-L_wall_x, +-L_wall_y).
 
     P has shape (L_x, L_y) with centred coordinates, x = -(L_x // 2) ..
     L_x // 2 along axis 0 and y likewise along axis 1.  The nearest
-    crossing to (x, y) is (sign(x) L_wall, sign(y) L_wall), so the union
-    of the four balls is one test on (|x|, |y|).
+    crossing to (x, y) is (sign(x) L_wall_x, sign(y) L_wall_y), so the
+    union of the four balls is one test on (|x|, |y|).
     """
     L_x, L_y = P.shape
     x = np.abs(np.arange(L_x) - L_x // 2)[:, None]
     y = np.abs(np.arange(L_y) - L_y // 2)[None, :]
-    near = np.abs(x - L_wall) + np.abs(y - L_wall) <= 5
+    near = np.abs(x - L_wall_x) + np.abs(y - L_wall_y) <= 5
     return float(P[near].sum() / P.sum())

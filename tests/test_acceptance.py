@@ -53,11 +53,12 @@ def fig1_run():
             "elapsed": time.perf_counter() - t0}
 
 
+WALL = DomainWall(np.pi / 3, -np.pi / 3, 25)
+
+
 @pytest.fixture(scope="module")
 def wall_op():
-    return StepOperator2D(LatticeSpec(101),
-                          DomainWall(np.pi / 3, -np.pi / 3, 25),
-                          Constant(0.0))
+    return StepOperator2D(LatticeSpec(101), WALL, Constant(0.0))
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +70,8 @@ def wall_scan(wall_op):
 
 @pytest.fixture(scope="module")
 def noisy_wall_op(wall_op):
-    return StepOperator2D(wall_op.lattice,
-                          wall_op.profile_x.with_noise(0.25, 11),
-                          wall_op.profile_y)
+    return StepOperator2D(wall_op.lattice, WALL.with_noise(0.25, 11),
+                          Constant(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +125,7 @@ def test_c04_edge_branch_crossing_and_localization(wall_op, wall_scan):
 
 
 def test_c05_transverse_coin_opens_edge_gap(wall_op):
-    op = StepOperator2D(wall_op.lattice, wall_op.profile_x,
-                        Constant(np.pi / 50))
+    op = StepOperator2D(wall_op.lattice, WALL, Constant(np.pi / 50))
     gap = float(np.min(np.abs(quasi_energies(momentum_block(op, 0.0)))))
     _report(5, f"edge gap at k_y=0 is {gap:.3e} for theta_y = pi/50")
     assert gap > 1e-3
@@ -178,7 +177,7 @@ def test_c08_corner_states_both_scales():
         dt = time.perf_counter() - t0
         small = int(np.sum(np.abs(E) < 0.05))
         # weight of the multiplet as a whole (equal-weight mixture)
-        w = corner_weight(np.mean(probability_map(states), axis=0), lw)
+        w = corner_weight(np.mean(probability_map(states), axis=0), lw, lw)
         par.append((L, small, w, dt, budget))
     ctrl_op = StepOperator2D(LatticeSpec(41), Constant(np.pi / 3),
                              Constant(np.pi / 3))

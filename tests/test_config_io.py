@@ -394,6 +394,7 @@ class TestPresetRuns:
         (["fig6", "--theta-x", "pi/3"], "theta_x"),
         (["bandsB1", "--theta-x", "wall:pi/3:-pi/3:3"], "theta_x"),
         (["symmetry", "--theta-x", "pi/3"], "theta_x"),
+        (["fig6", "--theta-y", "pi/3"], "theta_y"),
     ])
     def test_cli_profile_the_pipeline_cannot_run_exits_2(
             self, argv, key, tmp_path, capsys):
@@ -441,6 +442,18 @@ class TestPresetRuns:
         err = capsys.readouterr().err
         assert "numerical failure: eigenpair residual" in err
         assert "Traceback" not in err
+
+    def test_cli_corner_weight_at_unequal_walls(self, tmp_path):
+        # the walls cross at (+-10, +-5), where every corner state sits
+        from dtqw.cli import main
+        out = tmp_path / "c"
+        assert main(["fig6", "--L", "41", "--theta-x", "wall:pi/3:-pi/3:10",
+                     "--theta-y", "wall:pi/3:-pi/3:5",
+                     "--outdir", str(out)]) == 0
+        with open(out / "states.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header[2] == "corner_weight_r5" and len(rows) == 8
+        assert all(float(row[2]) >= 0.9 for row in rows)
 
     def test_dynamics_meta_records_outputs(self, tmp_path):
         out = str(tmp_path / "dyn")

@@ -31,7 +31,7 @@ class TestCornerStates:
     def test_weight_concentrates_at_wall_corners(self, corner_states):
         _, (_, states, _) = corner_states
         for psi in states:
-            assert corner_weight(probability_map(psi), LW) > 0.9
+            assert corner_weight(probability_map(psi), LW, LW) > 0.9
 
     def test_single_corner_occupancy_not_enforced(self, corner_states):
         # eigenvectors of the degenerate multiplet may spread over several
@@ -50,15 +50,18 @@ class TestCornerStates:
 
 
 class TestCornerWeight:
-    # a 9 x 11 map has x = -4..4 along axis 0 and y = -5..5 along axis 1;
-    # its transpose swaps the lengths, so a mix-up of the axes shows
+    # a 9 x 11 map has x = -4..4 along axis 0 and y = -5..5 along axis 1,
+    # with walls at |x| = 1 and |y| = 4; its transpose swaps the lengths
+    # and the walls, so a mix-up of the axes shows
     @pytest.mark.parametrize("transpose", [False, True])
     def test_non_square_map(self, transpose):
         def weight(x, y):
             P = np.zeros((9, 11))
             P[x + 4, y + 5] = 1.0
-            return corner_weight(P.T if transpose else P, 1)
+            return (corner_weight(P.T, 4, 1) if transpose
+                    else corner_weight(P, 1, 4))
 
-        assert weight(1, -1) == 1.0    # on the crossing (+L_wall, -L_wall)
-        assert weight(4, -3) == 1.0    # Manhattan distance 5: on the rim
-        assert weight(4, -4) == 0.0    # Manhattan distance 6 from the nearest
+        assert weight(1, -4) == 1.0    # on the crossing (+L_wall_x, -L_wall_y)
+        assert weight(4, -2) == 1.0    # Manhattan distance 5: on the rim
+        assert weight(4, -1) == 0.0    # Manhattan distance 6 from the nearest
+        assert weight(-4, 4) == 1.0    # distance 3 from (-L_wall_x, +L_wall_y)

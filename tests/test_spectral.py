@@ -7,7 +7,7 @@ from scipy.sparse.linalg import eigsh
 
 from dtqw.lattice import LatticeSpec, probability_map
 from dtqw.operators import StepOperator2D, walk_matrix_dense
-from dtqw.profiles import Constant, DomainWall
+from dtqw.profiles import Constant, DomainWall, LinearSaturated
 import dtqw.spectral
 from dtqw.presets import run_preset
 from dtqw.spectral import (ConvergenceError, UnitarityError, _band_cosines,
@@ -82,10 +82,22 @@ class TestBlocks:
                                   momentum_block(op, k).conj())
 
     def test_noise_in_y_profile_rejected(self):
-        op = StepOperator2D(LatticeSpec(9), Constant(0.1),
-                            Constant(0.1).with_noise(0.05, 1))
-        with pytest.raises(ValueError):
-            momentum_block(op, 0.0)
+        # the block gate reads the theta_y table, not the profile's class:
+        # a table of one value gives blocks, one of several is refused
+        lat, wall = LatticeSpec(9), DomainWall(np.pi / 3, -np.pi / 3, 3)
+        flat = [spectrum_scan(StepOperator2D(lat, wall, ty))[1]
+                for ty in (Constant(0.3), DomainWall(0.3, 0.3, 2))]
+        assert np.array_equal(*flat)
+        for ty in (Constant(0.1).with_noise(0.05, 1),
+                   LinearSaturated(0.05, 2, 0.1)):
+            op = StepOperator2D(lat, wall, ty)
+            with pytest.raises(ValueError, match="y-independent"):
+                momentum_block(op, 0.0)
+            with pytest.raises(ValueError, match="y-independent"):
+                spectrum_scan(op)
+        # an all-NaN table is one value, and the unitarity guard refuses it
+        with pytest.raises(UnitarityError, match="deviation nan"):
+            spectrum_scan(StepOperator2D(lat, wall, Constant(np.nan)))
 
 
 class TestBlockUnitarityGuard:

@@ -65,8 +65,8 @@ class TestWalkSymmetries:
     def test_particle_hole_survives_noise(self, small_wall_op):
         op = StepOperator2D(
             small_wall_op.lattice,
-            small_wall_op.profile_x.with_noise(0.25, 11),
-            small_wall_op.profile_y)
+            DomainWall(np.pi / 3, -np.pi / 3, 5).with_noise(0.25, 11),
+            Constant(0.0))
         assert spectral_particle_hole_residual(spectrum_scan(op)[1]) < 1e-12
 
     def test_walk_matrix_reality(self):
