@@ -11,12 +11,13 @@ import numpy as np
 
 from dtqw import LatticeSpec, StepOperator2D, near_unity_states
 from dtqw.lattice import probability_map
-from dtqw.profiles import DomainWall
 from dtqw.spectral import corner_weight
 
 LW = 6
-wall = DomainWall(np.pi / 3, -np.pi / 3, LW)
-op = StepOperator2D(LatticeSpec(25), wall, wall)
+lat = LatticeSpec(25)
+# pi/3 for |x| <= LW, -pi/3 beyond, on both axes
+wall = np.where(np.abs(lat.coords_x) <= LW, np.pi / 3, -np.pi / 3)
+op = StepOperator2D(lat, wall, wall)
 
 E, states, resid = near_unity_states(op, 8)
 corners = [(sx * LW, sy * LW) for sx in (1, -1) for sy in (1, -1)]

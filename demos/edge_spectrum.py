@@ -11,12 +11,12 @@ along the wall.
 import numpy as np
 
 from dtqw import LatticeSpec, StepOperator2D, spectrum_scan
-from dtqw.profiles import Constant, DomainWall
 from dtqw.spectral import fit_edge_branch
 
-op = StepOperator2D(LatticeSpec(41),
-                    DomainWall(np.pi / 3, -np.pi / 3, 10),
-                    Constant(0.0))
+lat = LatticeSpec(41)
+# theta_x = pi/3 for |x| <= 10, -pi/3 beyond; theta_y = 0
+wall = np.where(np.abs(lat.coords_x) <= 10, np.pi / 3, -np.pi / 3)
+op = StepOperator2D(lat, wall, np.zeros(lat.L_y))
 k, E = spectrum_scan(op)
 E0 = np.sort(np.abs(E[np.argmin(np.abs(k))]))   # the k_y ~ 0 block
 

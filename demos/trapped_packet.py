@@ -14,10 +14,11 @@ from dtqw import (LatticeSpec, StepOperator2D, prepare_initial_state,
                   run_dynamics)
 from dtqw.continuum import BETA, analytic_zero_mode_2d
 from dtqw.io import svg_polyline
-from dtqw.profiles import LinearSaturated
 
-profile = LinearSaturated(np.pi / 20, 5, np.pi / 4)
-op = StepOperator2D(LatticeSpec(61), profile, profile)
+lat = LatticeSpec(61)
+# theta = (pi/20) x, saturating at +-pi/4 beyond |x| = 5
+profile = np.clip(np.pi / 20 * lat.coords_x, -np.pi / 4, np.pi / 4)
+op = StepOperator2D(lat, profile, profile)
 
 psi = prepare_initial_state(op, analytic_zero_mode_2d(BETA, op.lattice),
                             refine_iters=30, shift=(2, 0),

@@ -13,8 +13,7 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .evolution import band_filter, prepare_initial_state, run_dynamics
 from .lattice import LatticeSpec
 from .operators import StepOperator2D
-from .profiles import (Constant, DomainWall, LinearSaturated, parse_angle,
-                       parse_profile)
+from .profiles import parse_angle, parse_profile, profile_table, spec_string
 from .spectral import (bulk_bands, commensurate_grid, near_unity_states,
                        quasi_energies, spectrum_scan)
 
@@ -24,8 +23,7 @@ __all__ = [
     "band_filter", "prepare_initial_state", "run_dynamics",
     "LatticeSpec",
     "StepOperator2D",
-    "Constant", "DomainWall", "LinearSaturated",
-    "parse_angle", "parse_profile",
+    "parse_angle", "parse_profile", "profile_table", "spec_string",
     "bulk_bands", "commensurate_grid", "near_unity_states",
     "quasi_energies", "spectrum_scan",
 ]

@@ -11,7 +11,7 @@ grammar.  Which of the known keys a run accepts is its preset's table in
 import json
 from collections import OrderedDict
 
-from .profiles import Constant, DomainWall, parse_angle, parse_profile
+from .profiles import parse_angle, parse_profile, profile_table, spec_string
 from .lattice import LatticeSpec
 from .operators import StepOperator2D
 
@@ -21,7 +21,7 @@ class ConfigError(ValueError):
 
 
 def _canon_profile(text):
-    return parse_profile(text).to_spec_string()
+    return spec_string(parse_profile(text))
 
 
 def _canon_angle(text):
@@ -137,30 +137,45 @@ class ExperimentConfig:
         return LatticeSpec(self.get_int("L_x"), self.get_int("L_y"))
 
     def profile(self, axis, kind=None):
-        """The theta_<axis> profile; with `kind` given it must be of that
-        class, and a Constant must also carry no noise.  A DomainWall must
-        fit its axis: 0 <= L_wall < L // 2 leaves sites on both sides of
-        the wall."""
+        """The parsed theta_<axis> profile (kind, params, noise); with
+        `kind` given it must be of that kind, and a "constant" must also
+        carry no noise.  A wall must fit its axis: 0 <= L_wall < L // 2
+        leaves sites on both sides of the wall."""
         key = f"theta_{axis}"
         text = self.get(key)
         prof = parse_profile(text)
-        if kind is not None and (not isinstance(prof, kind) or (
-                kind is Constant and prof.noise_amplitude)):
-            noiseless = "noiseless " if kind is Constant else ""
-            raise ConfigError(f"{key} must be a {noiseless}{kind.__name__} "
-                              f"profile for this pipeline, got {text!r}")
-        if isinstance(prof, DomainWall):
-            L = self.get_int(f"L_{axis}")
-            if not 0 <= prof.L_wall < L // 2:
+        if kind is not None and (prof[0] != kind or (
+                kind == "constant" and prof[2])):
+            noiseless = "noiseless " if kind == "constant" else ""
+            raise ConfigError(f"{key} must be a {noiseless}{kind} profile "
+                              f"for this pipeline, got {text!r}")
+        if prof[0] == "wall":
+            L, L_wall = self.get_int(f"L_{axis}"), prof[1][2]
+            if not 0 <= L_wall < L // 2:
                 raise ConfigError(
-                    f"{key} wall half-width {prof.L_wall} does not fit "
+                    f"{key} wall half-width {L_wall} does not fit "
                     f"L_{axis} = {L}; need 0 <= L_wall < {L // 2}")
         return prof
 
-    def step_operator(self, kind=None):
-        """The walk of this config; `kind` constrains theta_y's profile."""
-        return StepOperator2D(self.lattice(), self.profile("x"),
-                              self.profile("y", kind))
+    def table(self, axis):
+        """The theta_<axis> angles on this config's lattice axis."""
+        return profile_table(self.profile(axis),
+                             self.get_int(f"L_{axis}") // 2)
+
+    def angle(self, axis):
+        """The one value of the theta_<axis> table, for the pipelines
+        whose walk must be y-independent."""
+        table = self.table(axis)
+        if table.min() < table.max():
+            key = f"theta_{axis}"
+            raise ConfigError(f"{key} must be one angle on its axis for "
+                              f"this pipeline, got {self.get(key)!r}")
+        return float(table[0])
+
+    def step_operator(self):
+        """The walk of this config."""
+        return StepOperator2D(self.lattice(), self.table("x"),
+                              self.table("y"))
 
     def band_pass(self):
         return (self.get_float("band_center"), self.get_float("band_sigma"),

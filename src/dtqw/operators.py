@@ -20,7 +20,7 @@ applied right-to-left.  In the fixed basis (LD, RD, LU, RU):
       RD' =  Q LD + P RD        RU' = -Q LU + P RU
 
 All four factors are real, so the assembled position-space matrix of U is
-real for any angle profiles.
+real for any angle tables.
 
 At theta_y = 0 on y-uniform states, C_y = S_y = 1, so U is S_x C_x on
 each tau pair (LD,RD) and (LU,RU): the 1D split-step walk on (L, R).
@@ -166,27 +166,40 @@ def _shift_y(stencil, out, planes, L_y):
     stencil(out[..., -1], planes[..., 0], planes[..., -2])
 
 
-class StepOperator2D:
-    """The one-step walk unitary U = S_y C_y S_x C_x for given angle profiles.
+def _angle_table(name, values, n):
+    """A float copy of the angle table `name`, refused unless it holds n
+    finite values."""
+    table = np.array(values, dtype=float)
+    if table.shape != (n,):
+        raise ValueError(f"{name} must be a table of {n} angles, got shape "
+                         f"{table.shape}")
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"{name} holds a value that is not finite")
+    return table
 
-    Each profile is evaluated once, into the float tables `theta_x`
-    (length L_x) and `theta_y` (length L_y), site coordinates ascending;
-    everything built from the walk reads these tables, not the profiles.
-    The kernel's coin coefficients come from them as flat planes stored
-    complex so that every product is one same-dtype loop.  `apply` /
-    `apply_adjoint` act matrix-free, O(N) per step, in the two stages of
-    the module docstring.  Both take and return states in the public
-    (L_x, L_y, 4) layout; the input is only read, and each call returns a
-    fresh C-contiguous array.  The stages write into a workspace the
+
+class StepOperator2D:
+    """The one-step walk unitary U = S_y C_y S_x C_x for given angle tables.
+
+    `theta_x` holds L_x angles and `theta_y` L_y, site coordinates
+    ascending (``profiles.profile_table`` gives them from the profile
+    grammar); the walk keeps float copies under the same names, and
+    everything built from it reads these tables.  The kernel's coin
+    coefficients come from them as flat planes stored complex so that
+    every product is one same-dtype loop.  `apply` / `apply_adjoint` act
+    matrix-free, O(N) per step, in the two stages of the module
+    docstring.  Both take and return states in the public (L_x, L_y, 4)
+    layout; the input is only read, and each call returns a fresh
+    C-contiguous array.  The stages write into a workspace the
     constructor allocates once, so one operator must not be applied from
     two threads at once.
     """
 
-    def __init__(self, lattice, profile_x, profile_y):
+    def __init__(self, lattice, theta_x, theta_y):
         self.lattice = lattice
         L_x, L_y = lattice.L_x, lattice.L_y
-        self.theta_x = tx = profile_x.table(lattice.half_x)
-        self.theta_y = ty = profile_y.table(lattice.half_y)
+        self.theta_x = tx = _angle_table("theta_x", theta_x, L_x)
+        self.theta_y = ty = _angle_table("theta_y", theta_y, L_y)
         # (cos, sin) theta_x(x), and (cos, sin) theta_y(y) with S_y's 1/2
         self._cx, self._sx = (np.repeat(f(tx), L_y).astype(complex)
                               for f in (np.cos, np.sin))

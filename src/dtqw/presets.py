@@ -25,7 +25,7 @@ from .evolution import prepare_initial_state, run_dynamics
 from .io import svg_polyline, svg_scatter, write_csv, write_json
 from .lattice import LatticeSpec, probability_map
 from .operators import StepOperator2D
-from .profiles import Constant, DomainWall, parse_angle
+from .profiles import parse_angle, profile_table
 from .spectral import (bulk_bands, corner_weight, enclosed_states,
                        near_unity_states, spectrum_scan, zero_mode_profiles)
 from .symmetry import (check_sublattice_shift, check_walk_particle_hole,
@@ -129,8 +129,9 @@ def _run_dynamics(cfg):
 
 
 def _run_spectrum(cfg):
-    wall, ty = cfg.profile("x"), cfg.profile("y", Constant)
-    k, E = spectrum_scan(StepOperator2D(cfg.lattice(), wall, ty))
+    kind, params, _ = cfg.profile("x")
+    ty = cfg.angle("y")
+    k, E = spectrum_scan(cfg.step_operator())
     k_col, E_col = np.repeat(k, E.shape[1]), E.ravel()
     files = {
         "spectrum.csv": lambda p: write_csv(p, ["k_y", "E"],
@@ -139,15 +140,16 @@ def _run_spectrum(cfg):
     }
     # enclosed in-opening states, when the bulk is gapped by theta_y
     extras = {}
-    if ty.theta and isinstance(wall, DomainWall):
-        enclosed = enclosed_states(k, E, (wall.theta1, wall.theta2), ty.theta)
+    if ty and kind == "wall":
+        enclosed = enclosed_states(k, E, params[:2], ty)
         extras["enclosed_count"] = len(enclosed)
         files["enclosed.csv"] = lambda p: write_csv(p, ["k_y", "E"], enclosed)
     return files, extras
 
 
 def _run_edge_profiles(cfg):
-    op = cfg.step_operator(Constant)
+    cfg.angle("y")                   # the k_y = 0 block needs one value
+    op = cfg.step_operator()
     E, profiles = zero_mode_profiles(op)
     xs = op.lattice.coords_x
     header = ["x"] + [f"P_{i + 1}" for i in range(len(profiles))]
@@ -159,8 +161,9 @@ def _run_edge_profiles(cfg):
 
 
 def _run_corner(cfg):
-    wall_x, wall_y = (cfg.profile(axis, DomainWall) for axis in "xy")
-    op = StepOperator2D(cfg.lattice(), wall_x, wall_y)
+    # the walls' half-widths, for the corner weight
+    L_wall_x, L_wall_y = (cfg.profile(axis, "wall")[1][2] for axis in "xy")
+    op = cfg.step_operator()
     count = cfg.get_int("count")
     if count > op.lattice.size:
         raise ConfigError(f"count {count} exceeds the {op.lattice.size} "
@@ -173,7 +176,7 @@ def _run_corner(cfg):
     return {
         "states.csv": lambda p: write_csv(
             p, ["E", "residual", "corner_weight_r5"], np.column_stack(
-                (E, resid, [corner_weight(m, wall_x.L_wall, wall_y.L_wall)
+                (E, resid, [corner_weight(m, L_wall_x, L_wall_y)
                             for m in P]))),
         "map.csv": lambda p: write_csv(p, ["x", "y", "P"], site_map),
         "states.svg": lambda p: svg_scatter(
@@ -197,8 +200,7 @@ def _svg_sections(path, rows):
 
 
 def _run_bands(cfg):
-    tx = cfg.profile("x", Constant).theta
-    ty = cfg.profile("y", Constant).theta
+    (tx,), (ty,) = (cfg.profile(axis, "constant")[1] for axis in "xy")
     n = cfg.get_int("k_points")
     ks = np.linspace(-np.pi, np.pi, n)
     header = ["k_x", "k_y", "E_1", "E_2", "E_3", "E_4"]
@@ -216,7 +218,7 @@ _SWEEP_THETA_Y = ("0", "pi/12", "pi/6", "pi/4", "pi/3")
 
 
 def _run_bands_sweep(cfg):
-    tx = cfg.profile("x", Constant).theta
+    (tx,) = cfg.profile("x", "constant")[1]
     n = cfg.get_int("k_points")
     ks = np.linspace(-np.pi, np.pi, n)
     tys = [parse_angle(t) for t in _SWEEP_THETA_Y]
@@ -324,26 +326,28 @@ def _run_trotter(cfg):
 
 
 def _run_symmetry(cfg):
-    w, ty = cfg.profile("x", DomainWall), cfg.profile("y", Constant)
+    _, params, _ = cfg.profile("x", "wall")
+    ty = cfg.angle("y")
     # the configured wall at half-width 2, for the 7- and 9-site checks
-    small = DomainWall(w.theta1, w.theta2, 2)
-    op = StepOperator2D(cfg.lattice(), w, ty)
+    small = ("wall", (*params[:2], 2), None)
+    op = cfg.step_operator()
     rep = {
         "phs_multiset_residual": spectral_particle_hole_residual(
             spectrum_scan(op)[1]),
         "walk_reality_residual": check_walk_particle_hole(
-            StepOperator2D(LatticeSpec(7), small, ty)),
+            StepOperator2D(LatticeSpec(7), profile_table(small, 3),
+                           np.full(7, ty))),
     }
     grid = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     rep["sublattice_shift_residual"] = check_sublattice_shift(
         *spectrum_scan(op, k_grid=grid))
-    noisy = StepOperator2D(op.lattice, w.with_noise(
-        0.25, cfg.get_int("seed")), ty)
+    noisy = profile_table(("wall", params, (0.25, cfg.get_int("seed"))),
+                          op.lattice.half_x)
     rep["phs_multiset_residual_noise"] = spectral_particle_hole_residual(
-        spectrum_scan(noisy)[1])
+        spectrum_scan(StepOperator2D(op.lattice, noisy, op.theta_y))[1])
 
     rep["diii_residuals_my0"] = diii_residuals(
-        build_dirac(small.table(4), np.zeros(9)))
+        build_dirac(profile_table(small, 4), np.zeros(9)))
     return {"report.json": lambda p: write_json(p, rep)}, {}
 
 

@@ -1,3 +1,11 @@
+from dtqw.profiles import parse_profile, profile_table
+
+
+def angles(text, L):
+    """The angle table of the profile spec `text` on an L-site axis."""
+    return profile_table(parse_profile(text), L // 2)
+
+
 def pytest_terminal_summary(terminalreporter):
     """Replay the acceptance battery's per-criterion lines (pytest captures
     stdout of passing tests, which would otherwise hide them)."""

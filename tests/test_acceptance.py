@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
+from conftest import angles
 from dtqw.continuum import trotter_error
 from dtqw.lattice import LatticeSpec, position_moments, probability_map
 from dtqw.operators import StepOperator2D
 from dtqw.presets import _oracle_report, _prepared_start, base_config
-from dtqw.profiles import Constant, DomainWall, LinearSaturated
 from dtqw.spectral import (bulk_bands, corner_weight, enclosed_states,
                            fit_edge_branch, momentum_block, near_unity_states,
                            quasi_energies, spectrum_scan, zero_mode_profiles)
@@ -53,12 +53,12 @@ def fig1_run():
             "elapsed": time.perf_counter() - t0}
 
 
-WALL = DomainWall(np.pi / 3, -np.pi / 3, 25)
+WALL = "wall:pi/3:-pi/3:25"
 
 
 @pytest.fixture(scope="module")
 def wall_op():
-    return StepOperator2D(LatticeSpec(101), WALL, Constant(0.0))
+    return StepOperator2D(LatticeSpec(101), angles(WALL, 101), np.zeros(101))
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +70,8 @@ def wall_scan(wall_op):
 
 @pytest.fixture(scope="module")
 def noisy_wall_op(wall_op):
-    return StepOperator2D(wall_op.lattice, WALL.with_noise(0.25, 11),
-                          Constant(0.0))
+    return StepOperator2D(wall_op.lattice,
+                          angles(WALL + "+noise:0.25:11", 101), np.zeros(101))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,8 @@ def test_c04_edge_branch_crossing_and_localization(wall_op, wall_scan):
 
 
 def test_c05_transverse_coin_opens_edge_gap(wall_op):
-    op = StepOperator2D(wall_op.lattice, WALL, Constant(np.pi / 50))
+    op = StepOperator2D(wall_op.lattice, wall_op.theta_x,
+                        np.full(101, np.pi / 50))
     gap = float(np.min(np.abs(quasi_energies(momentum_block(op, 0.0)))))
     _report(5, f"edge gap at k_y=0 is {gap:.3e} for theta_y = pi/50")
     assert gap > 1e-3
@@ -151,8 +152,8 @@ def test_c07_symmetry_suite(wall_op, wall_scan, noisy_wall_op):
     grid = np.linspace(-np.pi, np.pi, 32, endpoint=False)
     shift = check_sublattice_shift(*spectrum_scan(wall_op, k_grid=grid))
     reality = check_walk_particle_hole(
-        StepOperator2D(LatticeSpec(7), DomainWall(np.pi / 3, -np.pi / 3, 2),
-                       Constant(0.0)))
+        StepOperator2D(LatticeSpec(7), angles("wall:pi/3:-pi/3:2", 7),
+                       np.zeros(7)))
     from dtqw.continuum import build_dirac
     wallm = lambda x: np.pi / 3 if abs(x) <= 2 else -np.pi / 3  # noqa: E731
     H = build_dirac(np.array([wallm(x) for x in LatticeSpec(9).coords_x]),
@@ -170,7 +171,7 @@ def test_c07_symmetry_suite(wall_op, wall_scan, noisy_wall_op):
 def test_c08_corner_states_both_scales():
     par = []
     for L, lw, budget in ((41, 10, 60.0), (101, 25, 300.0)):
-        wall = DomainWall(np.pi / 3, -np.pi / 3, lw)
+        wall = angles(f"wall:pi/3:-pi/3:{lw}", L)
         op = StepOperator2D(LatticeSpec(L), wall, wall)
         t0 = time.perf_counter()
         E, states, _ = near_unity_states(op, 8)
@@ -179,8 +180,8 @@ def test_c08_corner_states_both_scales():
         # weight of the multiplet as a whole (equal-weight mixture)
         w = corner_weight(np.mean(probability_map(states), axis=0), lw, lw)
         par.append((L, small, w, dt, budget))
-    ctrl_op = StepOperator2D(LatticeSpec(41), Constant(np.pi / 3),
-                             Constant(np.pi / 3))
+    ctrl_op = StepOperator2D(LatticeSpec(41), np.full(41, np.pi / 3),
+                             np.full(41, np.pi / 3))
     n_ctrl = int(np.sum(np.abs(near_unity_states(ctrl_op, 8)[0]) < 0.05))
     _report(8, "; ".join(
         f"L={L}: {n} small |E|, corner weight {w:.3f}, {dt:.0f}s"
@@ -263,7 +264,7 @@ def test_c10_continuum_oracle_battery():
 
 
 def test_c11_trotter_halving():
-    m = LinearSaturated(np.pi / 20, 5, np.pi / 4).table(10)   # L = 21
+    m = angles("linear:pi/20:5:pi/4", 21)
     e1d = [trotter_error((m,), dt, t=4.0) for dt in (0.5, 0.25, 0.125)]
     e2d = [trotter_error((m, m), dt, t=4.0) for dt in (0.5, 0.25)]
     ratios = [e1d[0] / e1d[1], e1d[1] / e1d[2], e2d[0] / e2d[1]]
@@ -276,9 +277,8 @@ def test_c11_trotter_halving():
 @pytest.mark.parametrize("theta_y,label", [
     (np.pi / 6, "pi/6"), (np.pi / 4, "pi/4"), (np.pi / 3, "pi/3")])
 def test_c12_edge_states_in_band_openings(theta_y, label):
-    op = StepOperator2D(LatticeSpec(101),
-                        DomainWall(np.pi / 3, -np.pi / 3, 25),
-                        Constant(theta_y))
+    op = StepOperator2D(LatticeSpec(101), angles(WALL, 101),
+                        np.full(101, theta_y))
     hits = enclosed_states(*spectrum_scan(op), (np.pi / 3, -np.pi / 3),
                            theta_y)
     n_zero = sum(1 for _, e in hits if abs(e) < np.pi / 2)

@@ -74,7 +74,7 @@ class TestConfig:
         # sites left; at 5 the whole axis is theta1
         cfg = ExperimentConfig({"L_x": "11", "L_y": "11",
                                 f"theta_{axis}": "wall:pi/3:-pi/3:4"})
-        assert cfg.profile(axis).L_wall == 4
+        assert cfg.profile(axis)[1][2] == 4
         cfg.set(f"theta_{axis}", "wall:pi/3:-pi/3:5")
         with pytest.raises(ConfigError, match=f"theta_{axis} wall .* fit "
                                               f"L_{axis} = 11"):
@@ -403,6 +403,26 @@ class TestPresetRuns:
         err = capsys.readouterr().err
         assert f"config error: {key} must be" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("wall_y, constant_y", [
+        ("wall:0:0:3", "constant:0"), ("wall:pi/50:pi/50:3", "pi/50")],
+        ids=["theta_y-0", "theta_y-pi/50"])
+    def test_cli_one_value_theta_y_wall_runs_as_its_constant(
+            self, wall_y, constant_y, tmp_path):
+        # the pipeline gates theta_y by its table, not by its kind: a wall
+        # whose two media agree is the constant walk, enclosed states and
+        # all
+        from dtqw.cli import main
+        runs = {}
+        for theta_y in (wall_y, constant_y):
+            out = tmp_path / str(len(runs))
+            assert main(["fig2a", "--L", "21", "--theta-x",
+                         "wall:pi/3:-pi/3:5", "--theta-y", theta_y,
+                         "--outdir", str(out)]) == 0
+            runs[theta_y] = {f.name: f.read_bytes() for f in out.iterdir()
+                             if f.name != "meta.json"}
+        assert runs[wall_y] == runs[constant_y]
+        assert ("enclosed.csv" in runs[wall_y]) == (constant_y == "pi/50")
 
     def test_cli_convergence_error_exits_3(self, tmp_path, monkeypatch,
                                            capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import angles
 from dtqw import continuum
 from dtqw.continuum import (BETA, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             SquaredDirac2D,
@@ -14,7 +15,6 @@ from dtqw.continuum import (BETA, SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             square_decomposition_check, trotter_error)
 from dtqw.lattice import LD, RD, LatticeSpec
 from dtqw.operators import StepOperator2D
-from dtqw.profiles import Constant, LinearSaturated
 
 OMEGA = 2 * BETA
 
@@ -52,8 +52,8 @@ class TestWalkFactorIdentity:
         # S_x C_x = e^{-iK} e^{-iM} with K = -p (x) sigma^z and
         # M = diag(theta) (x) sigma^y
         L = 21
-        prof = LinearSaturated(np.pi / 20, 5, np.pi / 4)
-        op = StepOperator2D(LatticeSpec(L, 3), prof, Constant(0.0))
+        prof = angles("linear:pi/20:5:pi/4", L)
+        op = StepOperator2D(LatticeSpec(L, 3), prof, np.zeros(3))
         U = np.empty((2 * L, 2 * L), dtype=complex)
         for j in range(2 * L):
             psi = np.zeros(op.lattice.shape, dtype=complex)
@@ -63,9 +63,8 @@ class TestWalkFactorIdentity:
             assert not out[..., 2:].any()     # no LU/RU part
             U[:, j] = out[:, 0, :2].reshape(-1)
         p = momentum_matrix(L)
-        theta = prof.table(L // 2)
         K = -np.kron(p, SIGMA_Z)
-        M = np.kron(np.diag(theta), SIGMA_Y)
+        M = np.kron(np.diag(prof), SIGMA_Y)
         assert np.max(np.abs(U - expm(-1j * K) @ expm(-1j * M))) < 1e-12
 
 
@@ -394,7 +393,7 @@ class TestJackiwRebbi:
 
 class TestTrotter:
     def test_error_halves_with_dt_1d(self):
-        m = LinearSaturated(np.pi / 20, 5, np.pi / 4).table(10)   # L = 21
+        m = angles("linear:pi/20:5:pi/4", 21)
         e1 = trotter_error((m,), 0.5, t=4.0)
         e2 = trotter_error((m,), 0.25, t=4.0)
         assert e1 / e2 == pytest.approx(2.0, abs=0.3)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import angles
 from dtqw.lattice import LatticeSpec, probability_map
 from dtqw.operators import StepOperator2D
-from dtqw.profiles import Constant, DomainWall
 from dtqw.spectral import corner_weight, near_unity_states
 
 L, LW = 25, 6
@@ -11,7 +11,7 @@ L, LW = 25, 6
 
 @pytest.fixture(scope="module")
 def corner_states():
-    wall = DomainWall(np.pi / 3, -np.pi / 3, LW)
+    wall = angles(f"wall:pi/3:-pi/3:{LW}", L)
     op = StepOperator2D(LatticeSpec(L), wall, wall)
     return op, near_unity_states(op, 8)
 
@@ -42,8 +42,8 @@ class TestCornerStates:
             assert np.sum((P / P.sum()) ** 2) > 0.01
 
     def test_trivial_control_has_no_small_energies(self):
-        op = StepOperator2D(LatticeSpec(L), Constant(np.pi / 3),
-                            Constant(np.pi / 3))
+        op = StepOperator2D(LatticeSpec(L), np.full(L, np.pi / 3),
+                            np.full(L, np.pi / 3))
         E, _, _ = near_unity_states(op, 8)
         assert np.all(np.abs(E) > 0.05)
 

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import angles
 from dtqw.continuum import BETA, analytic_zero_mode_2d
 from dtqw.evolution import (band_filter, prepare_initial_state,
                             refine_unit_eigenstate, run_dynamics)
 from dtqw.lattice import LatticeSpec
 from dtqw.operators import StepOperator2D
-from dtqw.profiles import Constant, LinearSaturated
 from test_lattice import basis_state
 
 
 def _trap_op(L=41):
-    prof = LinearSaturated(np.pi / 20, 5, np.pi / 4)
+    prof = angles("linear:pi/20:5:pi/4", L)
     return StepOperator2D(LatticeSpec(L), prof, prof)
 
 
@@ -124,8 +124,8 @@ class TestBandFilter:
     def test_filter_concentrates_quasi_energy(self):
         # project a broad packet onto a window around E0 and verify the
         # energy spread sharpens: var of E under |<E|psi>|^2 shrinks
-        op = StepOperator2D(LatticeSpec(21), Constant(np.pi / 5),
-                            Constant(np.pi / 5))
+        op = StepOperator2D(LatticeSpec(21), np.full(21, np.pi / 5),
+                            np.full(21, np.pi / 5))
         rng = np.random.Generator(np.random.PCG64(4))
         psi = rng.normal(size=op.lattice.shape) * 1j
         psi += rng.normal(size=op.lattice.shape)

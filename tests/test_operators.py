@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import angles
 from dtqw.lattice import LD, RD, LatticeSpec, allocate_state
 from dtqw.operators import StepOperator2D, coin_matrix, walk_matrix_dense
 from dtqw.presets import base_config
-from dtqw.profiles import Constant, DomainWall, LinearSaturated
 from dtqw.spectral import walk_matrix_sparse
 from test_lattice import basis_state
 
@@ -47,7 +47,7 @@ class TestShift:
     # at theta = 0 both coins are exactly 1, so a step is S_y S_x
     def test_shift_moves_components_oppositely(self):
         lat = LatticeSpec(5)
-        op = StepOperator2D(lat, Constant(0.0), Constant(0.0))
+        op = StepOperator2D(lat, np.zeros(5), np.zeros(5))
         # a y-uniform column, on which S_y acts as the identity
         psi = allocate_state(lat)
         psi[lat.half_x, :, [LD, RD]] = 1.0
@@ -61,7 +61,7 @@ class TestShift:
         # L = 3 makes every wrap slice and the interior of S_y one site wide
         for shape in ((7, 7), (3, 5), (5, 3)):
             lat = LatticeSpec(*shape)
-            op = StepOperator2D(lat, Constant(0.0), Constant(0.0))
+            op = StepOperator2D(lat, np.zeros(lat.L_x), np.zeros(lat.L_y))
             psi = _rand_state(lat)
             assert np.allclose(op.apply_adjoint(op.apply(psi)), psi,
                                atol=1e-15)
@@ -74,8 +74,8 @@ class TestWorkspace:
     must not alias that workspace, the input or another call's result."""
 
     def _op(self, lat):
-        return StepOperator2D(lat, LinearSaturated(0.3, 2, 0.9),
-                              DomainWall(np.pi / 3, -np.pi / 5, 1))
+        return StepOperator2D(lat, angles("linear:0.3:2:0.9", lat.L_x),
+                              angles("wall:pi/3:-pi/5:1", lat.L_y))
 
     def test_results_are_fresh_and_input_untouched(self):
         lat = LatticeSpec(5, 7)
@@ -120,10 +120,10 @@ class TestWorkspace:
 
 class TestStepOperator:
     @pytest.mark.parametrize("profile", [
-        Constant(np.pi / 3),
-        LinearSaturated(np.pi / 20, 5, np.pi / 4),
-        DomainWall(np.pi / 3, -np.pi / 3, 3),
-        DomainWall(np.pi / 3, -np.pi / 3, 3).with_noise(0.25, 5),
+        angles("pi/3", 11),
+        angles("linear:pi/20:5:pi/4", 11),
+        angles("wall:pi/3:-pi/3:3", 11),
+        angles("wall:pi/3:-pi/3:3+noise:0.25:5", 11),
     ])
     def test_unitary_on_random_state(self, profile):
         lat = LatticeSpec(11)
@@ -133,25 +133,53 @@ class TestStepOperator:
         assert np.allclose(op.apply_adjoint(op.apply(psi)), psi, atol=1e-13)
 
     def test_wrong_shape_rejected(self):
-        op = StepOperator2D(LatticeSpec(5, 7), Constant(0.3), Constant(0.2))
+        op = StepOperator2D(LatticeSpec(5, 7), np.full(5, 0.3),
+                            np.full(7, 0.2))
         for step in (op.apply, op.apply_adjoint):
             with pytest.raises(ValueError, match="does not match"):
                 step(_rand_state(LatticeSpec(7, 5)))
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("shape", [
+        lambda n: (n - 1,), lambda n: (n + 1,), lambda n: (1, n),
+        lambda n: (n, 1), lambda n: ()],
+        ids=["short", "long", "row", "column", "scalar"])
+    def test_angle_table_of_wrong_shape_rejected(self, axis, shape):
+        tables = {"x": np.zeros(5), "y": np.zeros(7)}
+        tables[axis] = np.zeros(shape(len(tables[axis])))
+        with pytest.raises(ValueError, match=f"theta_{axis} must be a "
+                                             "table of"):
+            StepOperator2D(LatticeSpec(5, 7), tables["x"], tables["y"])
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_angle_table_not_finite_rejected(self, axis, bad):
+        tables = {"x": np.zeros(5), "y": np.zeros(7)}
+        tables[axis][2] = bad
+        with pytest.raises(ValueError, match=f"theta_{axis} holds a value "
+                                             "that is not finite"):
+            StepOperator2D(LatticeSpec(5, 7), tables["x"], tables["y"])
+
+    def test_angle_tables_are_copied(self):
+        tx, ty = np.full(5, 0.3), np.full(7, 0.2)
+        op = StepOperator2D(LatticeSpec(5, 7), tx, ty)
+        tx[:], ty[:] = 1.0, 1.0
+        assert np.all(op.theta_x == 0.3) and np.all(op.theta_y == 0.2)
+        assert op.theta_x.dtype == op.theta_y.dtype == float
+
     def test_walk_matrix_is_real(self):
         # real coins and permutation shifts make the whole step real,
         # which is the operative particle-hole property
-        op = StepOperator2D(LatticeSpec(7),
-                            DomainWall(np.pi / 3, -np.pi / 3, 2),
-                            Constant(np.pi / 7))
+        op = StepOperator2D(LatticeSpec(7), angles("wall:pi/3:-pi/3:2", 7),
+                            np.full(7, np.pi / 7))
         U = walk_matrix_dense(op)
         assert np.max(np.abs(U.imag)) == 0.0
         assert np.allclose(U @ U.T, np.eye(U.shape[0]), atol=1e-13)
 
     def test_dense_matrix_matches_apply(self):
         lat = LatticeSpec(7)
-        op = StepOperator2D(lat, LinearSaturated(0.1, 2, 0.3),
-                            Constant(0.2))
+        op = StepOperator2D(lat, angles("linear:0.1:2:0.3", 7),
+                            np.full(7, 0.2))
         U = walk_matrix_dense(op)
         psi = _rand_state(lat, seed=3)
         assert np.allclose(U @ psi.reshape(-1),
@@ -179,7 +207,7 @@ class TestStepOperator:
         # per-site sigma-even combination down for tau=D, up for tau=U.
         # Prepare states that become sigma-even at the origin after S_x.
         lat = LatticeSpec(5)
-        op = StepOperator2D(lat, Constant(0.0), Constant(0.0))
+        op = StepOperator2D(lat, np.zeros(5), np.zeros(5))
         hx, hy = lat.half_x, lat.half_y
 
         pre_D = (basis_state(lat, 1, 0, 0)      # L at x=+1 -> origin

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
+from conftest import angles
 from dtqw.lattice import LatticeSpec, probability_map
 from dtqw.operators import StepOperator2D, walk_matrix_dense
-from dtqw.profiles import Constant, DomainWall, LinearSaturated
 import dtqw.spectral
 from dtqw.presets import run_preset
 from dtqw.spectral import (ConvergenceError, UnitarityError, _band_cosines,
@@ -60,8 +60,8 @@ class TestBlocks:
     def test_blocks_tile_the_dense_spectrum(self):
         # union of block spectra over commensurate k_y == dense walk spectrum
         lat = LatticeSpec(7)
-        op = StepOperator2D(lat, DomainWall(np.pi / 3, -np.pi / 3, 2),
-                            Constant(np.pi / 7))
+        op = StepOperator2D(lat, angles("wall:pi/3:-pi/3:2", 7),
+                            np.full(7, np.pi / 7))
         dense = quasi_energies(walk_matrix_dense(op))
         tiled = np.sort(np.concatenate(
             [quasi_energies(momentum_block(op, k))
@@ -75,8 +75,8 @@ class TestBlocks:
 
     def test_blocks_conjugate_under_k_reflection(self):
         op = StepOperator2D(LatticeSpec(9),
-                            DomainWall(np.pi / 3, -np.pi / 3, 3)
-                            .with_noise(0.25, 4), Constant(np.pi / 3))
+                            angles("wall:pi/3:-pi/3:3+noise:0.25:4", 9),
+                            np.full(9, np.pi / 3))
         for k in (0.3, 1.1, 2.9):
             assert np.array_equal(momentum_block(op, -k),
                                   momentum_block(op, k).conj())
@@ -84,20 +84,23 @@ class TestBlocks:
     def test_noise_in_y_profile_rejected(self):
         # the block gate reads the theta_y table, not the profile's class:
         # a table of one value gives blocks, one of several is refused
-        lat, wall = LatticeSpec(9), DomainWall(np.pi / 3, -np.pi / 3, 3)
+        lat, wall = LatticeSpec(9), angles("wall:pi/3:-pi/3:3", 9)
         flat = [spectrum_scan(StepOperator2D(lat, wall, ty))[1]
-                for ty in (Constant(0.3), DomainWall(0.3, 0.3, 2))]
+                for ty in (np.full(9, 0.3), angles("wall:0.3:0.3:2", 9))]
         assert np.array_equal(*flat)
-        for ty in (Constant(0.1).with_noise(0.05, 1),
-                   LinearSaturated(0.05, 2, 0.1)):
+        for ty in (angles("constant:0.1+noise:0.05:1", 9),
+                   angles("linear:0.05:2:0.1", 9)):
             op = StepOperator2D(lat, wall, ty)
             with pytest.raises(ValueError, match="y-independent"):
                 momentum_block(op, 0.0)
             with pytest.raises(ValueError, match="y-independent"):
                 spectrum_scan(op)
-        # an all-NaN table is one value, and the unitarity guard refuses it
+        # an all-NaN table is one value, and the unitarity guard refuses
+        # it; the constructor refuses NaN, so it is written into the table
+        op = StepOperator2D(lat, wall, np.zeros(9))
+        op.theta_y[:] = np.nan
         with pytest.raises(UnitarityError, match="deviation nan"):
-            spectrum_scan(StepOperator2D(lat, wall, Constant(np.nan)))
+            spectrum_scan(op)
 
 
 class TestBlockUnitarityGuard:
@@ -119,16 +122,17 @@ class TestBlockUnitarityGuard:
             return sparse.csr_matrix(assemble(tx, ty, Q_y, P_y) @ R)
 
         monkeypatch.setattr(dtqw.spectral, "_assemble", fake)
-        op = StepOperator2D(LatticeSpec(9),
-                            DomainWall(np.pi / 3, -np.pi / 3, 3),
-                            Constant(np.pi / 3))
+        op = StepOperator2D(LatticeSpec(9), angles("wall:pi/3:-pi/3:3", 9),
+                            np.full(9, np.pi / 3))
         with pytest.raises(UnitarityError, match="not unitary"):
             momentum_block(op, 0.4)
         with pytest.raises(UnitarityError, match="not unitary"):
             spectrum_scan(op)
 
     def test_nan_angle_rejected(self):
-        op = StepOperator2D(LatticeSpec(9), Constant(np.nan), Constant(0.0))
+        # the constructor refuses NaN, so it is written into the table
+        op = StepOperator2D(LatticeSpec(9), np.zeros(9), np.zeros(9))
+        op.theta_x[:] = np.nan
         with pytest.raises(UnitarityError, match="deviation nan"):
             spectrum_scan(op)
 
@@ -140,8 +144,8 @@ class TestKernel:
         (0.0, 0.0), (0.0, 0.7), (np.pi / 3, 0.0), (np.pi / 3, -2.3)])
     def test_noisy_wall_blocks_match_eigvals(self, theta_y, k_y):
         op = StepOperator2D(LatticeSpec(21),
-                            DomainWall(np.pi / 3, -np.pi / 3, 5)
-                            .with_noise(0.25, 7), Constant(theta_y))
+                            angles("wall:pi/3:-pi/3:5+noise:0.25:7", 21),
+                            np.full(21, theta_y))
         U = momentum_block(op, k_y)
         # W eigenvalues cluster in pairs, and in fours at k_y = theta_y = 0
         w = np.linalg.eigvalsh((U + U.conj().T) / 2)
@@ -161,9 +165,8 @@ class TestKernel:
         assert np.allclose(E[-3:], np.pi, rtol=0, atol=1e-13)
 
     def test_non_unitary_input_rejected(self):
-        op = StepOperator2D(LatticeSpec(9),
-                            DomainWall(np.pi / 3, -np.pi / 3, 3),
-                            Constant(np.pi / 3))
+        op = StepOperator2D(LatticeSpec(9), angles("wall:pi/3:-pi/3:3", 9),
+                            np.full(9, np.pi / 3))
         U = momentum_block(op, 0.4)
         # a non-normal perturbation: W's eigenvectors no longer span
         # U-invariant subspaces
@@ -186,10 +189,11 @@ class TestZeroModeProfiles:
 
     @staticmethod
     def _wall(L, L_wall, theta_y=0.0, seed=None):
-        wall = DomainWall(np.pi / 3, -np.pi / 3, L_wall)
+        wall = f"wall:pi/3:-pi/3:{L_wall}"
         if seed is not None:
-            wall = wall.with_noise(0.25, seed)
-        return StepOperator2D(LatticeSpec(L), wall, Constant(theta_y))
+            wall += f"+noise:0.25:{seed}"
+        return StepOperator2D(LatticeSpec(L), angles(wall, L),
+                              np.full(L, theta_y))
 
     @staticmethod
     def _canonical(op, route):
@@ -286,7 +290,7 @@ class TestBulkBands:
         # dual route: plane-wave bands vs the L x L lattice block at a
         # commensurate momentum
         L, tx, ty = 9, np.pi / 3, np.pi / 5
-        op = StepOperator2D(LatticeSpec(L), Constant(tx), Constant(ty))
+        op = StepOperator2D(LatticeSpec(L), np.full(L, tx), np.full(L, ty))
         ky = commensurate_grid(L)[6]
         lattice_E = quasi_energies(momentum_block(op, ky))
         band_E = np.sort(np.concatenate(
@@ -493,7 +497,8 @@ class TestNearUnityStates:
         # uniform trivial coin: smallest |E| from the eigensolver must match
         # the plane-wave minimum on the commensurate grid
         L, theta = 15, np.pi / 3
-        op = StepOperator2D(LatticeSpec(L), Constant(theta), Constant(theta))
+        op = StepOperator2D(LatticeSpec(L), np.full(L, theta),
+                            np.full(L, theta))
         E, _, resid = near_unity_states(op, 4)
         grid = commensurate_grid(L)
         best = min(np.min(np.abs(bulk_bands(theta, theta, kx, ky)))
@@ -505,9 +510,8 @@ class TestNearUnityStates:
     def test_count_near_n_matches_dense(self, spare):
         # spare = 0: the block holds all n columns and its first Ritz step
         # is exact; spare = 10: the kept levels span most of W's spectrum
-        op = StepOperator2D(LatticeSpec(3),
-                            DomainWall(np.pi / 3, -np.pi / 3, 0),
-                            Constant(np.pi / 5))
+        op = StepOperator2D(LatticeSpec(3), angles("wall:pi/3:-pi/3:0", 3),
+                            np.full(3, np.pi / 5))
         count = op.lattice.size - spare
         E, states, resid = near_unity_states(op, count)
         assert len(E) == len(states) == count
@@ -519,8 +523,8 @@ class TestNearUnityStates:
     def test_degenerate_multiplet_not_truncated(self):
         # the requested count cuts into a degenerate multiplet; all returned
         # energies must still be genuine eigenphases (residual-checked)
-        op = StepOperator2D(LatticeSpec(9), Constant(np.pi / 3),
-                            Constant(np.pi / 3))
+        op = StepOperator2D(LatticeSpec(9), np.full(9, np.pi / 3),
+                            np.full(9, np.pi / 3))
         E, states, resid = near_unity_states(op, 3)
         assert len(E) == len(states) == 3
         assert np.max(resid) < 1e-9
@@ -528,7 +532,7 @@ class TestNearUnityStates:
     def test_pass_budget_exhaustion_raises_convergence_error(self,
                                                              monkeypatch):
         monkeypatch.setattr(dtqw.spectral, "_MAX_PASSES", 2)
-        wall = DomainWall(np.pi / 3, -np.pi / 3, 2)
+        wall = angles("wall:pi/3:-pi/3:2", 9)
         op = StepOperator2D(LatticeSpec(9), wall, wall)
         with pytest.raises(ConvergenceError, match="after 2 passes") as info:
             near_unity_states(op, 8)
@@ -548,7 +552,7 @@ class TestNearUnityStates:
 
         monkeypatch.setattr(dtqw.spectral, "_chebyshev_filter",
                             counting_filter)
-        op = StepOperator2D(LatticeSpec(9), Constant(0.0), Constant(0.0))
+        op = StepOperator2D(LatticeSpec(9), np.zeros(9), np.zeros(9))
         E, _, resid = near_unity_states(op, 5)
         assert widths[0] == 13 and widths[-1] == 29
         assert np.max(resid) <= 1e-12
@@ -560,7 +564,7 @@ class TestNearUnityStates:
         # 84 of 196 states: the kept W levels run from 0.88 down to 0.128,
         # 0.007 above a 12-fold level that the 8-column pad cannot hold,
         # so passes stall until the block grows
-        op = StepOperator2D(LatticeSpec(7), Constant(0.3), Constant(1.1))
+        op = StepOperator2D(LatticeSpec(7), np.full(7, 0.3), np.full(7, 1.1))
         E, _, resid = near_unity_states(op, 84)
         assert np.max(resid) <= 1e-12
         dense = quasi_energies(walk_matrix_dense(op))
@@ -569,10 +573,10 @@ class TestNearUnityStates:
 
 
 def _double_wall(L, L_wall, seed=None):
-    wx = wy = DomainWall(np.pi / 3, -np.pi / 3, L_wall)
+    wx = wy = f"wall:pi/3:-pi/3:{L_wall}"
     if seed is not None:
-        wx, wy = wx.with_noise(0.25, seed), wy.with_noise(0.25, seed + 1)
-    return StepOperator2D(LatticeSpec(L), wx, wy)
+        wx, wy = wx + f"+noise:0.25:{seed}", wy + f"+noise:0.25:{seed + 1}"
+    return StepOperator2D(LatticeSpec(L), angles(wx, L), angles(wy, L))
 
 
 def _corner_key(lattice):
@@ -669,8 +673,9 @@ class TestCornerBasis:
     def test_shapes_on_a_non_square_lattice(self):
         # L_x != L_y, so a reshape that swaps the axes breaks the shapes
         # or the residuals recomputed from the returned states
-        wall = DomainWall(np.pi / 3, -np.pi / 3, 3)
-        op = StepOperator2D(LatticeSpec(13, 17), wall, wall)
+        wall = "wall:pi/3:-pi/3:3"
+        op = StepOperator2D(LatticeSpec(13, 17), angles(wall, 13),
+                            angles(wall, 17))
         E, states, resid = near_unity_states(op, 8)
         assert E.shape == (8,) and resid.shape == (8,)
         assert states.shape == (8, 13, 17, 4)
@@ -703,9 +708,8 @@ class TestCornerBasis:
 class TestSpectrumScan:
     @pytest.fixture(scope="class")
     def op(self):
-        return StepOperator2D(LatticeSpec(9),
-                              DomainWall(np.pi / 3, -np.pi / 3, 3),
-                              Constant(0.0))
+        return StepOperator2D(LatticeSpec(9), angles("wall:pi/3:-pi/3:3", 9),
+                              np.zeros(9))
 
     @staticmethod
     def _check_rows(op, k, E):
@@ -736,8 +740,8 @@ class TestSpectrumScan:
 
     def test_mirror_on_noisy_transverse_coin_wall(self):
         op = StepOperator2D(LatticeSpec(11),
-                            DomainWall(np.pi / 3, -np.pi / 3, 3)
-                            .with_noise(0.25, 5), Constant(np.pi / 3))
+                            angles("wall:pi/3:-pi/3:3+noise:0.25:5", 11),
+                            np.full(11, np.pi / 3))
         k, E = spectrum_scan(op)
         assert self._check_rows(op, k, E) == 5
         # linspace grid: -pi has no +pi partner, and only the k_y that
@@ -785,9 +789,8 @@ class TestSpectrumScan:
         # at L = 61 the clean wall's k_y = 0 zero modes come out exactly 0;
         # the solved row and its mirror (the second k_y = 0 of the grid)
         # write them as 0, not -0
-        op = StepOperator2D(LatticeSpec(61),
-                            DomainWall(np.pi / 3, -np.pi / 3, 15),
-                            Constant(0.0))
+        op = StepOperator2D(LatticeSpec(61), angles("wall:pi/3:-pi/3:15", 61),
+                            np.zeros(61))
         E_modes = zero_mode_profiles(op)[0]
         _, E = spectrum_scan(op, k_grid=[0.0, 0.0])
         for values in (E_modes, E[0], E[1]):

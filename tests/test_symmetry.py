@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import angles
 from dtqw.continuum import SIGMA_X, build_dirac
 from dtqw.lattice import LatticeSpec
 from dtqw.operators import StepOperator2D
 from dtqw.presets import run_preset
-from dtqw.profiles import Constant, DomainWall
 from dtqw.spectral import spectrum_scan
 from dtqw.symmetry import (THETA, _phase_multiset_distance, _pi_partners,
                            check_sublattice_shift, check_walk_particle_hole,
@@ -45,9 +45,8 @@ class TestPhaseMultisetDistance:
 
 @pytest.fixture(scope="module")
 def small_wall_op():
-    return StepOperator2D(LatticeSpec(21),
-                          DomainWall(np.pi / 3, -np.pi / 3, 5),
-                          Constant(0.0))
+    return StepOperator2D(LatticeSpec(21), angles("wall:pi/3:-pi/3:5", 21),
+                          np.zeros(21))
 
 
 @pytest.fixture(scope="module")
@@ -63,16 +62,14 @@ class TestWalkSymmetries:
         assert spectral_particle_hole_residual(E) < 1e-12
 
     def test_particle_hole_survives_noise(self, small_wall_op):
-        op = StepOperator2D(
-            small_wall_op.lattice,
-            DomainWall(np.pi / 3, -np.pi / 3, 5).with_noise(0.25, 11),
-            Constant(0.0))
+        op = StepOperator2D(small_wall_op.lattice,
+                            angles("wall:pi/3:-pi/3:5+noise:0.25:11", 21),
+                            np.zeros(21))
         assert spectral_particle_hole_residual(spectrum_scan(op)[1]) < 1e-12
 
     def test_walk_matrix_reality(self):
-        op = StepOperator2D(LatticeSpec(7),
-                            DomainWall(np.pi / 3, -np.pi / 3, 2),
-                            Constant(np.pi / 50))
+        op = StepOperator2D(LatticeSpec(7), angles("wall:pi/3:-pi/3:2", 7),
+                            np.full(7, np.pi / 50))
         assert check_walk_particle_hole(op) < 1e-14
 
     def test_sublattice_shift_on_pairable_grid(self, small_wall_op):
