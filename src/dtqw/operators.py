@@ -27,7 +27,11 @@ each tau pair (LD,RD) and (LU,RU): the 1D split-step walk on (L, R).
 
 The factor table below (COIN_GENERATORS, SHIFT_X_STEPS, SHIFT_Y_Q_CELL) is
 the one description of the four factors from which `spectral` derives the
-sparse, momentum-block and Bloch forms of U.  The matrix-free kernel here
+other forms of U.  The sparse matrix and the momentum-block terms are
+written from per-site 4x4 blocks Y C_y D_s C_x, the walk taken from each
+site to its neighbours (x - s, y'), with D_s keeping the components that
+move by s and Y the y cell of the term toward y'; the Bloch form is the
+4x4 product at (k_x, k_y).  The matrix-free kernel here
 and `walk_matrix_dense` (which probes that kernel) are written out
 independently, so the derived forms can be tested against them.
 
@@ -100,7 +104,7 @@ SHIFT_Y_Q_CELL = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0],
 
 
 def coin_matrix(axis, theta):
-    """The 4x4 coin for one axis at a single angle.
+    """The 4x4 coin for one axis, shaped theta.shape + (4, 4).
 
     axis='x': block-diagonal rotation on (LD,RD) and (LU,RU).
     axis='y': the D/U-mixing real matrix described in the module docstring.
@@ -108,6 +112,7 @@ def coin_matrix(axis, theta):
     """
     if axis not in COIN_GENERATORS:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    theta = np.asarray(theta)[..., None, None]
     return np.cos(theta) * np.eye(4) + np.sin(theta) * COIN_GENERATORS[axis]
 
 

@@ -23,6 +23,12 @@ nearest zero.  A Chebyshev-filtered block iteration finds that span, and
 each degenerate group of the states is rotated to a canonical basis that
 does not depend on the solver.
 
+The dense terms A and B and the sparse walk matrix come from one numpy
+derivation, the per-site 4x4 blocks Y C_y D_s C_x of the factor table in
+`operators` (see _block_entries), written straight into dense arrays and
+into CSR arrays.  scipy is imported only inside walk_matrix_sparse, to
+wrap those arrays, so importing this module loads none of it.
+
 The uniform walk's bands have two routes: bulk_bands takes the
 eigenphases of the 4x4 Bloch unitary, and _band_cosines gives their
 cosines in closed form (derived there), whose exact ranges over k_x
@@ -32,9 +38,6 @@ ConvergenceError when the block iteration runs out of passes.
 """
 
 import numpy as np
-from scipy import sparse
-# unused here: bench/tracer.py still wraps dtqw.spectral.eigsh by name
-from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from .operators import (COIN_GENERATORS, SHIFT_X_STEPS, SHIFT_Y_Q_CELL,
                         coin_matrix)
@@ -53,15 +56,70 @@ class UnitarityError(RuntimeError):
     eigenpair residual above _RESIDUAL_TOL."""
 
 
+# Row (x, y, c) of U couples to the sites (x - s, y') through the per-site
+# block Y C_y(theta_y(y')) D_s C_x(theta_x(x - s)), where D_s keeps the
+# components that move by s = +-1 and Y is the y cell of the term toward
+# y': (1 +- SHIFT_Y_Q_CELL)/2 toward y +- 1 in the walk, 1 and
+# SHIFT_Y_Q_CELL in the terms A and B.  The factors carry c to c1 (Y,
+# within the pattern of 1 + SHIFT_Y_Q_CELL), c1 to c2 (C_y) and c2 to c3
+# (C_x), and c2 fixes s.  Each c has eight such paths, which end on
+# eight distinct (s, c3), so every block entry is one product of factor
+# entries, rounded as a product of sparse factor matrices rounds it.
+def _block_paths():
+    """(c1, c2, c3) of the eight paths of each row component c, three
+    (4, 8) tables, each row's paths in descending (c1, c2, c3)."""
+    reach = [[np.flatnonzero(row)[::-1] for row in np.eye(4) + np.abs(m)]
+             for m in (SHIFT_Y_Q_CELL, COIN_GENERATORS["y"],
+                       COIN_GENERATORS["x"])]
+    return np.array([[(c1, c2, c3) for c1 in reach[0][c]
+                      for c2 in reach[1][c1] for c3 in reach[2][c2]]
+                     for c in range(4)]).transpose(2, 0, 1)
+
+
+_C1, _C2, _C3 = _block_paths()
+
+
+def _block_entries(theta_x, theta_to, Y):
+    """The entries of the per-site blocks along their paths (see above).
+
+    theta_to, shaped (L_r, H), holds theta_y at the y' of each of the H y
+    terms of the L_r row sites y, and Y, shaped (L_r, H, 4, 4) or (4, 4),
+    their y cells.  Returns (values, x_to): values[x, r, c, h, j] is the
+    entry of path j of row (x, r, c) in y term h, shaped
+    (L_x, L_r, 4, H, 8), and x_to[x, c, j] = x - s the column site of
+    that path, shaped (L_x, 4, 8); the column component is _C3[c, j].
+    """
+    L_x = len(theta_x)
+    rows = np.arange(4)[:, None]
+    y_part = Y[..., rows, _C1] * coin_matrix("y", theta_to)[..., _C1, _C2]
+    x_to = (np.arange(L_x)[:, None, None] - SHIFT_X_STEPS[_C2]) % L_x
+    x_part = coin_matrix("x", theta_x)[x_to, _C2, _C3]
+    return y_part.swapaxes(-3, -2)[None] * x_part[:, None, :, None], x_to
+
+
+def _dense_term(theta_x, theta_y, Y):
+    """The dense 4*L_x x 4*L_x walk on a one-site y axis with angle
+    theta_y, whose S_y is the cell Y; index layout 4*(x + half_x) + c."""
+    L_x = len(theta_x)
+    values, x_to = _block_entries(theta_x, np.reshape(theta_y, (1, 1)), Y)
+    M = np.zeros((L_x, 4, L_x, 4))
+    # a path through a zero of Y reads -0.0 where another factor is
+    # negative; + 0.0 writes it as the +0.0 of an uncoupled entry
+    M[np.arange(L_x)[:, None, None], np.arange(4)[:, None], x_to,
+      _C3] = values[:, 0, :, 0] + 0.0
+    return M.reshape(4 * L_x, 4 * L_x)
+
+
 def _block_terms(op):
     """The real dense pair (A, B) with U(k_y) = cos(k_y) A + i sin(k_y) B.
 
-    A and B are the walk on a one-site y axis with the half-shift pair
-    (P, Q) = (1, 0) and (0, 1), built from op.theta_x and op.theta_y[0];
-    U is linear in (P, Q).  Raises ValueError when the theta_y table holds
-    more than one value, as only then does the walk depend on y (an
-    all-NaN table is one value, which the unitarity check refuses).  Since
-    U^dag U = cos^2 A^T A + sin^2 B^T B + i cos sin (A^T B - B^T A),
+    A and B are the walk on a one-site y axis with the y cells 1 and
+    SHIFT_Y_Q_CELL, the half-shift pair (P, Q) = (1, 0) and (0, 1), each
+    written from the per-site blocks at op.theta_x and the one theta_y
+    value; U is linear in (P, Q).  Raises ValueError when the theta_y
+    table holds more than one value, as only then does the walk depend on
+    y (an all-NaN table is one value, which the unitarity check refuses).
+    Since U^dag U = cos^2 A^T A + sin^2 B^T B + i cos sin (A^T B - B^T A),
     every block is unitary when A^T A = B^T B = 1 and A^T B is symmetric;
     raises UnitarityError if any of the three deviates by more than 1e-12.
     """
@@ -69,9 +127,8 @@ def _block_terms(op):
     if len(values) > 1:
         raise ValueError(f"momentum blocks need a y-independent walk: the "
                          f"theta_y table holds {len(values)} values")
-    one, zero = sparse.csr_matrix([[1.0]]), sparse.csr_matrix((1, 1))
-    A = _assemble(op.theta_x, op.theta_y[:1], one, zero).toarray()
-    B = _assemble(op.theta_x, op.theta_y[:1], zero, one).toarray()
+    A, B = (_dense_term(op.theta_x, values[0], Y)
+            for Y in (np.eye(4), SHIFT_Y_Q_CELL))
     eye, AtB = np.eye(A.shape[0]), A.T @ B
     dev = max(np.max(np.abs(A.T @ A - eye)), np.max(np.abs(B.T @ B - eye)),
               np.max(np.abs(AtB - AtB.T)))
@@ -366,45 +423,45 @@ def fit_edge_branch(k, E, theta, k_window=0.2):
     return v, resid, pts
 
 
-def _roll(L, s):
-    # (M psi)(i) = psi(i + s) with wraparound
-    idx = np.arange(L)
-    return sparse.csr_matrix((np.ones(L), (idx, (idx + s) % L)), shape=(L, L))
-
-
-def _assemble(tx, ty, P_y, Q_y):
-    """Sparse U = S_y C_y S_x C_x from the factor table in `operators`.
-
-    tx, ty are the site angle tables and P_y, Q_y the sparse half-shift
-    operators on the y axis (square, of size len(ty)).  Index layout
-    4*(len(ty)*x + y) + c.
-    """
-    L_x, L_y = len(tx), len(ty)
-    I_x, I_y = sparse.identity(L_x), sparse.identity(L_y)
-    I4 = sparse.identity(4)
-    kron = sparse.kron
-    J_x, J_y, Q_cell = (sparse.csr_matrix(m) for m in (
-        COIN_GENERATORS["x"], COIN_GENERATORS["y"], SHIFT_Y_Q_CELL))
-
-    C_x = (kron(sparse.diags(np.cos(tx)), kron(I_y, I4))
-           + kron(sparse.diags(np.sin(tx)), kron(I_y, J_x)))
-    C_y = kron(I_x, kron(sparse.diags(np.cos(ty)), I4)
-               + kron(sparse.diags(np.sin(ty)), J_y))
-    S_x = sum(kron(_roll(L_x, -step), kron(I_y, sparse.diags(
-        (SHIFT_X_STEPS == step).astype(float)))) for step in (-1, +1))
-    S_y = kron(I_x, kron(P_y, I4) + kron(Q_y, Q_cell))
-    return (S_y @ C_y @ S_x @ C_x).tocsr()
-
-
 def walk_matrix_sparse(op):
-    """Sparse CSR matrix of U from the factor table in `operators`.
+    """Sparse CSR matrix of U, written from the per-site blocks.
 
     Same index layout as ``state.reshape(-1)``.  All factors are real, so
-    the result is a real sparse matrix (~16 nonzeros per row).
+    U is real.  Row (x, y, c) holds the 16 entries of its block rows
+    toward y' = y +- 1 and x - s = x -+ 1: the larger y' first, each y'
+    in the paths' order.  That is the order in which scipy's CSR product
+    of the column-sorted factor matrices S_y, C_y, S_x and C_x lists a
+    row, so U @ v sums each row in that order.  Entries that are exactly
+    zero, as at a zero angle, are dropped.  scipy.sparse is imported
+    here, only to wrap the arrays.
     """
-    up, down = _roll(op.lattice.L_y, +1), _roll(op.lattice.L_y, -1)
-    return _assemble(op.theta_x, op.theta_y, (up + down) * 0.5,
-                     (up - down) * 0.5)
+    from scipy import sparse
+
+    lattice = op.lattice
+    y = np.arange(lattice.L_y)
+    up = (y + 1) % lattice.L_y
+    to = np.sort(np.stack((up, (y - 1) % lattice.L_y), axis=1))[:, ::-1]
+    sign = np.where(to == up[:, None], 1.0, -1.0)
+    Y = 0.5 * (np.eye(4) + sign[..., None, None] * SHIFT_Y_Q_CELL)
+    values, x_to = _block_entries(op.theta_x, op.theta_y[to], Y)
+    index = np.int32 if values.size <= np.iinfo(np.int32).max else np.int64
+    columns = ((4 * lattice.L_y * x_to + _C3).astype(index)[:, None, :, None]
+               + (4 * to).astype(index)[:, None, :, None])
+    n = lattice.size
+    U = sparse.csr_matrix(
+        (values.reshape(-1), columns.reshape(-1),
+         np.arange(0, values.size + 1, values[0, 0, 0].size, dtype=index)),
+        shape=(n, n))
+    U.eliminate_zeros()
+    return U
+
+
+def eigsh(*args, **kwargs):
+    """ARPACK's eigsh, imported when called.  No package code calls it:
+    the benchmark tracer wraps dtqw.spectral.eigsh by name, and this
+    forwarder goes together with that tracer target (ROADMAP R9)."""
+    from scipy.sparse.linalg import eigsh
+    return eigsh(*args, **kwargs)
 
 
 # Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago and

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from conftest import angles
@@ -104,24 +103,24 @@ class TestBlocks:
 
 
 class TestBlockUnitarityGuard:
-    """Non-unitary walk terms (A, B), injected through _assemble, are
+    """Non-unitary walk terms (A, B), injected through _dense_term, are
     rejected once per walk, before any block is solved."""
 
     @pytest.mark.parametrize("case", ["scaled", "rotated"])
     def test_non_unitary_terms_rejected(self, monkeypatch, case):
-        assemble = dtqw.spectral._assemble
+        dense_term = dtqw.spectral._dense_term
         rng = np.random.Generator(np.random.PCG64(2))
         R = np.linalg.qr(rng.normal(size=(36, 36)))[0]
 
-        def fake(tx, ty, P_y, Q_y):
-            if P_y.nnz:                      # A, at (P, Q) = (1, 0)
-                return assemble(tx, ty, P_y, Q_y)
+        def fake(tx, ty, Y):
+            if np.array_equal(Y, np.eye(4)):     # A, at (P, Q) = (1, 0)
+                return dense_term(tx, ty, Y)
             if case == "scaled":
-                return assemble(tx, ty, P_y, Q_y) * (1 + 1e-6)
+                return dense_term(tx, ty, Y) * (1 + 1e-6)
             # B = A R: A^T A = B^T B = 1, but A^T B = R is not symmetric
-            return sparse.csr_matrix(assemble(tx, ty, Q_y, P_y) @ R)
+            return dense_term(tx, ty, np.eye(4)) @ R
 
-        monkeypatch.setattr(dtqw.spectral, "_assemble", fake)
+        monkeypatch.setattr(dtqw.spectral, "_dense_term", fake)
         op = StepOperator2D(LatticeSpec(9), angles("wall:pi/3:-pi/3:3", 9),
                             np.full(9, np.pi / 3))
         with pytest.raises(UnitarityError, match="not unitary"):

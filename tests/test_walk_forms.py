@@ -3,7 +3,9 @@
 The matrix-free kernel (`StepOperator2D.apply` / `apply_adjoint`) and the
 probed dense matrix are written independently of the factor table that
 the sparse, momentum-block and Bloch forms are assembled from, so these
-properties compare independent encodings of U = S_y C_y S_x C_x.
+properties compare independent encodings of U = S_y C_y S_x C_x.  The
+per-site derivation of the sparse and momentum-block forms is also held
+bit for bit to scipy's product of the four sparse factor matrices.
 """
 
 import numpy as np
@@ -11,12 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from conftest import angles
 from dtqw.lattice import LatticeSpec
-from dtqw.operators import StepOperator2D, walk_matrix_dense
-from dtqw.spectral import (_quasi_energy, bulk_bands, commensurate_grid,
-                           momentum_block, quasi_energies, walk_matrix_sparse)
+from dtqw.operators import (COIN_GENERATORS, SHIFT_X_STEPS, SHIFT_Y_Q_CELL,
+                            StepOperator2D, walk_matrix_dense)
+from dtqw.spectral import (_block_terms, _quasi_energy, bulk_bands,
+                           commensurate_grid, momentum_block, quasi_energies,
+                           walk_matrix_sparse)
 from dtqw.symmetry import _phase_multiset_distance
 
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True)
@@ -118,3 +123,89 @@ def test_kernel_matches_sparse_on_every_small_lattice(L_x, L_y):
                        rtol=0, atol=1e-13)
     assert np.allclose(op.apply_adjoint(psi).reshape(-1), U.T @ flat,
                        rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("theta_y", [0.0, np.pi / 3])
+def test_momentum_blocks_match_the_kernel_on_plane_waves(theta_y):
+    # the kernel maps psi(x, y, c) = [x = x0, c = c0] e^{i k y} to column
+    # (x0, c0) of U(k) times e^{i k y}, at every y.  This checks U(k)
+    # entry by entry: B -> -B maps U(k) to U(-k), which the spectral
+    # tiling above cannot tell apart
+    lat = LatticeSpec(11, 9)
+    op = StepOperator2D(lat, angles("wall:pi/3:-pi/3:3+noise:0.25:5", 11),
+                        np.full(9, theta_y))
+    for k in commensurate_grid(lat.L_y):
+        wave = np.exp(1j * k * lat.coords_y)
+        U_k = momentum_block(op, k)
+        for j in range(U_k.shape[0]):
+            psi = np.zeros(lat.shape, dtype=complex)
+            psi[j // 4, :, j % 4] = wave
+            # one row per y, each in the block's (x, c) layout
+            columns = (op.apply(psi) / wave[:, None]).transpose(1, 0, 2)
+            assert np.max(np.abs(columns.reshape(lat.L_y, -1)
+                                 - U_k[:, j])) <= 1e-13
+
+
+def _roll(L, s):
+    # (M psi)(i) = psi(i + s) with wraparound
+    i = np.arange(L)
+    return sparse.csr_matrix((np.ones(L), (i, (i + s) % L)), shape=(L, L))
+
+
+def _factor_product(tx, ty, P_y, Q_y):
+    """U = S_y C_y S_x C_x as scipy's CSR product of the four sparse
+    factor matrices, each with sorted rows and no stored zeros.
+
+    tx, ty are the angle tables and P_y, Q_y the half-shift operators on
+    the y axis, of size len(ty).  Index layout 4*(len(ty)*x + y) + c.
+    """
+    I_x, I_y, I4 = (sparse.identity(n) for n in (len(tx), len(ty), 4))
+    kron = sparse.kron
+    C_x = sum(kron(sparse.diags(f(tx)), kron(I_y, M))
+              for f, M in ((np.cos, I4), (np.sin, COIN_GENERATORS["x"])))
+    C_y = kron(I_x, sum(kron(sparse.diags(f(ty)), M)
+                        for f, M in ((np.cos, I4),
+                                     (np.sin, COIN_GENERATORS["y"]))))
+    S_x = sum(kron(_roll(len(tx), -s),
+                   kron(I_y, np.diag((SHIFT_X_STEPS == s).astype(float))))
+              for s in (-1, +1))
+    S_y = kron(I_x, kron(P_y, I4) + kron(Q_y, SHIFT_Y_Q_CELL))
+    S_y, C_y, S_x, C_x = map(_canonical, (S_y, C_y, S_x, C_x))
+    return S_y @ C_y @ S_x @ C_x
+
+
+def _canonical(F):
+    """F as CSR with sorted rows and no stored zeros."""
+    F = sparse.csr_matrix(F)
+    F.eliminate_zeros()
+    F.sort_indices()
+    return F
+
+
+@pytest.mark.parametrize("L_x, L_y, theta_x, theta_y", [
+    (11, 11, "wall:pi/3:-pi/3:3", "wall:pi/3:-pi/3:3"),
+    (21, 21, "wall:pi/3:-pi/3:5+noise:0.25:7",
+     "wall:pi/3:-pi/3:5+noise:0.25:9"),
+    (3, 5, "wall:pi/3:-pi/4:0+noise:0.3:7", "linear:0.4:1:1.2+noise:0.2:8"),
+    (13, 7, "constant:0", "wall:0:pi/2:1+noise:0.3:2"),
+    (9, 7, "wall:pi/3:-pi/3:2", "constant:0")])
+def test_per_site_forms_equal_the_factor_product(L_x, L_y, theta_x,
+                                                 theta_y):
+    # the same arrays, bit for bit and in the same order within each row,
+    # so U @ v sums every row as the factor product does; zero angles
+    # (the last two walks) drop the entries they zero
+    op = StepOperator2D(LatticeSpec(L_x, L_y), angles(theta_x, L_x),
+                        angles(theta_y, L_y))
+    up, down = _roll(L_y, +1), _roll(L_y, -1)
+    U = walk_matrix_sparse(op)
+    ref = _factor_product(op.theta_x, op.theta_y, (up + down) * 0.5,
+                          (up - down) * 0.5)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(U, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    if len(np.unique(op.theta_y)) == 1:
+        one, zero = sparse.csr_matrix([[1.0]]), sparse.csr_matrix((1, 1))
+        terms = [_factor_product(op.theta_x, op.theta_y[:1], P, Q).toarray()
+                 for P, Q in ((one, zero), (zero, one))]
+        for got, want in zip(_block_terms(op), terms):
+            assert got.tobytes() == want.tobytes()
