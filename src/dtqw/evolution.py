@@ -91,14 +91,21 @@ def run_dynamics(op, psi, T_max, stride=1):
     per record.  Raises if the norm drifts by more than 1e-9 over the
     whole run; the check reads the norm off the |psi|^2 map of each
     recorded step, the one its moments come from.
+
+    psi is loaded into the walk's row planes once and stepped there in
+    place (`StepOperator2D._step`), and each recorded map is summed
+    straight from the planes: the same bits as a loop of `op.apply` and
+    `lattice.position_moments`, without laying the state out anew each
+    step.  The run overwrites op's workspace; psi is only read.
     """
     if T_max < 1 or stride < 1:
         raise ValueError("T_max and stride must be >= 1")
     records = [(0, *lat.position_moments(psi, op.lattice))]
+    op._load(psi)
     for T in range(1, T_max + 1):
-        psi = op.apply(psi)
+        op._step()
         if T % stride == 0 or T == T_max:
-            P = lat.probability_map(psi)
+            P = op._probability_map()
             drift = abs(np.sqrt(P.sum()) - 1.0)
             if not drift <= 1e-9:
                 raise RuntimeError(f"norm drift {drift:.3g} at step {T}")

@@ -35,17 +35,22 @@ move by s and Y the y cell of the term toward y'; the Bloch form is the
 and `walk_matrix_dense` (which probes that kernel) are written out
 independently, so the derived forms can be tested against them.
 
-The matrix-free kernel (`StepOperator2D.apply` / `apply_adjoint`) takes
-and returns states in the public (L_x, L_y, 4) layout of `lattice`.
-Inside, each component is one plane of L_x L_y complex numbers, site
-(x, y) at flat index x L_y + y; the input is read and the output written
-through strided views of those planes.  A step is two stages.
+The matrix-free kernel is `StepOperator2D`.  Inside, each component is
+one plane of L_x L_y complex numbers, site (x, y) at flat index
+x L_y + y.  The four planes sit in mover order (LD, LU, RD, RU), each
+padded with one wrap row at each end: the row planes.  `apply` /
+`apply_adjoint` take and return states in the public (L_x, L_y, 4)
+layout of `lattice`; the input is read and the output written through
+strided views of the planes.  `evolution.run_dynamics` instead loads its
+state into the row planes once and steps it there in place, taking each
+recorded |psi|^2 map straight from the planes, so a walked state is not
+re-laid out between steps.  A step is two stages.
 
-* The x stage rotates each (L, R) pair by C_x into planes padded with
-  one wrap row at each end.  S_x is folded into the next stage's reads:
-  the L movers are read one row ahead (x + 1) and the R movers one row
-  behind (x - 1), flat offsets of +-L_y, once the wrap row each read
-  crosses has been copied in.
+* The x stage rotates each (L, R) pair by C_x into the row planes, in
+  place when the state is held there.  S_x is folded into the next
+  stage's reads: the L movers are read one row ahead (x + 1) and the R
+  movers one row behind (x - 1), flat offsets of +-L_y, once the wrap
+  row each read crosses has been copied in.
 * The y stage folds C_y and S_y together.  From the x-stage output b it
   forms the sums and differences
 
@@ -67,7 +72,8 @@ through strided views of those planes.  A step is two stages.
   read P f + Q f' = (f + f')(y+1)/2 + (f - f')(y-1)/2.  The y shift is a
   flat offset of +-1; on the two wrap columns, where that offset crosses
   into the next row, the stencil is applied again with the periodic
-  neighbours.
+  neighbours.  The stencil writes the new state back into the row
+  planes' interior when the state is held there.
 
 The adjoint U^T = C_x^T S_x^T C_y^T S_y^T runs the transposed stages in
 reverse in the same form.  The transposed stencil reads sums and
@@ -81,7 +87,9 @@ D1 = (c H - s P)/2 and D2 = (c P + s H)/2; the movers are (LD, LU) =
 the L movers at x - 1 and the R movers at x + 1, and C_x^T rotates each
 pair back by theta_x(x).  The coin coefficients are tabulated once per
 site, every stage writes into planes the operator allocates once, and
-only the returned state is a new array.
+only the returned state is a new array.  That workspace is shared by
+`apply`, `apply_adjoint` and the held state's steps, so an operator is
+not re-entrant.
 """
 
 import numpy as np
@@ -117,18 +125,20 @@ def coin_matrix(axis, theta):
 
 
 def _rotate(c, s, a, b, out_a, out_b, t, sign):
-    """out_a = c a - sign s b and out_b = c b + sign s a, through scratch t.
+    """out_a = c a - sign s b and out_b = c b + sign s a, through the
+    scratch stacks t[0] and t[1].
 
     c and s are coefficient planes that broadcast against the plane stacks
-    a and b; sign = +1 applies a coin, -1 its transpose.
+    a and b; sign = +1 applies a coin, -1 its transpose.  Both products
+    with s are taken first, so out_a and out_b may be a and b themselves.
     """
     minus, plus = (np.subtract, np.add)[::sign]
+    np.multiply(s, b, out=t[0])
+    np.multiply(s, a, out=t[1])
     np.multiply(c, a, out=out_a)
-    np.multiply(s, b, out=t)
-    minus(out_a, t, out=out_a)
+    minus(out_a, t[0], out=out_a)
     np.multiply(c, b, out=out_b)
-    np.multiply(s, a, out=t)
-    plus(out_b, t, out=out_b)
+    plus(out_b, t[1], out=out_b)
 
 
 def _read_rows(planes, step):
@@ -144,31 +154,38 @@ def _read_rows(planes, step):
 
 
 def _stencil(out, up, down):
-    """S_y on the rotated planes (g, p, q, h): (LD, RD, LU, RU) into `out`
-    from `up`, those planes read at y + 1, and `down`, read at y - 1."""
-    np.add(up[0:2], down[3:1:-1], out=out[0::2])    # g+ + h-,  p+ + q-
-    np.subtract(up[0], down[3], out=out[1])          # g+ - h-
-    np.subtract(down[2], up[1], out=out[3])          # q- - p+
+    """S_y on the rotated planes (g, p, q, h) into the mover stacks `out`
+    ((LD, LU), (RD, RU)) from `up`, those planes read at y + 1, and
+    `down`, read at y - 1."""
+    np.add(up[0:2], down[3:1:-1], out=out[0])      # g+ + h-,  p+ + q-
+    np.subtract(up[0], down[3], out=out[1, 0])     # g+ - h-
+    np.subtract(down[2], up[1], out=out[1, 1])     # q- - p+
 
 
 def _stencil_transpose(out, up, down):
-    """The transpose of `_stencil`: (G, P, Q, H) into `out` from the state
-    (LD, RD, LU, RU) read at y + 1 (`up`) and y - 1 (`down`)."""
-    np.add(down[0], down[1], out=out[0])             # s1 at y - 1
-    np.subtract(down[2], down[3], out=out[1])        # d2 at y - 1
-    np.add(up[2], up[3], out=out[2])                 # s2 at y + 1
-    np.subtract(up[0], up[1], out=out[3])            # d1 at y + 1
+    """The transpose of `_stencil`: (G, P, Q, H) into `out` from the mover
+    stacks ((LD, LU), (RD, RU)) read at y + 1 (`up`) and y - 1 (`down`)."""
+    np.add(down[0, 0], down[1, 0], out=out[0])       # s1 at y - 1
+    np.subtract(down[0, 1], down[1, 1], out=out[1])  # d2 at y - 1
+    np.add(up[0, 1], up[1, 1], out=out[2])           # s2 at y + 1
+    np.subtract(up[0, 0], up[1, 0], out=out[3])      # d1 at y + 1
 
 
 def _shift_y(stencil, out, planes, L_y):
-    """stencil(out, up, down) over flat (4, L_x L_y) planes, with `up` read
-    at y + 1 and `down` at y - 1.  The flat offsets of +-1 are right
+    """stencil(out, up, down) over stacks of flat L_x L_y planes, with `up`
+    read at y + 1 and `down` at y - 1.  The flat offsets of +-1 are right
     everywhere but on the two wrap columns, which are done again."""
-    stencil(out[:, 1:-1], planes[:, 2:], planes[:, :-2])
-    out = out.reshape(N_COMP, -1, L_y)
-    planes = planes.reshape(N_COMP, -1, L_y)
+    stencil(out[..., 1:-1], planes[..., 2:], planes[..., :-2])
+    out = out.reshape(out.shape[:-1] + (-1, L_y))
+    planes = planes.reshape(planes.shape[:-1] + (-1, L_y))
     stencil(out[..., 0], planes[..., 1], planes[..., -1])
     stencil(out[..., -1], planes[..., 0], planes[..., -2])
+
+
+def _mover_view(state):
+    """A public (L_x, L_y, 4) state as its mover stacks: a (2, 2, L_x L_y)
+    view indexed (L/R, D/U, site), so [0] is (LD, LU) and [1] (RD, RU)."""
+    return state.reshape(-1, 2, 2).transpose(2, 1, 0)
 
 
 def _angle_table(name, values, n):
@@ -195,14 +212,24 @@ class StepOperator2D:
     matrix-free, O(N) per step, in the two stages of the module
     docstring.  Both take and return states in the public (L_x, L_y, 4)
     layout; the input is only read, and each call returns a fresh
-    C-contiguous array.  The stages write into a workspace the
-    constructor allocates once, so one operator must not be applied from
-    two threads at once.
+    C-contiguous array.
+
+    The operator also holds a walked state itself, in the interior of its
+    row planes in mover order (LD, LU, RD, RU): `_load` copies a state
+    in, `_step` advances it by one U in place through the same two
+    stages as `apply`, and `_probability_map` gives its |psi|^2 map.
+    `evolution.run_dynamics` steps this way, so its state is laid out
+    once per run, not once per step.  `apply`, `apply_adjoint` and the
+    held state share the one workspace the constructor allocates: a call
+    of `apply` or `apply_adjoint` overwrites a held state, and an
+    operator is not re-entrant (not from two threads at once, and not
+    from inside a `run_dynamics` loop on it).
     """
 
     def __init__(self, lattice, theta_x, theta_y):
         self.lattice = lattice
         L_x, L_y = lattice.L_x, lattice.L_y
+        n = L_x * L_y
         self.theta_x = tx = _angle_table("theta_x", theta_x, L_x)
         self.theta_y = ty = _angle_table("theta_y", theta_y, L_y)
         # (cos, sin) theta_x(x), and (cos, sin) theta_y(y) with S_y's 1/2
@@ -210,58 +237,91 @@ class StepOperator2D:
                               for f in (np.cos, np.sin))
         self._cy, self._sy = (np.tile(0.5 * f(ty), L_x).astype(complex)
                               for f in (np.cos, np.sin))
-        # the x stage's (LD, LU, RD, RU) planes, with a wrap row at each
-        # end, and two stacks of four flat planes for the y stage
-        self._rows = np.empty((N_COMP, L_x + 2, L_y), dtype=complex)
-        self._movers = self._rows[:, 1:-1].reshape(N_COMP, -1)  # a view
-        self._flat = np.empty((2, N_COMP, L_x * L_y), dtype=complex)
+        # the row planes ((LD, LU), (RD, RU)), with a wrap row at each end,
+        # their interior as mover stacks, and a stack of four flat planes
+        # for the y stage
+        self._rows = np.empty((2, 2, L_x + 2, L_y), dtype=complex)
+        self._movers = self._rows[:, :, 1:-1].reshape(2, 2, n)  # a view
+        self._flat = np.empty((N_COMP, n), dtype=complex)
+        # between steps the y stage's planes hold |psi|^2 and its map
+        floats = self._flat.reshape(-1).view(float)
+        self._squares = floats[:N_COMP * n].reshape(2, 2, n)
+        self._map = floats[N_COMP * n:(N_COMP + 1) * n].reshape(L_x, L_y)
 
     def _components(self, state):
-        """`state` as a (4, L_x L_y) view, one row per component."""
+        """`state` as its (2, 2, L_x L_y) mover stacks (`_mover_view`)."""
         if state.shape != self.lattice.shape:
             raise ValueError(f"state shape {state.shape} does not match "
                              f"lattice {self.lattice!r}")
-        return np.asarray(state, dtype=complex).reshape(-1, N_COMP).T
+        return _mover_view(np.asarray(state, dtype=complex))
 
-    def apply(self, state):
-        """One walk step: S_y C_y S_x C_x |psi>."""
-        psi = self._components(state)
-        sums, rotated = self._flat
-        movers = self._movers
-        # x stage: C_x on the (L, R) pairs ((LD, LU), (RD, RU))
-        _rotate(self._cx, self._sx, psi[0::2], psi[1::2],
-                movers[0:2], movers[2:4], sums[0:2], +1)
+    def _x_stage(self, L, R):
+        """C_x on the mover pairs L = (LD, LU) and R = (RD, RU) into the
+        row planes, which L and R may be themselves."""
+        _rotate(self._cx, self._sx, L, R, self._movers[0], self._movers[1],
+                self._flat.reshape(2, 2, -1), +1)
+
+    def _y_stage(self, out):
+        """S_y C_y S_x of the row planes into the mover stacks `out`, which
+        may be the planes' interior itself."""
+        sums = self._flat
         # S_x: the L movers step toward -x, so site x reads x + 1
-        ahead = _read_rows(self._rows[0:2], +1)
-        behind = _read_rows(self._rows[2:4], -1)
-        # y stage: (s1, d2, s2, d1), rotated into (g, p, q, h)
+        ahead = _read_rows(self._rows[0], +1)
+        behind = _read_rows(self._rows[1], -1)
+        # (s1, d2, s2, d1), rotated in place into (g, p, q, h)
         np.add(ahead, behind, out=sums[0::2])
         np.subtract(ahead, behind, out=sums[3:0:-2])
         _rotate(self._cy, self._sy, sums[0:2], sums[2:4],
-                rotated[0:2], rotated[2:4], movers[0:2], +1)
+                sums[0:2], sums[2:4], self._movers, +1)
+        _shift_y(_stencil, out, sums, self.lattice.L_y)
+
+    def apply(self, state):
+        """One walk step: S_y C_y S_x C_x |psi>."""
+        self._x_stage(*self._components(state))
         out = np.empty(self.lattice.shape, dtype=complex)
-        _shift_y(_stencil, out.reshape(-1, N_COMP).T, rotated,
-                 self.lattice.L_y)
+        self._y_stage(_mover_view(out))
         return out
+
+    def _load(self, state):
+        """Hold `state` in the row planes, for `_step`."""
+        self._movers[...] = self._components(state)
+
+    def _step(self):
+        """Advance the held state by one walk step, in place."""
+        self._x_stage(*self._movers)
+        self._y_stage(self._movers)
+
+    def _probability_map(self):
+        """The (L_x, L_y) map |psi|^2 of the held state, with the bits of
+        ``lattice.probability_map``: a view into the y stage's planes,
+        valid until the next step."""
+        sq, P = self._squares, self._map.reshape(-1)
+        np.abs(self._movers, out=sq)
+        np.square(sq, out=sq)
+        np.add(sq[0, 0], sq[1, 0], out=P)    # LD + RD
+        np.add(P, sq[0, 1], out=P)           # + LU
+        np.add(P, sq[1, 1], out=P)           # + RU
+        return self._map
 
     def apply_adjoint(self, state):
         """One inverse step: C_x^T S_x^T C_y^T S_y^T |psi>."""
         psi = self._components(state)
-        sums, rotated = self._flat
+        sums = self._flat
         movers = self._movers
-        # y stage transposed: (G, P, Q, H), rotated into (S1, D2, S2, D1)
+        # y stage transposed: (G, P, Q, H), rotated in place into
+        # (S1, D2, S2, D1)
         _shift_y(_stencil_transpose, sums, psi, self.lattice.L_y)
         _rotate(self._cy, self._sy, sums[0:2], sums[2:4],
-                rotated[0:2], rotated[2:4], movers[0:2], -1)
+                sums[0:2], sums[2:4], movers, -1)
         # the movers (L, R) = (S1, S2) +- (D1, D2)
-        np.add(rotated[0::2], rotated[3:0:-2], out=movers[0:2])
-        np.subtract(rotated[0::2], rotated[3:0:-2], out=movers[2:4])
+        np.add(sums[0::2], sums[3:0:-2], out=movers[0])
+        np.subtract(sums[0::2], sums[3:0:-2], out=movers[1])
         # S_x^T reads the L movers at x - 1, then C_x^T
         out = np.empty(self.lattice.shape, dtype=complex)
-        o = out.reshape(-1, N_COMP).T
-        _rotate(self._cx, self._sx, _read_rows(self._rows[0:2], -1),
-                _read_rows(self._rows[2:4], +1), o[0::2], o[1::2],
-                sums[0:2], -1)
+        o = _mover_view(out)
+        _rotate(self._cx, self._sx, _read_rows(self._rows[0], -1),
+                _read_rows(self._rows[1], +1), o[0], o[1],
+                sums.reshape(2, 2, -1), -1)
         return out
 
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import angles
 from dtqw.continuum import BETA, analytic_zero_mode_2d
 from dtqw.evolution import (band_filter, prepare_initial_state,
                             refine_unit_eigenstate, run_dynamics)
-from dtqw.lattice import LatticeSpec
+from dtqw.lattice import LatticeSpec, position_moments
 from dtqw.operators import StepOperator2D
+from dtqw.presets import _prepared_start, base_config
 from test_lattice import basis_state
 
 
@@ -39,8 +43,12 @@ class TestRunDynamics:
         # a step that grows the norm by `scale`: one recorded step past
         # the 1e-9 drift bound raises, one inside it records its moments
         op = _trap_op(21)
-        step = op.apply
-        monkeypatch.setattr(op, "apply", lambda psi: step(psi) * scale)
+        step = op._step
+
+        def grown_step():
+            step()
+            np.multiply(op._movers, scale, out=op._movers)
+        monkeypatch.setattr(op, "_step", grown_step)
         psi = basis_state(op.lattice, 0, 0, 2)
         if raises:
             with pytest.raises(RuntimeError, match="norm drift 2e-09 at "
@@ -56,7 +64,8 @@ class TestRunDynamics:
 
     def test_nan_step_trips_the_drift_check(self, monkeypatch):
         op = _trap_op(21)
-        monkeypatch.setattr(op, "apply", lambda psi: psi * np.nan)
+        monkeypatch.setattr(op, "_step", lambda: np.multiply(
+            op._movers, np.nan, out=op._movers))
         with pytest.raises(RuntimeError, match="norm drift nan at step 1"):
             run_dynamics(op, basis_state(op.lattice, 0, 0, 2), T_max=1)
 
@@ -71,6 +80,62 @@ class TestRunDynamics:
         with pytest.raises(ValueError, match="passes"):
             prepare_initial_state(op, basis_state(op.lattice, 0, 0, 2),
                                   band_pass=(0.25, 8.0))
+
+
+def _apply_loop_table(op, psi, T_max, stride):
+    """run_dynamics's table from an explicit loop of op.apply and
+    position_moments, each step in the public layout."""
+    rows = [(0, *position_moments(psi, op.lattice))]
+    for T in range(1, T_max + 1):
+        psi = op.apply(psi)
+        if T % stride == 0 or T == T_max:
+            rows.append((T, *position_moments(psi, op.lattice)))
+    return np.array(rows, dtype=float)
+
+
+def _assert_run_matches_apply_loop(op, psi, T_max, stride):
+    # apply and apply_adjoint share the workspace run_dynamics steps its
+    # state in, so a run must leave their results as they were
+    steps = op.apply(psi).tobytes(), op.apply_adjoint(psi).tobytes()
+    table = run_dynamics(op, psi, T_max, stride)
+    assert (op.apply(psi).tobytes(), op.apply_adjoint(psi).tobytes()) == steps
+    assert table.tobytes() == _apply_loop_table(op, psi, T_max,
+                                                stride).tobytes()
+
+
+@st.composite
+def dynamics_runs(draw):
+    """(op, psi, T_max, stride): a walk on an odd lattice of 3..9 sites
+    per axis with drawn angle tables, a normalized random start, a stride
+    of 1..3 and, when the stride is above 1, a T_max that is not a
+    multiple of it, so the last record falls off the stride."""
+    odd = st.sampled_from([3, 5, 7, 9])
+    angle = st.floats(-np.pi, np.pi, allow_nan=False)
+    lat = LatticeSpec(draw(odd), draw(odd))
+    op = StepOperator2D(lat, draw(arrays(float, lat.L_x, elements=angle)),
+                        draw(arrays(float, lat.L_y, elements=angle)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**16))))
+    psi = rng.normal(size=lat.shape) + 1j * rng.normal(size=lat.shape)
+    stride = draw(st.integers(1, 3))
+    T_max = (stride * draw(st.integers(0, 12))
+             + draw(st.integers(1, max(stride - 1, 1))))
+    return op, psi / np.linalg.norm(psi), T_max, stride
+
+
+class TestRunDynamicsBits:
+    """run_dynamics steps a state it holds in the kernel's row planes;
+    its table keeps the bits of the public-layout apply loop."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(dynamics_runs())
+    def test_drawn_walks(self, run):
+        _assert_run_matches_apply_loop(*run)
+
+    def test_fig1_walk(self):
+        cfg = base_config("fig1")
+        cfg.set("L", "33")
+        _assert_run_matches_apply_loop(*_prepared_start(cfg), 200,
+                                       cfg.get_int("stride"))
 
 
 class TestPreparation:
